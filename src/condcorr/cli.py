@@ -29,7 +29,7 @@ from . import io
 from .conditional import relative_difference_chi
 from .errors import CondCorrError, DataError, ValidationError
 from .fearsim import SimConfig
-from .ranktests import equal_size_subsample, wilcoxon_rank_sum
+from .ranktests import equalize_sizes, wilcoxon_rank_sum
 
 _CONFIG_FIELDS = [f.name for f in fields(io.RunConfig)]
 
@@ -171,10 +171,7 @@ def _cmd_wilcoxon(args) -> int:
     a = _read_values(args.sample_a)
     b = _read_values(args.sample_b)
     if args.equalize:
-        if len(a) > len(b):
-            a = equal_size_subsample(a, len(b), args.seed)
-        elif len(b) > len(a):
-            b = equal_size_subsample(b, len(a), args.seed)
+        a, b = equalize_sizes(a, b, args.seed)
     result = wilcoxon_rank_sum(a, b)
     json.dump(
         {

@@ -17,9 +17,15 @@ vanishes; "vanishes" is relative — var ≤ 1e−12 × mean-square — so const
 windows stay undefined under floating-point noise.  Undefined pairs are
 dropped from the S_0 mean, never treated as zero.
 
-The heavy path gathers windows only at conditional member times and runs
-cross-products as batched matrix multiplies, so cost scales with the member
-count rather than the series length.
+Every correlation entry point runs through one window kernel.  It gathers
+the windows at the requested starts time-major, as (c, δt + 1, N) blocks,
+takes each stock's two-pass mean and variance, and z-scores the window
+(zero where undefined), so S_(x,y) = z_x·z_y / (δt + 1).  S_0 then costs
+O(N·δt) per window through Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖², and
+the per-pair sums behind χ are one matrix product Zᵀ Z over the stacked
+member windows, with the pair counts Dᵀ D over the definedness flags D.
+The sweep gathers windows only at conditional member times, so cost scales
+with the member count rather than the series length.
 """
 
 from __future__ import annotations
@@ -218,18 +224,16 @@ def _check_window_range(window_range: tuple[int, int]):
 
 
 class _PanelEngine:
-    """Return matrix, running sums, and index returns for one (panel, Δt)."""
+    """Time-major return matrix and index log prices for one (panel, Δt)."""
 
     def __init__(self, panel: AlignedPanel, horizon: int):
         _check_horizon(panel, horizon)
         self.panel = panel
         self.horizon = horizon
         logm = panel.log_close_matrix
-        self.returns = logm[:, horizon:] - logm[:, :-horizon]
-        self.n_stocks, self.n_returns = self.returns.shape
-        pad = np.zeros((self.n_stocks, 1))
-        self.cum = np.hstack([pad, np.cumsum(self.returns, axis=1)])
-        self.cumsq = np.hstack([pad, np.cumsum(self.returns**2, axis=1)])
+        # time-major, so each gathered window is one contiguous (m, N) block
+        self.returns = np.ascontiguousarray((logm[:, horizon:] - logm[:, :-horizon]).T)
+        self.n_returns, self.n_stocks = self.returns.shape
         self.index_log = panel.index_log_closes
 
     def n_starts(self, span: int) -> int:
@@ -240,56 +244,61 @@ class _PanelEngine:
         n_t = self.n_starts(span)
         return self.index_log[span: span + n_t] - self.index_log[:n_t]
 
-    def stock_moments(self, starts: np.ndarray, span: int):
-        """Per-stock window mean, sd, and definedness at the given starts."""
-        m = span + 1
-        sums = self.cum[:, starts + m] - self.cum[:, starts]
-        sqs = self.cumsq[:, starts + m] - self.cumsq[:, starts]
-        mean = sums / m
-        meansq = sqs / m
-        var = np.maximum(meansq - mean * mean, 0.0)
-        defined = var > meansq * _REL_VAR_FLOOR
+
+def _zscored_windows(returns: np.ndarray, starts: np.ndarray, span: int):
+    """Yield (chunk_slice, z, defined) over the windows at ``starts``.
+
+    ``returns`` is time-major (days, N).  z is (c, span + 1, N): each
+    column's window minus its mean, divided by its population sd, and zero
+    where the window is undefined; defined is (c, N).  Moments are two-pass
+    over the window alone, so rounding does not grow with the series length.
+    """
+    offsets = np.arange(span + 1)
+    for lo in range(0, len(starts), _CHUNK):
+        sel = slice(lo, min(lo + _CHUNK, len(starts)))
+        z = returns[starts[sel, None] + offsets]
+        mean = z.mean(axis=1, keepdims=True)
+        z -= mean
+        var = np.einsum("cmn,cmn->cn", z, z) / (span + 1)
+        defined = var > (var + mean[:, 0] ** 2) * _REL_VAR_FLOOR
         sd = np.sqrt(np.where(defined, var, 1.0))
-        return mean, sd, defined
+        z *= (defined / sd)[:, None, :]
+        yield sel, z, defined
 
-    def correlation_blocks(self, starts: np.ndarray, span: int):
-        """Yield (chunk_slice, S, pair_defined, s0, s0_defined) over starts.
 
-        S is (chunk, N, N) with undefined pairs and the diagonal zeroed;
-        s0 is the per-start mean over defined pairs (NaN when none).
-        """
-        m = span + 1
-        n = self.n_stocks
-        offsets = np.arange(m)
-        diag = np.arange(n)
-        mean, sd, defined = self.stock_moments(starts, span)
-        all_defined_mask = np.ones((1, n, n), dtype=bool)
-        all_defined_mask[0, diag, diag] = False
-        full_pairs = n * (n - 1) // 2
-        for lo in range(0, len(starts), _CHUNK):
-            sel = slice(lo, min(lo + _CHUNK, len(starts)))
-            windows = self.returns[:, starts[sel, None] + offsets].transpose(1, 0, 2)
-            cross = windows @ windows.transpose(0, 2, 1)
-            mu = mean[:, sel].T
-            sdv = sd[:, sel].T
-            cov = cross / m - mu[:, :, None] * mu[:, None, :]
-            s_mat = cov / (sdv[:, :, None] * sdv[:, None, :])
-            pair_def = defined[:, sel].T
-            if pair_def.all():
-                s_mat[:, diag, diag] = 0.0
-                pair_mask = np.broadcast_to(all_defined_mask, s_mat.shape)
-                s0 = s_mat.sum(axis=(1, 2)) / 2.0 / full_pairs
-                s0_def = np.ones(s_mat.shape[0], dtype=bool)
-            else:
-                pair_mask = pair_def[:, :, None] & pair_def[:, None, :]
-                pair_mask[:, diag, diag] = False
-                s_mat *= pair_mask
-                d = pair_def.sum(axis=1).astype(np.int64)
-                n_pairs = d * (d - 1) // 2
-                with np.errstate(invalid="ignore"):
-                    s0 = s_mat.sum(axis=(1, 2)) / 2.0 / n_pairs
-                s0_def = n_pairs > 0
-            yield sel, s_mat, pair_mask, s0, s0_def
+def _market_s0(z: np.ndarray, defined: np.ndarray):
+    """S_0 per window (NaN where no pair is defined) and its defined-pair count.
+
+    Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖², so the pair mean costs O(N·m)
+    per window without forming the N×N correlation matrix.
+    """
+    total = z.sum(axis=2)
+    off_diagonal = np.einsum("cm,cm->c", total, total) - np.einsum("cmn,cmn->c", z, z)
+    d = defined.sum(axis=1, dtype=np.int64)
+    n_pairs = d * (d - 1) // 2
+    s0 = np.full(len(d), np.nan)
+    have = n_pairs > 0
+    s0[have] = off_diagonal[have] / z.shape[1] / 2.0 / n_pairs[have]
+    return s0, n_pairs
+
+
+def _market_values(returns: np.ndarray, starts: np.ndarray, span: int):
+    """S_0 and defined-pair counts at each start, as _market_s0 gives them."""
+    s0 = np.empty(len(starts))
+    n_pairs = np.empty(len(starts), dtype=np.int64)
+    for sel, z, defined in _zscored_windows(returns, starts, span):
+        s0[sel], n_pairs[sel] = _market_s0(z, defined)
+    return s0, n_pairs
+
+
+def _pair_values(pair_returns: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
+    """S_(x,y) at each start from the (days, 2) returns of x and y; NaN where
+    either window is undefined."""
+    values = np.empty(len(starts))
+    for sel, z, defined in _zscored_windows(pair_returns, starts, span):
+        s = np.einsum("cm,cm->c", z[:, :, 0], z[:, :, 1]) / (span + 1)
+        values[sel] = np.where(defined.all(axis=1), s, np.nan)
+    return values
 
 
 def _membership(cond_returns: np.ndarray, level: float) -> np.ndarray:
@@ -343,11 +352,13 @@ def _sweep(engine: _PanelEngine, spans: Iterable[int],
         sums = np.zeros(len(accumulators))
         sumsqs = np.zeros(len(accumulators))
         counts = np.zeros(len(accumulators), dtype=np.int64)
+        # per-pair Σ z_x·z_y and defined-window counts over the members
         span_psum = [np.zeros((n, n)) if a.track_pairs else None for a in accumulators]
-        span_pcnt = [np.zeros((n, n), dtype=np.int64) if a.track_pairs else None
-                     for a in accumulators]
+        span_pcnt = [np.zeros((n, n)) if a.track_pairs else None for a in accumulators]
 
-        for sel, s_mat, pair_mask, s0, s0_def in engine.correlation_blocks(starts, span):
+        for sel, z, defined in _zscored_windows(engine.returns, starts, span):
+            s0, n_pairs = _market_s0(z, defined)
+            s0_def = n_pairs > 0
             chunk_starts = starts[sel]
             for i, acc in enumerate(accumulators):
                 memb = masks[i][chunk_starts]
@@ -361,8 +372,10 @@ def _sweep(engine: _PanelEngine, spans: Iterable[int],
                         np.add.at(acc.time_num, chunk_starts[use], vals)
                         np.add.at(acc.time_den, chunk_starts[use], 1)
                 if acc.track_pairs and np.any(memb):
-                    span_psum[i] += s_mat[memb].sum(axis=0)
-                    span_pcnt[i] += pair_mask[memb].sum(axis=0)
+                    stacked = z[memb].reshape(-1, n)
+                    flags = defined[memb].astype(np.float64)
+                    span_psum[i] += stacked.T @ stacked
+                    span_pcnt[i] += flags.T @ flags
 
         for i, acc in enumerate(accumulators):
             c = int(counts[i])
@@ -383,9 +396,9 @@ def _sweep(engine: _PanelEngine, spans: Iterable[int],
                 acc.span_se2.append(np.nan)
             if acc.track_pairs:
                 has = span_pcnt[i] > 0
-                acc.pair_num[has] += span_psum[i][has] / span_pcnt[i][has]
+                acc.pair_num[has] += span_psum[i][has] / (span + 1) / span_pcnt[i][has]
                 acc.pair_den[has] += 1
-                acc.pair_members += span_pcnt[i]
+                acc.pair_members += span_pcnt[i].astype(np.int64)
 
 
 def _curve_point(acc: _LevelAccumulator, min_samples: int) -> CurvePoint | None:
@@ -417,12 +430,26 @@ def _resolve(panel: AlignedPanel, stock) -> int:
     return stock if isinstance(stock, (int, np.integer)) else panel.stock_index(stock)
 
 
-def _window_moments(values: np.ndarray):
-    mean = float(np.mean(values))
-    meansq = float(np.mean(values * values))
-    var = max(meansq - mean * mean, 0.0)
-    defined = var > meansq * _REL_VAR_FLOOR
-    return mean, var, defined
+def _check_start(engine: _PanelEngine, t: int, window_span: int):
+    if window_span < 1:
+        raise ValidationError("window span must be >= 1")
+    if t < 0 or t >= engine.n_starts(window_span):
+        raise ValidationError(
+            f"window start {t} outside [0, {engine.n_starts(window_span)})"
+        )
+
+
+def _check_span(engine: _PanelEngine, window_span: int) -> int:
+    """Number of valid starts; raises when the span leaves none."""
+    if window_span < 1:
+        raise ValidationError("window span must be >= 1")
+    n_t = engine.n_starts(window_span)
+    if n_t == 0:
+        raise ValidationError(
+            f"window span {window_span} leaves no valid starts "
+            f"({engine.n_returns} returns)"
+        )
+    return n_t
 
 
 def pair_correlation(panel: AlignedPanel, x, y, t: int, window_span: int,
@@ -433,46 +460,19 @@ def pair_correlation(panel: AlignedPanel, x, y, t: int, window_span: int,
     the self-correlation identity.
     """
     engine = _PanelEngine(panel, horizon)
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    if t < 0 or t >= engine.n_starts(window_span):
-        raise ValidationError(
-            f"window start {t} outside [0, {engine.n_starts(window_span)})"
-        )
-    xi, yi = _resolve(panel, x), _resolve(panel, y)
-    rx = engine.returns[xi, t: t + window_span + 1]
-    ry = engine.returns[yi, t: t + window_span + 1]
-    mx, vx, dx = _window_moments(rx)
-    my, vy, dy = _window_moments(ry)
-    if not (dx and dy):
-        return None
-    cov = float(np.mean(rx * ry)) - mx * my
-    return cov / (np.sqrt(vx) * np.sqrt(vy))
+    _check_start(engine, t, window_span)
+    pair_returns = engine.returns[:, [_resolve(panel, x), _resolve(panel, y)]]
+    value = float(_pair_values(pair_returns, np.array([t]), window_span)[0])
+    return None if np.isnan(value) else value
 
 
 def pair_correlation_series(panel: AlignedPanel, x, y, window_span: int,
                             horizon: int = 1) -> PairCorrelationSeries:
     """S_(x,y) at every valid start (vectorized); NaN marks undefined windows."""
     engine = _PanelEngine(panel, horizon)
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    n_t = engine.n_starts(window_span)
-    if n_t == 0:
-        raise ValidationError(
-            f"window span {window_span} leaves no valid starts "
-            f"({engine.n_returns} returns)"
-        )
+    n_t = _check_span(engine, window_span)
     xi, yi = _resolve(panel, x), _resolve(panel, y)
-    m = window_span + 1
-    starts = np.arange(n_t)
-    mean, sd, defined = engine.stock_moments(starts, window_span)
-    rx, ry = engine.returns[xi], engine.returns[yi]
-    cross_cum = np.concatenate(([0.0], np.cumsum(rx * ry)))
-    cross = (cross_cum[starts + m] - cross_cum[starts]) / m
-    cov = cross - mean[xi] * mean[yi]
-    with np.errstate(invalid="ignore"):
-        values = np.where(defined[xi] & defined[yi],
-                          cov / (sd[xi] * sd[yi]), np.nan)
+    values = _pair_values(engine.returns[:, [xi, yi]], np.arange(n_t), window_span)
     name = (x if isinstance(x, str) else panel.tickers[xi],
             y if isinstance(y, str) else panel.tickers[yi])
     return PairCorrelationSeries(name, window_span, horizon, values)
@@ -482,42 +482,19 @@ def market_component_correlation(panel: AlignedPanel, t: int, window_span: int,
                                  horizon: int = 1) -> tuple[float, int] | None:
     """S_0(t, δt, Δt) and its defined-pair count; None when no pair is defined."""
     engine = _PanelEngine(panel, horizon)
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    if t < 0 or t >= engine.n_starts(window_span):
-        raise ValidationError(
-            f"window start {t} outside [0, {engine.n_starts(window_span)})"
-        )
-    starts = np.array([t])
-    for _, _, _, s0, s0_def in engine.correlation_blocks(starts, window_span):
-        if not bool(s0_def[0]):
-            return None
-        mean, sd, defined = engine.stock_moments(starts, window_span)
-        d = int(defined[:, 0].sum())
-        return float(s0[0]), d * (d - 1) // 2
-    return None
+    _check_start(engine, t, window_span)
+    s0, n_pairs = _market_values(engine.returns, np.array([t]), window_span)
+    if n_pairs[0] == 0:
+        return None
+    return float(s0[0]), int(n_pairs[0])
 
 
 def market_correlation_series(panel: AlignedPanel, window_span: int,
                               horizon: int = 1) -> MarketCorrelationSeries:
     """S_0 at every valid start; NaN where no pair is defined."""
     engine = _PanelEngine(panel, horizon)
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    n_t = engine.n_starts(window_span)
-    if n_t == 0:
-        raise ValidationError(
-            f"window span {window_span} leaves no valid starts "
-            f"({engine.n_returns} returns)"
-        )
-    starts = np.arange(n_t)
-    values = np.empty(n_t)
-    pair_counts = np.empty(n_t, dtype=np.int64)
-    mean, sd, defined = engine.stock_moments(starts, window_span)
-    d = defined.sum(axis=0).astype(np.int64)
-    for sel, _, _, s0, _ in engine.correlation_blocks(starts, window_span):
-        values[sel] = s0
-    pair_counts[:] = d * (d - 1) // 2
+    n_t = _check_span(engine, window_span)
+    values, pair_counts = _market_values(engine.returns, np.arange(n_t), window_span)
     return MarketCorrelationSeries(window_span, horizon, values, pair_counts)
 
 
@@ -569,12 +546,14 @@ def conditional_market_correlation(panel: AlignedPanel, level: float,
                                    window_span: int, horizon: int = 1
                                    ) -> tuple[float, int] | None:
     """C_0(ρ, δt, Δt) and the member count; None when the set is empty."""
-    series = market_correlation_series(panel, window_span, horizon)
-    cond = index_condition_returns(panel, window_span, horizon)
-    members = conditional_select(series, cond, level)
-    if len(members) == 0:
+    engine = _PanelEngine(panel, horizon)
+    _check_span(engine, window_span)
+    starts = np.nonzero(_membership(engine.condition_returns(window_span), level))[0]
+    s0, _ = _market_values(engine.returns, starts, window_span)
+    s0 = s0[~np.isnan(s0)]
+    if len(s0) == 0:
         return None
-    return float(np.mean(members.member_values)), len(members)
+    return float(np.mean(s0)), len(s0)
 
 
 def average_over_windows(panel: AlignedPanel, level: float,
@@ -583,12 +562,9 @@ def average_over_windows(panel: AlignedPanel, level: float,
                          min_samples: int = DEFAULT_MIN_SAMPLES) -> CurvePoint | None:
     """C(ρ, Δt): mean of C_0 over integer δt in [δt1, δt2]; None when no
     window size has members."""
-    _check_window_range(window_range)
-    engine = _PanelEngine(panel, horizon)
-    acc = _LevelAccumulator(level, track_pairs=False, track_time=False,
-                            n_stocks=engine.n_stocks, n_times=engine.n_returns)
-    _sweep(engine, range(window_range[0], window_range[1] + 1), [acc])
-    return _curve_point(acc, min_samples)
+    analysis = analyze_panel(panel, (level,), window_range, horizon,
+                             min_samples=min_samples)
+    return analysis.curve.point(level)
 
 
 def correlation_curve(panel: AlignedPanel, rho_grid: Sequence[float],
@@ -611,20 +587,21 @@ def pair_conditional_correlation(panel: AlignedPanel, x, y, level: float,
                                  horizon: int = 1) -> CurvePoint | None:
     """C_(x,y)(ρ, Δt): the conditional pipeline with one pair's S in place of S_0."""
     _check_window_range(window_range)
-    xi, yi = _resolve(panel, x), _resolve(panel, y)
+    engine = _PanelEngine(panel, horizon)
+    pair_returns = engine.returns[:, [_resolve(panel, x), _resolve(panel, y)]]
     span_means = []
     counts = []
     excluded = 0
     for span in range(window_range[0], window_range[1] + 1):
-        series = pair_correlation_series(panel, xi, yi, window_span=span,
-                                         horizon=horizon)
-        cond = index_condition_returns(panel, span, horizon)
-        members = conditional_select(series, cond, level)
-        if len(members) == 0:
+        _check_span(engine, span)
+        starts = np.nonzero(_membership(engine.condition_returns(span), level))[0]
+        values = _pair_values(pair_returns, starts, span)
+        values = values[~np.isnan(values)]
+        if len(values) == 0:
             excluded += 1
             continue
-        span_means.append(float(np.mean(members.member_values)))
-        counts.append(len(members))
+        span_means.append(float(np.mean(values)))
+        counts.append(len(values))
     if not span_means:
         return None
     return CurvePoint(
@@ -662,17 +639,8 @@ def time_resolved_correlation(panel: AlignedPanel, level: float,
                               horizon: int = 1) -> TimeResolvedCorrelation:
     """C_t(ρ, Δt) samples: for each time qualifying under at least one δt,
     the mean of S_0(t, δt) over the qualifying window sizes."""
-    _check_window_range(window_range)
-    engine = _PanelEngine(panel, horizon)
-    acc = _LevelAccumulator(level, track_pairs=False, track_time=True,
-                            n_stocks=engine.n_stocks, n_times=engine.n_returns)
-    _sweep(engine, range(window_range[0], window_range[1] + 1), [acc])
-    have = acc.time_den > 0
-    times = np.nonzero(have)[0]
-    return TimeResolvedCorrelation(
-        level=level, horizon=horizon, window_range=tuple(window_range),
-        times=times, values=acc.time_num[have] / acc.time_den[have],
-    )
+    analysis = analyze_panel(panel, (), window_range, horizon, ct_levels=(level,))
+    return analysis.time_resolved[float(level)]
 
 
 def _chi_report(panel: AlignedPanel, acc_minus: _LevelAccumulator,

@@ -22,7 +22,7 @@ import numpy as np
 from . import conditional, inverse_stats
 from .errors import DataError, InsufficientDataError, ValidationError
 from .fearsim import SimConfig, simulate_market, to_aligned_panel
-from .ranktests import RankSumResult, equal_size_subsample, wilcoxon_rank_sum
+from .ranktests import RankSumResult, equalize_sizes, wilcoxon_rank_sum
 from .timeseries import AlignedPanel, PriceSeries, align_panel, detrend_log_price
 
 __all__ = [
@@ -395,15 +395,6 @@ def _input_hashes(manifest: DatasetManifest) -> dict:
     return {t: _sha256(p) for t, p in sorted(files.items())}
 
 
-def _equalized(plus: np.ndarray, minus: np.ndarray, seed: int):
-    """Trim the larger sample to the smaller one's size, reproducibly."""
-    if len(plus) > len(minus):
-        plus = equal_size_subsample(plus, len(minus), seed)
-    elif len(minus) > len(plus):
-        minus = equal_size_subsample(minus, len(plus), seed)
-    return plus, minus
-
-
 def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir,
                  panel: AlignedPanel | None = None) -> dict:
     """Full conditional-correlation pipeline -> TSV reports + summary.json.
@@ -441,7 +432,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
         write_pair_conditionals_tsv(out / f"pairs_{tag}.tsv", report)
         plus = np.array([p.c_plus for p in report.pairs if p.c_plus is not None])
         minus = np.array([p.c_minus for p in report.pairs if p.c_minus is not None])
-        plus, minus = _equalized(plus, minus, config.seed)
+        plus, minus = equalize_sizes(plus, minus, config.seed)
         if len(plus) >= 2 and len(plus) + len(minus) >= 4:
             pair_tests.append((level, wilcoxon_rank_sum(plus, minus)))
         else:
@@ -455,7 +446,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
     write_time_resolved_tsv(out / f"ct_minus_{fmt(config.ct_level)}.tsv",
                             ct_minus, panel.calendar)
     ct_tests: list[tuple[float, RankSumResult]] = []
-    plus, minus = _equalized(ct_plus.values, ct_minus.values, config.seed)
+    plus, minus = equalize_sizes(ct_plus.values, ct_minus.values, config.seed)
     if len(plus) >= 2 and len(plus) + len(minus) >= 4:
         ct_tests.append((config.ct_level, wilcoxon_rank_sum(plus, minus)))
     write_wilcoxon_tsv(out / "wilcoxon_time.tsv", ct_tests)

@@ -21,6 +21,7 @@ __all__ = [
     "DistributionHistogram",
     "wilcoxon_rank_sum",
     "equal_size_subsample",
+    "equalize_sizes",
     "distribution_histogram",
 ]
 
@@ -100,6 +101,17 @@ def equal_size_subsample(larger, target_size: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     keep = np.sort(rng.permutation(len(values))[:target_size])
     return values[keep]
+
+
+def equalize_sizes(sample_a, sample_b, seed: int):
+    """Trim the larger sample to the smaller one's size with
+    equal_size_subsample; the smaller (or an equal-size) sample is returned
+    as given."""
+    if len(sample_a) > len(sample_b):
+        sample_a = equal_size_subsample(sample_a, len(sample_b), seed)
+    elif len(sample_b) > len(sample_a):
+        sample_b = equal_size_subsample(sample_b, len(sample_a), seed)
+    return sample_a, sample_b
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from condcorr import (
     average_over_windows,
     detrend_log_price,
     distribution_histogram,
-    equal_size_subsample,
     first_passage_times,
     fit_tail_exponent,
     gain_loss_report,
@@ -33,6 +32,7 @@ from condcorr import (
     waiting_time_histogram,
     wilcoxon_rank_sum,
 )
+from condcorr.ranktests import equalize_sizes
 
 import reference
 from conftest import make_panel, random_oracle_panel
@@ -62,10 +62,7 @@ def pair_rank_sum_z(report, seed=0):
     samples are too small to test."""
     plus = np.array([p.c_plus for p in report.pairs if p.c_plus is not None])
     minus = np.array([p.c_minus for p in report.pairs if p.c_minus is not None])
-    if len(plus) > len(minus):
-        plus = equal_size_subsample(plus, len(minus), seed)
-    elif len(minus) > len(plus):
-        minus = equal_size_subsample(minus, len(plus), seed)
+    plus, minus = equalize_sizes(plus, minus, seed)
     if len(plus) < 2 or len(plus) + len(minus) < 4:
         return None
     return wilcoxon_rank_sum(plus, minus).z

@@ -106,6 +106,89 @@ class TestPairCorrelation:
         np.testing.assert_allclose(s_q, s_p, atol=1e-9, equal_nan=True)
 
 
+def long_drift_panel():
+    """20000-day ±0.01 binary walks with constant-return stretches.
+
+    Deep into a long panel, moments taken from running sums over the whole
+    history carry rounding noise above the 1e-12 relative variance floor,
+    so constant windows there (the drift stretches, and the flat runs a
+    binary walk makes by itself) are where definedness goes wrong first.
+    """
+    rng = np.random.default_rng(20000)
+    steps = rng.choice([-0.01, 0.01], size=(3, 19_999))
+    steps[:, 12000:12060] = 0.0005
+    steps[0, 15000:15030] = -0.0005
+    return panel_from_returns(steps)
+
+
+class TestLongPanelOracle:
+    """Every window of a long panel against the plain-loop reference:
+    definedness exactly, values to 1e-10."""
+
+    SPANS = (10, 20, 35)
+    # starts around both drift stretches plus a stride through the panel
+    SPOT_STARTS = sorted(set(range(11_950, 12_070)) | set(range(14_950, 15_040))
+                         | set(range(0, 19_960, 397)))
+
+    @pytest.fixture(scope="class")
+    def long_panel(self):
+        p = long_drift_panel()
+        rows = [s.closes.tolist() for s in p.stocks]
+        return p, reference.log_return_rows(rows, 1)
+
+    @staticmethod
+    def assert_matches(got, want):
+        """got: floats with NaN for undefined; want: floats or None."""
+        got = np.asarray(got, dtype=float)
+        undefined = np.array([w is None for w in want])
+        np.testing.assert_array_equal(np.isnan(got), undefined)
+        expected = np.array([np.nan if w is None else w for w in want])
+        np.testing.assert_allclose(got[~undefined], expected[~undefined],
+                                   rtol=0, atol=1e-10)
+
+    def test_pair_series(self, long_panel):
+        p, returns = long_panel
+        for span in self.SPANS:
+            for x, y in ((0, 1), (0, 2), (1, 2)):
+                got = pair_correlation_series(p, x, y, window_span=span).values
+                want = [reference.pair_corr(returns[x], returns[y], t, span)
+                        for t in range(len(got))]
+                self.assert_matches(got, want)
+
+    def test_market_series_and_pair_counts(self, long_panel):
+        p, returns = long_panel
+        for span in self.SPANS:
+            series = market_correlation_series(p, span)
+            n_t = len(series.values)
+            self.assert_matches(
+                series.values, [reference.market_corr(returns, t, span) for t in range(n_t)]
+            )
+            defined = [
+                sum(reference.window_moments(r[t: t + span + 1])[2] for r in returns)
+                for t in range(n_t)
+            ]
+            np.testing.assert_array_equal(series.pair_counts,
+                                          [d * (d - 1) // 2 for d in defined])
+
+    def test_single_windows(self, long_panel):
+        p, returns = long_panel
+        for span in self.SPANS:
+            s0, pairs, s01 = [], [], []
+            for t in self.SPOT_STARTS:
+                got = market_component_correlation(p, t, span)
+                s0.append(np.nan if got is None else got[0])
+                pairs.append(0 if got is None else got[1])
+                got = pair_correlation(p, 0, 1, t, span)
+                s01.append(np.nan if got is None else got)
+            self.assert_matches(s0, [reference.market_corr(returns, t, span)
+                                     for t in self.SPOT_STARTS])
+            self.assert_matches(s01, [reference.pair_corr(returns[0], returns[1], t, span)
+                                      for t in self.SPOT_STARTS])
+            defined = [sum(reference.window_moments(r[t: t + span + 1])[2] for r in returns)
+                       for t in self.SPOT_STARTS]
+            np.testing.assert_array_equal(pairs, [d * (d - 1) // 2 for d in defined])
+
+
 class TestMarketCorrelation:
     def test_two_stocks_reduce_to_single_pair(self):
         p = panel_from_returns([[0.01, 0.02, 0.03], [0.01, 0.03, 0.02]])

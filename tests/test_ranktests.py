@@ -14,6 +14,7 @@ from condcorr import (
     equal_size_subsample,
     wilcoxon_rank_sum,
 )
+from condcorr.ranktests import equalize_sizes
 
 import reference
 
@@ -199,6 +200,17 @@ class TestEqualSizeSubsample:
         ])
         se = means.std(ddof=1) / math.sqrt(len(means))
         assert abs(means.mean() - vals.mean()) < 3.0 * se
+
+    def test_equalize_sizes_trims_the_larger_side(self):
+        small, large = np.arange(4.0), np.arange(10.0, 19.0)
+        a, b = equalize_sizes(large, small, seed=3)
+        np.testing.assert_array_equal(a, equal_size_subsample(large, 4, seed=3))
+        assert b is small
+        a, b = equalize_sizes(small, large, seed=3)
+        assert a is small
+        np.testing.assert_array_equal(b, equal_size_subsample(large, 4, seed=3))
+        a, b = equalize_sizes(small, small[::-1], seed=3)
+        assert a is small and np.array_equal(b, small[::-1])
 
 
 class TestDistributionHistogram:
