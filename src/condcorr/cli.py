@@ -70,7 +70,7 @@ def _build_config(args: argparse.Namespace) -> io.RunConfig:
         if value is None:
             continue
         if name in ("rho_grid", "chi_levels"):
-            value = tuple(float(v) for v in str(value).split(","))
+            value = str(value).split(",")
         overrides[name] = value
     return io.load_run_config(getattr(args, "config", None), overrides)
 

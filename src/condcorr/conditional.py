@@ -24,14 +24,22 @@ takes each stock's two-pass mean and variance, and z-scores the window
 O(N·δt) per window through Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖², and
 the per-pair sums behind χ are one matrix product Zᵀ Z over the stacked
 member windows, with the pair counts Dᵀ D over the definedness flags D.
-The sweep gathers windows only at conditional member times, so cost scales
-with the member count rather than the series length.
+
+Every conditional result comes from one sweep.  For one sign the level
+sets are nested half-lines in r, so per δt each window falls in one band,
+b = the number of requested levels ≤ r; level i holds the bands b ≤ i when
+ρ_i < 0 and b > i when ρ_i ≥ 0 (which keeps ρ = 0 and exact ties on the
+branches of step 3).  The sweep gathers each window that some level holds
+once, takes the member counts and the S_0 sums, and the Zᵀ Z and Dᵀ D of
+the χ levels, per band, and maps bands to levels with that 0/1 matrix.
+Its cost therefore scales with the member windows, not with the series
+length or the number of levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -223,26 +231,44 @@ def _check_window_range(window_range: tuple[int, int]):
         )
 
 
-class _PanelEngine:
-    """Time-major return matrix and index log prices for one (panel, Δt)."""
+def _n_starts(panel: AlignedPanel, horizon: int, span: int) -> int:
+    return max(panel.n_days - horizon - span, 0)
 
-    def __init__(self, panel: AlignedPanel, horizon: int):
-        _check_horizon(panel, horizon)
-        self.panel = panel
-        self.horizon = horizon
-        logm = panel.log_close_matrix
-        # time-major, so each gathered window is one contiguous (m, N) block
-        self.returns = np.ascontiguousarray((logm[:, horizon:] - logm[:, :-horizon]).T)
-        self.n_returns, self.n_stocks = self.returns.shape
-        self.index_log = panel.index_log_closes
 
-    def n_starts(self, span: int) -> int:
-        return max(self.n_returns - span, 0)
+def _check_span(panel: AlignedPanel, horizon: int, window_span: int,
+                t: int | None = None) -> int:
+    """Number of valid starts; raises when the span leaves none or, given a
+    start ``t``, when t is not one of them."""
+    _check_horizon(panel, horizon)
+    if window_span < 1:
+        raise ValidationError("window span must be >= 1")
+    n_t = _n_starts(panel, horizon, window_span)
+    if t is not None and not 0 <= t < n_t:
+        raise ValidationError(f"window start {t} outside [0, {n_t})")
+    if n_t == 0:
+        raise ValidationError(
+            f"window span {window_span} leaves no valid starts "
+            f"({panel.n_days - horizon} returns)"
+        )
+    return n_t
 
-    def condition_returns(self, span: int) -> np.ndarray:
-        """Index log return over [t, t+span] for each valid window start."""
-        n_t = self.n_starts(span)
-        return self.index_log[span: span + n_t] - self.index_log[:n_t]
+
+def _returns(panel: AlignedPanel, horizon: int, columns=slice(None), first: int = 0,
+             n: int | None = None) -> np.ndarray:
+    """Δt-day log returns of the chosen stocks at the ``n`` starts from day
+    ``first`` (through the panel's end by default), time-major so each
+    gathered window is one contiguous (m, N) block."""
+    if n is None:
+        n = panel.n_days - horizon - first
+    logm = panel.log_close_matrix[columns, first: first + n + horizon]
+    return np.ascontiguousarray((logm[:, horizon:] - logm[:, :n]).T)
+
+
+def _condition_returns(panel: AlignedPanel, horizon: int, span: int) -> np.ndarray:
+    """Index log return over [t, t+span] for each valid window start."""
+    n_t = _n_starts(panel, horizon, span)
+    index_log = panel.index_log_closes
+    return index_log[span: span + n_t] - index_log[:n_t]
 
 
 def _zscored_windows(returns: np.ndarray, starts: np.ndarray, span: int):
@@ -301,125 +327,121 @@ def _pair_values(pair_returns: np.ndarray, starts: np.ndarray, span: int) -> np.
     return values
 
 
-def _membership(cond_returns: np.ndarray, level: float) -> np.ndarray:
-    # ρ = 0 belongs to the non-negative branch
-    if level < 0.0:
-        return cond_returns < level
-    return cond_returns >= level
+@dataclass(frozen=True)
+class _SweepSums:
+    """Member sums of one sweep over the window sizes ``spans``.
+
+    counts, sums and sumsqs are (n_spans, n_levels): the members with a
+    defined S_0, and Σ S_0 and Σ S_0² over them.  pair_num, pair_den and
+    pair_members are (n_pair_levels, N, N): the sum over δt of each pair's
+    member mean, the δt count behind it, and the member windows where the
+    pair is defined.  time_num and time_den are (n_time_levels, n_returns):
+    Σ S_0(t) over the δt where t is a member, and that δt count.
+    """
+
+    spans: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+    sumsqs: np.ndarray
+    pair_num: np.ndarray
+    pair_den: np.ndarray
+    pair_members: np.ndarray
+    time_num: np.ndarray
+    time_den: np.ndarray
 
 
-@dataclass
-class _LevelAccumulator:
-    level: float
-    track_pairs: bool
-    track_time: bool
-    n_stocks: int
-    n_times: int
+def _sweep(panel: AlignedPanel, horizon: int, spans: Sequence[int],
+           levels: Sequence[float], pair_levels: Sequence[float] = (),
+           time_levels: Sequence[float] = (), columns=slice(None)) -> _SweepSums:
+    """One pass over all window sizes that gathers each member window once.
 
-    def __post_init__(self):
-        n = self.n_stocks
-        self.span_counts: list[int] = []
-        self.span_means: list[float] = []
-        self.span_se2: list[float] = []
-        if self.track_pairs:
-            self.pair_num = np.zeros((n, n))
-            self.pair_den = np.zeros((n, n), dtype=np.int64)
-            self.pair_members = np.zeros((n, n), dtype=np.int64)
-        if self.track_time:
-            self.time_num = np.zeros(self.n_times)
-            self.time_den = np.zeros(self.n_times, dtype=np.int64)
+    ``levels`` are sorted and distinct; ``pair_levels`` and ``time_levels``
+    name those that also need per-pair and per-time sums.  Per δt a window
+    falls in band b, the number of levels ≤ its index return r.  Level i
+    holds the bands b ≤ i when ρ_i < 0 (r < ρ_i) and b > i otherwise
+    (r ≥ ρ_i), so every sum is taken per band and mapped to the levels by
+    that 0/1 matrix.
+    """
+    returns = _returns(panel, horizon, columns)
+    n_returns, n = returns.shape
+    levels = np.asarray(levels, dtype=np.float64)
+    n_bands = len(levels) + 1
+    band_ids = np.arange(n_bands)[:, None]
+    level_ids = np.arange(len(levels))
+    member = np.where(levels < 0.0, band_ids <= level_ids, band_ids > level_ids)
+    column = {lev: i for i, lev in enumerate(levels.tolist())}
+    pair_member = member[:, [column[lev] for lev in pair_levels]]
+    time_member = member[:, [column[lev] for lev in time_levels]]
+    gathered = member.any(axis=1)
+    pair_band = pair_member.any(axis=1)
+    pair_row = np.cumsum(pair_band) - 1  # a pair band's row in band_psum
 
+    spans = np.asarray(spans)
+    counts = np.zeros((len(spans), len(levels)), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    sumsqs = np.zeros(counts.shape)
+    pair_num = np.zeros((len(pair_levels), n, n))
+    pair_den = np.zeros(pair_num.shape, dtype=np.int64)
+    pair_members = np.zeros(pair_num.shape, dtype=np.int64)
+    time_num = np.zeros((len(time_levels), n_returns))
+    time_den = np.zeros(time_num.shape, dtype=np.int64)
 
-def _sweep(engine: _PanelEngine, spans: Iterable[int],
-           accumulators: list[_LevelAccumulator]):
-    """One pass over all window sizes, visiting only conditional members."""
-    n = engine.n_stocks
-    for span in spans:
-        n_t = engine.n_starts(span)
-        if n_t == 0:
-            for acc in accumulators:
-                acc.span_counts.append(0)
-                acc.span_means.append(np.nan)
-                acc.span_se2.append(np.nan)
-            continue
-        cond = engine.condition_returns(span)
-        masks = [_membership(cond, acc.level) for acc in accumulators]
-        union = np.zeros(n_t, dtype=bool)
-        for mask in masks:
-            union |= mask
-        starts = np.nonzero(union)[0]
-
-        sums = np.zeros(len(accumulators))
-        sumsqs = np.zeros(len(accumulators))
-        counts = np.zeros(len(accumulators), dtype=np.int64)
-        # per-pair Σ z_x·z_y and defined-window counts over the members
-        span_psum = [np.zeros((n, n)) if a.track_pairs else None for a in accumulators]
-        span_pcnt = [np.zeros((n, n)) if a.track_pairs else None for a in accumulators]
-
-        for sel, z, defined in _zscored_windows(engine.returns, starts, span):
+    for k, span in enumerate(spans):
+        band = np.searchsorted(levels, _condition_returns(panel, horizon, span),
+                               side="right")
+        starts = np.nonzero(gathered[band])[0]
+        # band-major (t order within a band), so a chunk spans few bands
+        starts = starts[np.argsort(band[starts], kind="stable")]
+        band_count = np.zeros(n_bands, dtype=np.int64)
+        band_sum = np.zeros(n_bands)
+        band_sumsq = np.zeros(n_bands)
+        # Σ z_x·z_y and defined-window counts per band that a pair level holds
+        band_psum = np.zeros((pair_row[-1] + 1, n, n))
+        band_pcnt = np.zeros(band_psum.shape)
+        for sel, z, defined in _zscored_windows(returns, starts, span):
             s0, n_pairs = _market_s0(z, defined)
-            s0_def = n_pairs > 0
-            chunk_starts = starts[sel]
-            for i, acc in enumerate(accumulators):
-                memb = masks[i][chunk_starts]
-                use = memb & s0_def
-                if np.any(use):
-                    vals = s0[use]
-                    sums[i] += vals.sum()
-                    sumsqs[i] += (vals * vals).sum()
-                    counts[i] += len(vals)
-                    if acc.track_time:
-                        np.add.at(acc.time_num, chunk_starts[use], vals)
-                        np.add.at(acc.time_den, chunk_starts[use], 1)
-                if acc.track_pairs and np.any(memb):
-                    stacked = z[memb].reshape(-1, n)
-                    flags = defined[memb].astype(np.float64)
-                    span_psum[i] += stacked.T @ stacked
-                    span_pcnt[i] += flags.T @ flags
-
-        for i, acc in enumerate(accumulators):
-            c = int(counts[i])
-            acc.span_counts.append(c)
-            if c > 0:
-                mean = sums[i] / c
-                acc.span_means.append(mean)
-                if c > 1:
-                    var = max(sumsqs[i] / c - mean * mean, 0.0)
-                    # adjacent member windows share span of their span+1
-                    # days, so the mean's variance shrinks roughly like
-                    # var×(span+1)/count, not var/count
-                    acc.span_se2.append(var * (span + 1) / (c - 1))
-                else:
-                    acc.span_se2.append(np.nan)
-            else:
-                acc.span_means.append(np.nan)
-                acc.span_se2.append(np.nan)
-            if acc.track_pairs:
-                has = span_pcnt[i] > 0
-                acc.pair_num[has] += span_psum[i][has] / (span + 1) / span_pcnt[i][has]
-                acc.pair_den[has] += 1
-                acc.pair_members += span_pcnt[i].astype(np.int64)
+            b = band[starts[sel]]
+            use = n_pairs > 0
+            vals, b_use, t_use = s0[use], b[use], starts[sel][use]
+            band_count += np.bincount(b_use, minlength=n_bands)
+            band_sum += np.bincount(b_use, vals, n_bands)
+            band_sumsq += np.bincount(b_use, vals * vals, n_bands)
+            in_level = time_member[b_use].T
+            time_num[:, t_use] += in_level * vals
+            time_den[:, t_use] += in_level
+            for j in np.unique(b[pair_band[b]]):
+                rows = b == j
+                stacked = z[rows].reshape(-1, n)
+                flags = defined[rows].astype(np.float64)
+                band_psum[pair_row[j]] += stacked.T @ stacked
+                band_pcnt[pair_row[j]] += flags.T @ flags
+        counts[k] = band_count @ member
+        sums[k] = band_sum @ member
+        sumsqs[k] = band_sumsq @ member
+        psum = np.tensordot(pair_member[pair_band].T, band_psum, axes=1)
+        pcnt = np.tensordot(pair_member[pair_band].T, band_pcnt, axes=1)
+        has = pcnt > 0
+        pair_num[has] += psum[has] / (span + 1) / pcnt[has]
+        pair_den += has
+        pair_members += pcnt.astype(np.int64)
+    return _SweepSums(spans, counts, sums, sumsqs, pair_num, pair_den, pair_members,
+                      time_num, time_den)
 
 
-def _curve_point(acc: _LevelAccumulator, min_samples: int) -> CurvePoint | None:
-    counts = np.asarray(acc.span_counts)
-    means = np.asarray(acc.span_means)
-    se2 = np.asarray(acc.span_se2)
-    have = counts > 0
+def _span_average(sums: _SweepSums, i: int):
+    """(mean over δt of the member means, member total, δt without members,
+    standard error) for level i of a sweep; None when no δt has members."""
+    counts, level_sums = sums.counts[:, i], sums.sums[:, i]
+    have, ok = counts > 0, counts > 1
     if not np.any(have):
         return None
-    value = float(np.mean(means[have]))
-    total = int(counts.sum())
-    se_ok = np.isfinite(se2)
-    stderr = float(np.sqrt(np.mean(se2[se_ok]))) if np.any(se_ok) else None
-    return CurvePoint(
-        rho=acc.level,
-        value=value,
-        sample_count=total,
-        excluded_windows=int(np.sum(~have)),
-        stderr=stderr,
-        flagged=total < min_samples,
-    )
+    mean = level_sums[ok] / counts[ok]
+    var = np.maximum(sums.sumsqs[ok, i] / counts[ok] - mean * mean, 0.0)
+    # adjacent member windows share span of their span+1 days, so the mean's
+    # variance shrinks roughly like var×(span+1)/count, not var/count
+    se2 = var * (sums.spans[ok] + 1) / (counts[ok] - 1)
+    return (float(np.mean(level_sums[have] / counts[have])), int(counts.sum()),
+            int(np.sum(~have)), float(np.sqrt(np.mean(se2))) if np.any(ok) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +452,6 @@ def _resolve(panel: AlignedPanel, stock) -> int:
     return stock if isinstance(stock, (int, np.integer)) else panel.stock_index(stock)
 
 
-def _check_start(engine: _PanelEngine, t: int, window_span: int):
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    if t < 0 or t >= engine.n_starts(window_span):
-        raise ValidationError(
-            f"window start {t} outside [0, {engine.n_starts(window_span)})"
-        )
-
-
-def _check_span(engine: _PanelEngine, window_span: int) -> int:
-    """Number of valid starts; raises when the span leaves none."""
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    n_t = engine.n_starts(window_span)
-    if n_t == 0:
-        raise ValidationError(
-            f"window span {window_span} leaves no valid starts "
-            f"({engine.n_returns} returns)"
-        )
-    return n_t
-
-
 def pair_correlation(panel: AlignedPanel, x, y, t: int, window_span: int,
                      horizon: int = 1) -> float | None:
     """S_(x,y)(t, δt, Δt) for one window; None when either volatility is zero.
@@ -459,20 +459,19 @@ def pair_correlation(panel: AlignedPanel, x, y, t: int, window_span: int,
     x == y is tolerated (gives 1.0 when defined) so test harnesses can probe
     the self-correlation identity.
     """
-    engine = _PanelEngine(panel, horizon)
-    _check_start(engine, t, window_span)
-    pair_returns = engine.returns[:, [_resolve(panel, x), _resolve(panel, y)]]
-    value = float(_pair_values(pair_returns, np.array([t]), window_span)[0])
+    _check_span(panel, horizon, window_span, t)
+    columns = [_resolve(panel, x), _resolve(panel, y)]
+    pair_returns = _returns(panel, horizon, columns, t, window_span + 1)
+    value = float(_pair_values(pair_returns, np.array([0]), window_span)[0])
     return None if np.isnan(value) else value
 
 
 def pair_correlation_series(panel: AlignedPanel, x, y, window_span: int,
                             horizon: int = 1) -> PairCorrelationSeries:
     """S_(x,y) at every valid start (vectorized); NaN marks undefined windows."""
-    engine = _PanelEngine(panel, horizon)
-    n_t = _check_span(engine, window_span)
+    n_t = _check_span(panel, horizon, window_span)
     xi, yi = _resolve(panel, x), _resolve(panel, y)
-    values = _pair_values(engine.returns[:, [xi, yi]], np.arange(n_t), window_span)
+    values = _pair_values(_returns(panel, horizon, [xi, yi]), np.arange(n_t), window_span)
     name = (x if isinstance(x, str) else panel.tickers[xi],
             y if isinstance(y, str) else panel.tickers[yi])
     return PairCorrelationSeries(name, window_span, horizon, values)
@@ -481,9 +480,9 @@ def pair_correlation_series(panel: AlignedPanel, x, y, window_span: int,
 def market_component_correlation(panel: AlignedPanel, t: int, window_span: int,
                                  horizon: int = 1) -> tuple[float, int] | None:
     """S_0(t, δt, Δt) and its defined-pair count; None when no pair is defined."""
-    engine = _PanelEngine(panel, horizon)
-    _check_start(engine, t, window_span)
-    s0, n_pairs = _market_values(engine.returns, np.array([t]), window_span)
+    _check_span(panel, horizon, window_span, t)
+    returns = _returns(panel, horizon, first=t, n=window_span + 1)
+    s0, n_pairs = _market_values(returns, np.array([0]), window_span)
     if n_pairs[0] == 0:
         return None
     return float(s0[0]), int(n_pairs[0])
@@ -492,9 +491,9 @@ def market_component_correlation(panel: AlignedPanel, t: int, window_span: int,
 def market_correlation_series(panel: AlignedPanel, window_span: int,
                               horizon: int = 1) -> MarketCorrelationSeries:
     """S_0 at every valid start; NaN where no pair is defined."""
-    engine = _PanelEngine(panel, horizon)
-    n_t = _check_span(engine, window_span)
-    values, pair_counts = _market_values(engine.returns, np.arange(n_t), window_span)
+    n_t = _check_span(panel, horizon, window_span)
+    values, pair_counts = _market_values(_returns(panel, horizon), np.arange(n_t),
+                                         window_span)
     return MarketCorrelationSeries(window_span, horizon, values, pair_counts)
 
 
@@ -505,8 +504,8 @@ def index_condition_returns(panel: AlignedPanel, window_span: int,
     Trimmed to the same valid starts as the matching correlation series, so
     the two share a time index.
     """
-    engine = _PanelEngine(panel, horizon)
-    return engine.condition_returns(window_span)
+    _check_horizon(panel, horizon)
+    return _condition_returns(panel, horizon, window_span)
 
 
 def conditional_select(s0_values, index_returns, level: float,
@@ -525,8 +524,9 @@ def conditional_select(s0_values, index_returns, level: float,
             f"series of {values.shape} vs index returns of {returns.shape}"
         )
     if branch is None:
-        mask = _membership(returns, level)
-    elif branch == "ge":
+        # ρ = 0 belongs to the non-negative branch
+        branch = "lt" if level < 0.0 else "ge"
+    if branch == "ge":
         mask = returns >= level
     elif branch == "lt":
         mask = returns < level
@@ -546,14 +546,9 @@ def conditional_market_correlation(panel: AlignedPanel, level: float,
                                    window_span: int, horizon: int = 1
                                    ) -> tuple[float, int] | None:
     """C_0(ρ, δt, Δt) and the member count; None when the set is empty."""
-    engine = _PanelEngine(panel, horizon)
-    _check_span(engine, window_span)
-    starts = np.nonzero(_membership(engine.condition_returns(window_span), level))[0]
-    s0, _ = _market_values(engine.returns, starts, window_span)
-    s0 = s0[~np.isnan(s0)]
-    if len(s0) == 0:
-        return None
-    return float(np.mean(s0)), len(s0)
+    _check_span(panel, horizon, window_span)
+    average = _span_average(_sweep(panel, horizon, [window_span], [level]), 0)
+    return None if average is None else average[:2]
 
 
 def average_over_windows(panel: AlignedPanel, level: float,
@@ -587,29 +582,17 @@ def pair_conditional_correlation(panel: AlignedPanel, x, y, level: float,
                                  horizon: int = 1) -> CurvePoint | None:
     """C_(x,y)(ρ, Δt): the conditional pipeline with one pair's S in place of S_0."""
     _check_window_range(window_range)
-    engine = _PanelEngine(panel, horizon)
-    pair_returns = engine.returns[:, [_resolve(panel, x), _resolve(panel, y)]]
-    span_means = []
-    counts = []
-    excluded = 0
-    for span in range(window_range[0], window_range[1] + 1):
-        _check_span(engine, span)
-        starts = np.nonzero(_membership(engine.condition_returns(span), level))[0]
-        values = _pair_values(pair_returns, starts, span)
-        values = values[~np.isnan(values)]
-        if len(values) == 0:
-            excluded += 1
-            continue
-        span_means.append(float(np.mean(values)))
-        counts.append(len(values))
-    if not span_means:
+    _check_span(panel, horizon, window_range[1])
+    # over the two columns x and y, S_0 is S_(x,y)
+    columns = [_resolve(panel, x), _resolve(panel, y)]
+    sums = _sweep(panel, horizon, range(window_range[0], window_range[1] + 1), [level],
+                  columns=columns)
+    average = _span_average(sums, 0)
+    if average is None:
         return None
-    return CurvePoint(
-        rho=level,
-        value=float(np.mean(span_means)),
-        sample_count=int(sum(counts)),
-        excluded_windows=excluded,
-    )
+    value, total, excluded, _ = average
+    return CurvePoint(rho=level, value=value, sample_count=total,
+                      excluded_windows=excluded)
 
 
 def relative_difference_chi(c_minus: float, c_plus: float,
@@ -643,9 +626,9 @@ def time_resolved_correlation(panel: AlignedPanel, level: float,
     return analysis.time_resolved[float(level)]
 
 
-def _chi_report(panel: AlignedPanel, acc_minus: _LevelAccumulator,
-                acc_plus: _LevelAccumulator, level_abs: float, horizon: int,
-                window_range: tuple[int, int], epsilon: float) -> ChiReport:
+def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
+                level_abs: float, horizon: int, window_range: tuple[int, int],
+                epsilon: float) -> ChiReport:
     tickers = panel.tickers
     iu, ju = np.triu_indices(len(tickers), k=1)
     pairs = []
@@ -653,14 +636,14 @@ def _chi_report(panel: AlignedPanel, acc_minus: _LevelAccumulator,
     small_denom = 0
     missing = 0
     for i, j in zip(iu, ju):
-        dm, dp = int(acc_minus.pair_den[i, j]), int(acc_plus.pair_den[i, j])
-        c_minus = float(acc_minus.pair_num[i, j] / dm) if dm else None
-        c_plus = float(acc_plus.pair_num[i, j] / dp) if dp else None
+        dm, dp = int(sums.pair_den[minus, i, j]), int(sums.pair_den[plus, i, j])
+        c_minus = float(sums.pair_num[minus, i, j] / dm) if dm else None
+        c_plus = float(sums.pair_num[plus, i, j] / dp) if dp else None
         pc = PairConditional(
             pair=(tickers[i], tickers[j]),
             c_minus=c_minus, c_plus=c_plus,
-            count_minus=int(acc_minus.pair_members[i, j]),
-            count_plus=int(acc_plus.pair_members[i, j]),
+            count_minus=int(sums.pair_members[minus, i, j]),
+            count_plus=int(sums.pair_members[plus, i, j]),
         )
         pairs.append(pc)
         if c_minus is None or c_plus is None:
@@ -689,62 +672,50 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
     """Run curve, per-pair χ, and time-resolved analyses in one sweep.
 
     chi_levels are |ρ| magnitudes (each expands to a ± pair of conditional
-    runs); ct_levels are signed.  All requested levels share the window
-    gathering, so adding analyses is nearly free.
+    runs); ct_levels are signed.  Every requested level shares one gather
+    of the member windows, and the sums are taken once per band between
+    adjacent levels, so adding levels or analyses is nearly free.
     """
     _check_window_range(window_range)
-    engine = _PanelEngine(panel, horizon)
+    _check_horizon(panel, horizon)
 
     chi_levels = tuple(abs(float(l)) for l in chi_levels)
-    for lev in chi_levels:
-        if lev <= 0:
-            raise ValidationError("chi levels must be positive magnitudes")
+    if any(lev <= 0 for lev in chi_levels):
+        raise ValidationError("chi levels must be positive magnitudes")
+    pair_levels = [signed for lev in chi_levels for signed in (-lev, lev)]
     ct_levels = tuple(float(l) for l in ct_levels)
     curve_levels = sorted(set(float(r) for r in rho_grid))
+    levels = sorted(set(curve_levels) | set(pair_levels) | set(ct_levels))
+    if any(np.isnan(levels)):
+        raise ValidationError("levels must be numbers, not NaN")
 
-    tracked: dict[float, dict] = {}
-    for lev in curve_levels:
-        tracked.setdefault(lev, {"pairs": False, "time": False})
-    for lev in chi_levels:
-        for signed in (lev, -lev):
-            tracked.setdefault(signed, {"pairs": False, "time": False})
-            tracked[signed]["pairs"] = True
-    for lev in ct_levels:
-        tracked.setdefault(lev, {"pairs": False, "time": False})
-        tracked[lev]["time"] = True
-
-    order = sorted(tracked)
-    accs = [
-        _LevelAccumulator(lev, track_pairs=tracked[lev]["pairs"],
-                          track_time=tracked[lev]["time"],
-                          n_stocks=engine.n_stocks, n_times=engine.n_returns)
-        for lev in order
-    ]
-    by_level = dict(zip(order, accs))
-    _sweep(engine, range(window_range[0], window_range[1] + 1), accs)
+    sums = _sweep(panel, horizon, range(window_range[0], window_range[1] + 1), levels,
+                  pair_levels, ct_levels)
 
     points = []
     for lev in curve_levels:
-        point = _curve_point(by_level[lev], min_samples)
-        if point is not None:
-            points.append(point)
+        average = _span_average(sums, levels.index(lev))
+        if average is not None:
+            value, total, excluded, stderr = average
+            points.append(CurvePoint(rho=lev, value=value, sample_count=total,
+                                     excluded_windows=excluded, stderr=stderr,
+                                     flagged=total < min_samples))
     curve = CorrelationCurve(horizon=horizon, window_range=tuple(window_range),
                              points=tuple(points))
 
     chi = {
-        lev: _chi_report(panel, by_level[-lev], by_level[lev], lev, horizon,
-                         window_range, epsilon)
-        for lev in chi_levels
+        lev: _chi_report(panel, sums, 2 * k, 2 * k + 1, lev, horizon, window_range,
+                         epsilon)
+        for k, lev in enumerate(chi_levels)
     }
 
     time_resolved = {}
-    for lev in ct_levels:
-        acc = by_level[lev]
-        have = acc.time_den > 0
-        times = np.nonzero(have)[0]
+    for k, lev in enumerate(ct_levels):
+        have = sums.time_den[k] > 0
         time_resolved[lev] = TimeResolvedCorrelation(
             level=lev, horizon=horizon, window_range=tuple(window_range),
-            times=times, values=acc.time_num[have] / acc.time_den[have],
+            times=np.nonzero(have)[0],
+            values=sums.time_num[k][have] / sums.time_den[k][have],
         )
 
     return PanelAnalysis(curve=curve, chi=chi, time_resolved=time_resolved)

@@ -197,9 +197,9 @@ def load_panel(manifest: DatasetManifest, min_days: int = 2) -> AlignedPanel:
 class RunConfig:
     """Analysis parameters, all overridable from the command line.
 
-    rho_grid holds signed levels; chi_levels and ct_level are magnitudes
-    (each expands to a ± pair).  detrend_window = 0 turns detrending off
-    for the inverse-statistics path.
+    rho_grid holds signed levels; chi_levels and ct_level are positive
+    magnitudes (each expands to a ± pair).  detrend_window = 0 turns
+    detrending off for the inverse-statistics path.
     """
 
     delta_t: int = 1
@@ -228,6 +228,10 @@ class RunConfig:
             )
         if len(self.rho_grid) == 0:
             raise ValidationError("rho_grid must not be empty")
+        if any(level <= 0 for level in self.chi_levels):
+            raise ValidationError("chi_levels must be positive magnitudes")
+        if self.ct_level <= 0:
+            raise ValidationError("ct_level must be a positive magnitude")
         if self.detrend_window < 0:
             raise ValidationError("detrend_window must be >= 0 (0 disables)")
         if self.min_samples < 1:
@@ -258,8 +262,24 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         values.update({k: v for k, v in overrides.items() if v is not None})
     for key in ("rho_grid", "chi_levels"):
         if key in values:
-            values[key] = tuple(float(v) for v in values[key])
+            if not isinstance(values[key], (list, tuple)):
+                raise ValidationError(f"{key}: expected a list of numbers, "
+                                      f"got {values[key]!r}")
+            values[key] = tuple(_level(key, v) for v in values[key])
+    if "ct_level" in values:
+        values["ct_level"] = _level("ct_level", values["ct_level"])
     return RunConfig(**values)
+
+
+def _level(key: str, value) -> float:
+    """One level as a finite float; the ValidationError names ``key``."""
+    try:
+        level = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key}: {value!r} is not a number") from None
+    if not np.isfinite(level):
+        raise ValidationError(f"{key}: {value!r} is not finite")
+    return level
 
 
 def _config_dict(config) -> dict:

@@ -513,6 +513,12 @@ class TestAnalyzePanel:
         with pytest.raises(ValidationError):
             analyze_panel(p, [-0.01, 0.01], window_range=(2, 3), chi_levels=(0.0,))
 
+    def test_rejects_nan_level(self, rng):
+        # a NaN cannot be ordered among the levels that split the index returns
+        p = random_oracle_panel(rng)
+        with pytest.raises(ValidationError):
+            analyze_panel(p, [-0.01, float("nan"), 0.01], window_range=(2, 3))
+
     def test_window_range_validated(self, rng):
         p = random_oracle_panel(rng)
         with pytest.raises(ValidationError):
@@ -540,3 +546,49 @@ class TestOracleSpotCheck:
                     assert got.value == pytest.approx(value, abs=1e-10)
                     assert got.sample_count == n_samples
                     assert got.excluded_windows == n_excluded
+
+            # one multi-level sweep: several levels per sign, 0.0, two χ
+            # magnitudes (one off the grid), and levels tied exactly to
+            # realised span-3 index returns
+            grid = [-0.02, -0.01, -0.004, 0.0, 0.004, 0.01, 0.02]
+            realised = np.sort(index_condition_returns(p, 3))
+            n = len(realised)
+            ties = sorted({float(realised[i]) for i in (0, n // 4, n // 2, 3 * n // 4, -1)})
+            analysis = analyze_panel(p, grid + ties, window_range=(2, 5),
+                                     chi_levels=(0.004, 0.015), min_samples=1)
+            for level in grid:
+                got = analysis.curve.point(level)
+                want = reference.curve_point(rows, idx, level, 2, 5, 1)
+                if want is None:
+                    assert got is None
+                else:
+                    value, n_samples, n_excluded = want
+                    assert got.value == pytest.approx(value, abs=1e-10)
+                    assert got.sample_count == n_samples
+                    assert got.excluded_windows == n_excluded
+            for level in ties:
+                per_span = []
+                for span in range(2, 6):
+                    members = conditional_select(market_correlation_series(p, span),
+                                                 index_condition_returns(p, span), level)
+                    single = conditional_market_correlation(p, level, span)
+                    assert (0 if single is None else single[1]) == len(members)
+                    per_span.append(len(members))
+                got = analysis.curve.point(level)
+                if sum(per_span) == 0:
+                    assert got is None
+                else:
+                    assert got.sample_count == sum(per_span)
+                    assert got.excluded_windows == per_span.count(0)
+            for level_abs, report in analysis.chi.items():
+                for pc in report.pairs:
+                    x, y = (p.stock_index(t) for t in pc.pair)
+                    for c, count, level in ((pc.c_minus, pc.count_minus, -level_abs),
+                                            (pc.c_plus, pc.count_plus, level_abs)):
+                        want, want_n = reference.pair_conditional(rows, idx, x, y, level,
+                                                                  2, 5, 1)
+                        assert count == want_n
+                        if want is None:
+                            assert c is None
+                        else:
+                            assert c == pytest.approx(want, abs=1e-10)

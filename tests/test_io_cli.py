@@ -227,7 +227,7 @@ class TestRunConfig:
         assert c.detrend_window == 251
         assert c.rho_grid[0] == -0.15 and c.rho_grid[-1] == 0.15
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValidationError):
             RunConfig(dt1=35, dt2=10)
         with pytest.raises(ValidationError):
@@ -240,6 +240,23 @@ class TestRunConfig:
             RunConfig(detrend_window=-1)
         with pytest.raises(ValidationError):
             RunConfig(min_samples=0)
+        # chi_levels and ct_level are magnitudes: a sign or a zero would
+        # silently swap or merge the ± runs
+        for bad in ((-0.05,), (0.03, 0.0)):
+            with pytest.raises(ValidationError, match="chi_levels"):
+                RunConfig(chi_levels=bad)
+        for bad in (0.0, -0.02):
+            with pytest.raises(ValidationError, match="ct_level"):
+                RunConfig(ct_level=bad)
+        # level lists are coerced in one place, which names the bad key
+        with pytest.raises(ValidationError, match="rho_grid"):
+            load_run_config(None, {"rho_grid": ["-0.05", "x"]})
+        with pytest.raises(ValidationError, match="ct_level"):
+            load_run_config(None, {"ct_level": "nan"})
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"chi_levels": 0.05}))
+        with pytest.raises(ValidationError, match="chi_levels"):
+            load_run_config(cfg_file)
 
     def test_precedence_defaults_file_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -494,6 +511,12 @@ class TestCli:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        code = main([
+            "condcorr", "--manifest", str(data / "manifest.json"),
+            "--out", str(tmp_path / "y"), "--chi-levels=-0.05",
+        ])
+        assert code == 2
+        assert "chi_levels" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main([
