@@ -504,7 +504,7 @@ def index_condition_returns(panel: AlignedPanel, window_span: int,
     Trimmed to the same valid starts as the matching correlation series, so
     the two share a time index.
     """
-    _check_horizon(panel, horizon)
+    _check_span(panel, horizon, window_span)
     return _condition_returns(panel, horizon, window_span)
 
 

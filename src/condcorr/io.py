@@ -14,6 +14,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -41,6 +42,9 @@ __all__ = [
 
 CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
+# proleptic Gregorian ordinal of 1970-01-01, day 0 of datetime64[D]
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
 
 def fmt(x) -> str:
     """12-significant-digit decimal rendering used in every output file."""
@@ -61,57 +65,85 @@ def _sha256(path: Path) -> str:
 # ingestion
 
 
+def _raise_first_bad_row(path, price_column, raw_dates, raw_prices, linenos):
+    """Re-check rows in file order and raise for the first that fails, its
+    date checked before its price."""
+    for raw_date, raw_price, lineno in zip(raw_dates, raw_prices, linenos):
+        try:
+            datetime.date.fromisoformat(raw_date)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad date {raw_date!r}") from None
+        if raw_price in ("", "null", "NA", "N/A"):
+            raise DataError(f"{path}:{lineno}: missing {price_column!r} value")
+        try:
+            price = float(raw_price)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: bad {price_column!r} value {raw_price!r}"
+            ) from None
+        if not math.isfinite(price) or price <= 0.0:
+            raise DataError(f"{path}:{lineno}: non-positive price {raw_price!r}")
+
+
 def ingest_csv(path, price_column: str = "Adj Close",
                ticker: str | None = None) -> PriceSeries:
     """Parse one daily-quote CSV into a PriceSeries.
 
-    Rows may arrive in any order (they are sorted by date); duplicate dates,
-    unparseable fields, and non-positive prices are rejected with the
-    offending line number.  The ticker defaults to the file stem.
+    The file is read once with ``csv.reader``; only the stripped ``Date``
+    and price fields of each non-blank record are kept (a repeated header
+    name means its last column, a short row's absent fields are empty).
+    The columns are then converted whole: dates with
+    ``datetime.date.fromisoformat`` (every ISO form it accepts), prices with
+    ``float``, followed by one finite-and-positive check.  Only when that
+    fails are the rows re-checked in order, so the error names the first
+    bad row by its physical line number.  Rows may arrive in any order: a
+    stable sort by date follows, and duplicate dates are rejected naming
+    both lines.  The ticker defaults to the file stem.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such file")
     name = ticker if ticker is not None else path.stem
-    rows = []
+    raw_dates, raw_prices, linenos = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, no header row")
-        missing = [c for c in ("Date", price_column) if c not in reader.fieldnames]
+        missing = [c for c in ("Date", price_column) if c not in header]
         if missing:
-            raise DataError(
-                f"{path}: header {reader.fieldnames} lacks column(s) {missing}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            raw_date = (row.get("Date") or "").strip()
-            raw_price = (row.get(price_column) or "").strip()
-            try:
-                date = np.datetime64(datetime.date.fromisoformat(raw_date), "D")
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad date {raw_date!r}") from None
-            if raw_price in ("", "null", "NA", "N/A"):
-                raise DataError(f"{path}:{lineno}: missing {price_column!r} value")
-            try:
-                price = float(raw_price)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: bad {price_column!r} value {raw_price!r}"
-                ) from None
-            if not np.isfinite(price) or price <= 0.0:
-                raise DataError(
-                    f"{path}:{lineno}: non-positive price {raw_price!r}"
-                )
-            rows.append((date, price, lineno))
-    if not rows:
+            raise DataError(f"{path}: header {header} lacks column(s) {missing}")
+        column = {field: k for k, field in enumerate(header)}
+        date_col, price_col = column["Date"], column[price_column]
+        width = max(date_col, price_col) + 1
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            raw_dates.append(row[date_col].strip())
+            raw_prices.append(row[price_col].strip())
+            linenos.append(reader.line_num)
+    n = len(linenos)
+    try:
+        ordinals = np.fromiter(
+            map(datetime.date.toordinal, map(datetime.date.fromisoformat, raw_dates)),
+            np.int64, n)
+        closes = np.fromiter(map(float, raw_prices), np.float64, n)
+    except ValueError:
+        closes = None
+    if closes is None or not np.all(np.isfinite(closes) & (closes > 0.0)):
+        _raise_first_bad_row(path, price_column, raw_dates, raw_prices, linenos)
+    if n == 0:
         raise DataError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    for (d1, _, l1), (d2, _, l2) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DataError(f"{path}: duplicate date {d1} (lines {l1} and {l2})")
-    dates = np.array([r[0] for r in rows])
-    closes = np.array([r[1] for r in rows])
-    return PriceSeries(name, dates, closes)
+    order = np.argsort(ordinals, kind="stable")
+    dates = (ordinals[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
+    repeats = np.flatnonzero(dates[1:] == dates[:-1])
+    if len(repeats):
+        k = repeats[0]
+        raise DataError(f"{path}: duplicate date {dates[k]} "
+                        f"(lines {linenos[order[k]]} and {linenos[order[k + 1]]})")
+    return PriceSeries(name, dates, closes[order])
 
 
 @dataclass(frozen=True)
@@ -363,12 +395,13 @@ def _write_summary(out_dir: Path, payload: dict):
 
 def write_price_csv(path, series: PriceSeries):
     """Write a PriceSeries in the ingestion schema (flat OHLC, zero volume)."""
+    dates = np.datetime_as_string(series.dates).tolist()
+    values = [fmt(close) for close in series.closes.tolist()]
+    rows = [",".join(CSV_HEADER) + "\n"]
+    rows += [f"{date},{value},{value},{value},{value},{value},0\n"
+             for date, value in zip(dates, values)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for date, close in zip(series.dates, series.closes):
-            value = fmt(close)
-            writer.writerow([str(date), value, value, value, value, value, "0"])
+        fh.write("".join(rows))
 
 
 def run_simulate(sim_config: SimConfig, output_dir) -> dict:

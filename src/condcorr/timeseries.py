@@ -80,8 +80,9 @@ class PriceSeries:
         return _frozen(np.log(self.closes))
 
     def restrict(self, calendar: np.ndarray) -> "PriceSeries":
-        """Return a copy restricted to the dates present in ``calendar``."""
-        mask = np.isin(self.dates, calendar)
+        """Return a copy restricted to the dates present in ``calendar``,
+        which holds each date once."""
+        mask = np.isin(self.dates, calendar, assume_unique=True)
         return PriceSeries(self.ticker, self.dates[mask], self.closes[mask])
 
 
@@ -283,7 +284,7 @@ def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries,
         raise ValidationError(f"duplicate tickers: {sorted(tickers)}")
     calendar = index.dates
     for s in stocks:
-        calendar = np.intersect1d(calendar, s.dates)
+        calendar = np.intersect1d(calendar, s.dates, assume_unique=True)
     if len(calendar) == 0:
         raise DataError("no common trading dates across panel members")
     if len(calendar) < min_days:

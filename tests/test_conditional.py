@@ -295,6 +295,14 @@ class TestIndexConditionReturns:
         r = index_condition_returns(p, 4, horizon=2)
         assert r.shape == ((p.n_days - 2) - 4,)
 
+    @pytest.mark.parametrize("span", [-2, 0, 39])
+    def test_rejects_span_without_windows(self, rng, span):
+        # 40 days give 39 one-day returns: span 39 leaves no window start
+        p = panel_from_returns(rng.normal(0.0, 0.01, size=(3, 39)))
+        assert index_condition_returns(p, 38).shape == (1,)
+        with pytest.raises(ValidationError, match="window span"):
+            index_condition_returns(p, span)
+
 
 class TestConditionalAverages:
     def test_c0_is_member_mean(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +137,52 @@ class TestIngest:
         ])
         with pytest.raises(DataError, match=r"duplicate date.*lines 2 and 4"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("Date,Adj Close\n20000103,1.5\n", [1.5], id="basic-iso-date",
+                     marks=pytest.mark.skipif(sys.version_info < (3, 11),
+                                              reason="fromisoformat is narrower")),
+        pytest.param("Date,Adj Close\n2000-01,1.5\n", r":2: bad date '2000-01'$",
+                     id="year-month-refused"),
+        pytest.param('Date,Adj Close\n"2000-01-03","1.5"\n', [1.5], id="quoted"),
+        pytest.param("Date,Adj Close\n 2000-01-03 , 1.5 \n", [1.5], id="space-padded"),
+        pytest.param("Date,Adj Close\n2000-01-03,1_5\n", [15.0], id="underscore"),
+        pytest.param("Date,Adj Close\n2000-01-03,inf\n",
+                     r":2: non-positive price 'inf'$", id="inf-refused"),
+        pytest.param("Date,Open,Adj Close\n2000-01-03,1\n",
+                     r":2: missing 'Adj Close' value$", id="short-row"),
+        pytest.param("Date,Adj Close,Adj Close\n2000-01-03,1.5,2.5\n", [2.5],
+                     id="repeated-header-last-wins"),
+        pytest.param("Date,Adj Close\n2000-01-03,0\nJan 4,1.5\n",
+                     r":2: non-positive price '0'$", id="first-bad-row-wins"),
+        pytest.param("Date,Adj Close\nJan 3,0\n", r":2: bad date 'Jan 3'$",
+                     id="date-checked-before-price"),
+    ])
+    def test_field_semantics(self, tmp_path, text, expected):
+        path = tmp_path / "F.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(DataError, match=r"F\.csv" + expected):
+                ingest_csv(path)
+        else:
+            s = ingest_csv(path)
+            np.testing.assert_array_equal(
+                s.dates, np.array(["2000-01-03"], dtype="datetime64[D]"))
+            np.testing.assert_array_equal(s.closes, expected)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_lines_keep_physical_line_numbers(self, tmp_path, eol):
+        # header on line 1, a blank line 3, the zero price on line 4
+        zero = tmp_path / "Z.csv"
+        zero.write_bytes(eol.join([CSV_HEADER.strip(), quote("2000-01-03", "1").strip(),
+                                   "", quote("2000-01-04", "0").strip(), ""]).encode())
+        with pytest.raises(DataError, match=r"Z\.csv:4: non-positive price '0'$"):
+            ingest_csv(zero)
+        twice = tmp_path / "D.csv"
+        twice.write_bytes(eol.join([CSV_HEADER.strip(), "", quote("2000-01-03", "1").strip(),
+                                    "", "", quote("2000-01-03", "2").strip(), ""]).encode())
+        with pytest.raises(DataError, match=r"duplicate date 2000-01-03 \(lines 3 and 6\)"):
+            ingest_csv(twice)
 
     def test_structural_errors(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
@@ -331,6 +378,21 @@ class TestSimulateRoundTrip:
         back = ingest_csv(path)
         np.testing.assert_array_equal(back.dates, s.dates)
         np.testing.assert_allclose(back.closes, s.closes, rtol=1e-11)
+
+    def test_price_csv_golden_bytes(self, tmp_path):
+        s = PriceSeries("T", np.array(["2000-01-03", "2000-01-04", "2000-01-05"],
+                                      dtype="datetime64[D]"),
+                        np.array([1.0 / 3.0, 1234567890123.4, 100.0]))
+        path = tmp_path / "T.csv"
+        write_price_csv(path, s)
+        assert path.read_bytes() == (
+            b"Date,Open,High,Low,Close,Adj Close,Volume\n"
+            b"2000-01-03,0.333333333333,0.333333333333,0.333333333333,"
+            b"0.333333333333,0.333333333333,0\n"
+            b"2000-01-04,1.23456789012e+12,1.23456789012e+12,1.23456789012e+12,"
+            b"1.23456789012e+12,1.23456789012e+12,0\n"
+            b"2000-01-05,100,100,100,100,100,0\n"
+        )
 
 
 class TestRunCondcorr:
