@@ -13,6 +13,11 @@ inputs this can differ from the subtract-first form by one ulp.
 The waiting times for all starts are found in O(n log n) total: a doubling
 table of block maxima over the series, then a simultaneous binary descent
 that skips every block whose maximum stays below each start's threshold.
+Each table has one entry per position 0..n and holds +inf where a block
+would run past the end, so a block that does not fit never looks skippable.
+The tables depend only on the series and the sign of the level, so
+``gain_loss_report`` builds one set for the rises and, after freeing it, one
+for the drops, and shares each across every magnitude.
 """
 
 from __future__ import annotations
@@ -104,49 +109,57 @@ class FirstPassageResult(Sequence):
 
 
 def _doubling_max_tables(s: np.ndarray) -> list[np.ndarray]:
-    # tables[k][i] = max of s[i : i + 2**k]
-    tables = [s]
+    # tables[k][i] = max of s[i : i + 2**k] for i + 2**k <= n, else +inf;
+    # every table has n + 1 entries, so the descent can index position n
+    n = len(s)
+    tables = [np.append(s, np.inf)]
     k = 1
-    while (1 << k) <= len(s):
+    while (1 << k) <= n:
         h = 1 << (k - 1)
         prev = tables[-1]
-        tables.append(np.maximum(prev[:-h], prev[h:]))
+        table = np.full(n + 1, np.inf)
+        np.maximum(prev[:-h], prev[h:], out=table[:n + 1 - h])
+        tables.append(table)
         k += 1
     return tables
 
 
-def _first_passage_up(s: np.ndarray, rho: float) -> np.ndarray:
-    """Positions of the first s[j] >= s[t0] + rho with j > t0, or n if none."""
-    n = len(s)
-    tables = _doubling_max_tables(s)
+def _first_passage_up(tables: list[np.ndarray], rho: float) -> np.ndarray:
+    """Positions of the first s[j] >= s[t0] + rho with j > t0, or n if none.
+
+    ``tables`` are ``_doubling_max_tables(s)``; their level 0 holds s.
+    """
+    n = len(tables[0]) - 1
     pos = np.arange(1, n, dtype=np.int64)
-    thresholds = s[:-1] + rho
+    thresholds = tables[0][:n - 1] + rho
     for k in range(len(tables) - 1, -1, -1):
-        step = 1 << k
-        table = tables[k]
-        can = pos + step <= n
-        block_max = table[np.where(can, pos, 0)]
-        pos += np.where(can & (block_max < thresholds), step, 0)
+        pos += (tables[k][pos] < thresholds) << k
     return pos
 
 
-def first_passage_times(series, level: float) -> FirstPassageResult:
+def _check_level(level: float):
+    if level == 0.0 or not np.isfinite(level):
+        raise ValidationError("level must be nonzero and finite")
+
+
+def first_passage_times(series, level: float, *,
+                        _tables: list[np.ndarray] | None = None) -> FirstPassageResult:
     """First-passage waiting times from every start of a log-price series.
 
     ``series`` may be a PriceSeries (log closes are used), a
-    DetrendedLogPrice, or a bare array of log-price values.
+    DetrendedLogPrice, or a bare array of log-price values.  ``_tables``
+    (private) are the doubling tables of the series for a rise (level > 0)
+    or of its negation for a drop, built once by the caller.
     """
-    if level == 0.0 or not np.isfinite(level):
-        raise ValidationError("level must be nonzero and finite")
+    _check_level(level)
     s = _log_price_values(series)
     n = len(s)
     if n < 2:
         raise ValidationError(f"series of length {n} has no starts")
-    if level > 0:
-        pos = _first_passage_up(s, level)
-    else:
+    if _tables is None:
         # a drop of |rho| in s is a rise of |rho| in -s
-        pos = _first_passage_up(-s, -level)
+        _tables = _doubling_max_tables(s if level > 0 else -s)
+    pos = _first_passage_up(_tables, abs(level))
     starts = np.arange(n - 1, dtype=np.int64)
     crossed = pos < n
     return FirstPassageResult(
@@ -249,11 +262,22 @@ class TailFit:
 def default_fit_range(hist: WaitingTimeHistogram,
                       min_count: int = 5) -> tuple[float, float]:
     """Fit window from 3x the mode (past the pre-peak rise) to the last bin
-    still holding ``min_count`` samples (before counting noise takes over)."""
+    still holding ``min_count`` samples (before counting noise takes over).
+
+    Raises InsufficientDataError when no bin holds ``min_count`` samples or
+    when the last such bin lies at or below 3x the mode (no tail to fit).
+    """
     well_filled = np.nonzero(hist.counts >= min_count)[0]
     if len(well_filled) == 0:
         raise InsufficientDataError(f"no bin holds {min_count} samples")
-    return 3.0 * hist.mode, float(hist.bin_centers[well_filled[-1]])
+    tau_min = 3.0 * hist.mode
+    tau_max = float(hist.bin_centers[well_filled[-1]])
+    if not tau_min < tau_max:
+        raise InsufficientDataError(
+            f"no bin past 3x the mode ({tau_min:g}) holds {min_count} samples; "
+            f"the last one is centered at {tau_max:g}"
+        )
+    return tau_min, tau_max
 
 
 def fit_tail_exponent(hist: WaitingTimeHistogram,
@@ -308,24 +332,31 @@ def gain_loss_report(series, levels, binning: str = "log",
     """Waiting-time histograms at ±|ρ| for each magnitude in ``levels``.
 
     A positive asymmetry (mode(+) above mode(−)) means the series reaches
-    losses sooner than equal-sized gains.
+    losses sooner than equal-sized gains.  Every magnitude is checked before
+    the first scan; the scans of one sign share one set of doubling tables.
     """
     values = _log_price_values(series)
-    entries = []
-    for level in levels:
-        magnitude = abs(float(level))
-        if magnitude == 0.0:
-            raise ValidationError("levels must be nonzero")
-        hists = {}
-        for sign in (1.0, -1.0):
-            passages = first_passage_times(values, sign * magnitude)
-            hists[sign] = waiting_time_histogram(passages, binning, ratio)
-        entries.append(GainLossEntry(
+    magnitudes = [abs(float(level)) for level in levels]
+    for magnitude in magnitudes:
+        _check_level(magnitude)
+    hists = {}
+    for sign in (1.0, -1.0):
+        tables = _doubling_max_tables(values if sign > 0 else -values)
+        hists[sign] = [
+            waiting_time_histogram(
+                first_passage_times(values, sign * magnitude, _tables=tables),
+                binning, ratio)
+            for magnitude in magnitudes
+        ]
+        del tables  # free before the next sign's build: one set alive at a time
+    return GainLossReport(tuple(
+        GainLossEntry(
             level_abs=magnitude,
-            plus=hists[1.0],
-            minus=hists[-1.0],
-            mode_plus=hists[1.0].mode,
-            mode_minus=hists[-1.0].mode,
-            asymmetry=hists[1.0].mode - hists[-1.0].mode,
-        ))
-    return GainLossReport(tuple(entries))
+            plus=plus,
+            minus=minus,
+            mode_plus=plus.mode,
+            mode_minus=minus.mode,
+            asymmetry=plus.mode - minus.mode,
+        )
+        for magnitude, plus, minus in zip(magnitudes, hists[1.0], hists[-1.0])
+    ))

@@ -393,9 +393,15 @@ def _write_summary(out_dir: Path, payload: dict):
 # run orchestrators
 
 
-def write_price_csv(path, series: PriceSeries):
-    """Write a PriceSeries in the ingestion schema (flat OHLC, zero volume)."""
-    dates = np.datetime_as_string(series.dates).tolist()
+def write_price_csv(path, series: PriceSeries, *, dates: list[str] | None = None):
+    """Write a PriceSeries in the ingestion schema (flat OHLC, zero volume).
+
+    ``dates``, when given, are the series' dates already formatted as
+    YYYY-MM-DD, so a caller writing many series on one calendar formats it
+    once.
+    """
+    if dates is None:
+        dates = np.datetime_as_string(series.dates).tolist()
     values = [fmt(close) for close in series.closes.tolist()]
     rows = [",".join(CSV_HEADER) + "\n"]
     rows += [f"{date},{value},{value},{value},{value},{value},0\n"
@@ -409,12 +415,13 @@ def run_simulate(sim_config: SimConfig, output_dir) -> dict:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     panel = to_aligned_panel(simulate_market(sim_config))
+    dates = np.datetime_as_string(panel.calendar).tolist()
     stock_files = []
     for stock in panel.stocks:
         rel = f"{stock.ticker}.csv"
-        write_price_csv(out / rel, stock)
+        write_price_csv(out / rel, stock, dates=dates)
         stock_files.append([stock.ticker, rel])
-    write_price_csv(out / "INDEX.csv", panel.index_series)
+    write_price_csv(out / "INDEX.csv", panel.index_series, dates=dates)
     manifest = {
         "index_file": "INDEX.csv",
         "stock_files": stock_files,

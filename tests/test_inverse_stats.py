@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import condcorr.inverse_stats as inverse_stats
 from condcorr import (
     DataError,
     InsufficientDataError,
@@ -86,10 +87,26 @@ class TestFirstPassage:
             first_passage_times(np.array([0.0, math.inf, 1.0]), 0.05)
 
     def test_matches_brute_force_exactly(self, rng):
-        """Doubling-table scan must agree bit-for-bit with a plain loop."""
-        for trial in range(8):
-            values = np.cumsum(rng.normal(0.0, 0.01, size=300))
-            for level in (0.004, 0.02, -0.004, -0.02):
+        """Doubling-table scan must agree bit-for-bit with a plain loop.
+
+        Beyond random walks, every length around a power of two reaches the
+        ends of the doubling tables: a dyadic lattice walk (sums and
+        thresholds exact, so ties with the threshold are exact) and flat
+        series that cross, on a tie, only at the last index.
+        """
+        cases = [(np.cumsum(rng.normal(0.0, 0.01, size=300)),
+                  (0.004, 0.02, -0.004, -0.02)) for _ in range(8)]
+        step = 2.0 ** -7
+        lattice_levels = (step, 2 * step, 3 * step, -step, -2 * step, -3 * step)
+        for n in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33):
+            walk = np.concatenate([[0.0], np.cumsum(rng.choice([-step, step], n - 1))])
+            cases.append((walk, lattice_levels))
+            for jump in (2 * step, -2 * step):
+                last_only = np.zeros(n)
+                last_only[-1] = jump
+                cases.append((last_only, lattice_levels))
+        for values, levels in cases:
+            for level in levels:
                 got = first_passage_times(values, level)
                 hits, censored = reference.first_passage(values.tolist(), level)
                 np.testing.assert_array_equal(got.start_indices,
@@ -288,6 +305,30 @@ class TestGainLoss:
         values = np.cumsum(rng.normal(0.0, 0.01, size=100))
         with pytest.raises(ValidationError):
             gain_loss_report(values, [0.0])
+
+    def test_shared_tables_match_per_level_scans(self, rng):
+        values = np.cumsum(rng.normal(0.0, 0.01, size=4000))
+        levels = [0.03, -0.005, 0.05, 0.01]
+        rep = gain_loss_report(values, levels)
+        assert [e.level_abs for e in rep.entries] == [0.03, 0.005, 0.05, 0.01]
+        for e in rep.entries:
+            for hist, level in ((e.plus, e.level_abs), (e.minus, -e.level_abs)):
+                alone = waiting_time_histogram(first_passage_times(values, level))
+                assert hist.level == level
+                np.testing.assert_array_equal(hist.bin_edges, alone.bin_edges)
+                np.testing.assert_array_equal(hist.counts, alone.counts)
+                assert hist.censored_count == alone.censored_count
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_bad_level_raises_before_any_scan(self, rng, monkeypatch, bad):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan started before the levels were checked")
+
+        monkeypatch.setattr(inverse_stats, "_doubling_max_tables", no_scan)
+        monkeypatch.setattr(inverse_stats, "first_passage_times", no_scan)
+        values = np.cumsum(rng.normal(0.0, 0.01, size=100))
+        with pytest.raises(ValidationError):
+            gain_loss_report(values, [0.02, 0.01, bad])
 
     def test_unknown_entry_rejected(self, rng):
         values = np.cumsum(rng.normal(0.0, 0.01, size=1000))

@@ -498,6 +498,21 @@ class TestRunInvstats:
                                tmp_path / "inv")
         assert summary["series"]["ticker"] == "W"
 
+    def test_unfittable_tail_records_error(self, tmp_path):
+        """A sawtooth's waiting times stop short of 3x the mode: each side
+        records why its tail cannot be fitted instead of failing the run."""
+        steps = np.tile([0.01] * 5 + [-0.01] * 5, 40)
+        closes = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+        write_price_csv(tmp_path / "SAW.csv", PriceSeries("SAW", calendar(401), closes))
+        out = tmp_path / "inv"
+        assert main(["invstats", "--csv", str(tmp_path / "SAW.csv"), "--out", str(out),
+                     "--rho-grid=-0.03,0.03", "--detrend-window", "0"]) == 0
+        fits = json.loads((out / "summary.json").read_text())["levels"]["0.03"]["tail_fit"]
+        assert set(fits) == {"plus", "minus"}
+        for side in fits.values():
+            assert "3x the mode" in side["error"]
+        assert (out / "hist_plus_0.03.tsv").is_file()
+
     def test_zero_level_rejected(self, tmp_path):
         series = PriceSeries("W", calendar(100),
                              np.exp(np.linspace(0, 0.5, 100)))
