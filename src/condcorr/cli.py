@@ -141,9 +141,12 @@ def _cmd_invstats(args) -> int:
     source = io.load_manifest(args.manifest) if args.manifest else args.csv
     summary = io.run_invstats(source, config, args.out)
     for tag, entry in summary["levels"].items():
-        print(f"|rho|={tag}: mode(+)={entry['mode_plus']:.4g} "
-              f"mode(-)={entry['mode_minus']:.4g} "
-              f"asymmetry={entry['asymmetry']:+.4g}")
+        mode_plus, mode_minus, asymmetry = (
+            "none" if entry[key] is None else format(entry[key], spec)
+            for key, spec in (("mode_plus", ".4g"), ("mode_minus", ".4g"),
+                              ("asymmetry", "+.4g")))
+        print(f"|rho|={tag}: mode(+)={mode_plus} mode(-)={mode_minus} "
+              f"asymmetry={asymmetry}")
     print(f"reports written to {args.out}")
     return 0
 

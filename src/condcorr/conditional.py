@@ -17,23 +17,26 @@ vanishes; "vanishes" is relative — var ≤ 1e−12 × mean-square — so const
 windows stay undefined under floating-point noise.  Undefined pairs are
 dropped from the S_0 mean, never treated as zero.
 
-Every correlation entry point runs through one window kernel.  It gathers
-the windows at the requested starts time-major, as (c, δt + 1, N) blocks,
-takes each stock's two-pass mean and variance, and z-scores the window
-(zero where undefined), so S_(x,y) = z_x·z_y / (δt + 1).  S_0 then costs
-O(N·δt) per window through Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖², and
-the per-pair sums behind χ are one matrix product Zᵀ Z over the stacked
-member windows, with the pair counts Dᵀ D over the definedness flags D.
+Every correlation entry point runs through one nested-span kernel.  Per
+window start t it gathers the (δt2 + 1)-day block of returns once and
+subtracts the block's first row.  Running sums of the shifted rows and of
+their squares give every span's mean and variance, one row-add per day;
+the shift lies inside each window, so rounding is bounded by the window
+length, not the panel length, and a constant window has variance exactly
+0.  With a = defined/σ per stock, U = block·aᵀ and m = δt + 1 rows,
+Σ_(x≠y) z_x·z_y = Σ U² − m·ū² − m·d (d the defined stocks), so S_0 of every
+span is one batched matrix product.  Single windows and single spans are
+the case δt1 = δt2.
 
-Every conditional result comes from one sweep.  For one sign the level
-sets are nested half-lines in r, so per δt each window falls in one band,
-b = the number of requested levels ≤ r; level i holds the bands b ≤ i when
-ρ_i < 0 and b > i when ρ_i ≥ 0 (which keeps ρ = 0 and exact ties on the
-branches of step 3).  The sweep gathers each window that some level holds
-once, takes the member counts and the S_0 sums, and the Zᵀ Z and Dᵀ D of
-the χ levels, per band, and maps bands to levels with that 0/1 matrix.
-Its cost therefore scales with the member windows, not with the series
-length or the number of levels.
+Every conditional result comes from one sweep of that kernel.  For one
+sign the level sets are nested half-lines in r, so each (t, δt) window
+falls in one band, b = the number of requested levels ≤ r; level i holds
+the bands b ≤ i when ρ_i < 0 and b > i when ρ_i ≥ 0 (which keeps ρ = 0 and
+exact ties on the branches of step 3).  Member counts and the S_0 and C_t
+sums are bincounts over (δt, band), mapped to levels by that 0/1 matrix;
+χ takes Zᵀ Z and the pair counts Dᵀ D (D the definedness flags) per δt and
+band between χ levels.  The cost scales with the starts that hold any
+member span plus the χ member elements, not with the number of levels.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ __all__ = [
 
 # variance at or below mean-square × this is treated as zero volatility
 _REL_VAR_FLOOR = 1e-12
-_CHUNK = 512
+_CHUNK = 256
 
 DEFAULT_WINDOW_RANGE = (10, 35)
 DEFAULT_EPSILON = 1e-6
@@ -211,7 +214,7 @@ class PanelAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# shared precomputation and the member-gather sweep
+# the nested-span kernel and the sweep
 
 
 def _check_horizon(panel: AlignedPanel, horizon: int):
@@ -256,8 +259,7 @@ def _check_span(panel: AlignedPanel, horizon: int, window_span: int,
 def _returns(panel: AlignedPanel, horizon: int, columns=slice(None), first: int = 0,
              n: int | None = None) -> np.ndarray:
     """Δt-day log returns of the chosen stocks at the ``n`` starts from day
-    ``first`` (through the panel's end by default), time-major so each
-    gathered window is one contiguous (m, N) block."""
+    ``first`` (through the panel's end by default), time-major (days, N)."""
     if n is None:
         n = panel.n_days - horizon - first
     logm = panel.log_close_matrix[columns, first: first + n + horizon]
@@ -271,60 +273,54 @@ def _condition_returns(panel: AlignedPanel, horizon: int, span: int) -> np.ndarr
     return index_log[span: span + n_t] - index_log[:n_t]
 
 
-def _zscored_windows(returns: np.ndarray, starts: np.ndarray, span: int):
-    """Yield (chunk_slice, z, defined) over the windows at ``starts``.
+def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int):
+    """(block, mean, scale, s0, n_pairs) at ≤ ``_CHUNK`` starts, per span δt in
+    [dt1, dt2] over the window's δt + 1 first block rows.
 
-    ``returns`` is time-major (days, N).  z is (c, span + 1, N): each
-    column's window minus its mean, divided by its population sd, and zero
-    where the window is undefined; defined is (c, N).  Moments are two-pass
-    over the window alone, so rounding does not grow with the series length.
+    block (dt2 + 1, c, N): each start's rows of the time-major ``returns``
+    (the last row repeats past the end) minus its first.  mean (S, c, N):
+    each stock's mean of those shifted rows; scale (S, c, N): 1/sd where the
+    stock is defined, else 0; s0 (c, S): S_0, NaN where no pair is defined;
+    n_pairs (c, S): the defined pairs.
     """
-    offsets = np.arange(span + 1)
-    for lo in range(0, len(starts), _CHUNK):
-        sel = slice(lo, min(lo + _CHUNK, len(starts)))
-        z = returns[starts[sel, None] + offsets]
-        mean = z.mean(axis=1, keepdims=True)
-        z -= mean
-        var = np.einsum("cmn,cmn->cn", z, z) / (span + 1)
-        defined = var > (var + mean[:, 0] ** 2) * _REL_VAR_FLOOR
-        sd = np.sqrt(np.where(defined, var, 1.0))
-        z *= (defined / sd)[:, None, :]
-        yield sel, z, defined
-
-
-def _market_s0(z: np.ndarray, defined: np.ndarray):
-    """S_0 per window (NaN where no pair is defined) and its defined-pair count.
-
-    Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖², so the pair mean costs O(N·m)
-    per window without forming the N×N correlation matrix.
-    """
-    total = z.sum(axis=2)
-    off_diagonal = np.einsum("cm,cm->c", total, total) - np.einsum("cmn,cmn->c", z, z)
-    d = defined.sum(axis=1, dtype=np.int64)
+    offsets = np.arange(dt2 + 1)
+    sizes = offsets[dt1:] + 1  # δt + 1 rows per span
+    block = returns[np.minimum(starts + offsets[:, None], len(returns) - 1)]
+    first = block[0].copy()
+    block -= first
+    mean, scale = np.empty((2, len(sizes)) + first.shape)
+    defined = np.empty(mean.shape, dtype=bool)
+    total, total_sq = np.zeros((2,) + first.shape)
+    # running sums of the rows and their squares, one row-add per day; each
+    # span's moments are taken once its last row is in
+    for row in offsets:
+        total += block[row]
+        total_sq += block[row] ** 2
+        if row >= dt1:
+            mu = np.divide(total, row + 1, out=mean[row - dt1])
+            var = np.divide(total_sq, row + 1, out=scale[row - dt1])
+            var -= mu * mu
+            ok = np.greater(var, ((mu + first) ** 2 + var) * _REL_VAR_FLOOR,
+                            out=defined[row - dt1])
+            np.divide(ok, np.sqrt(np.where(ok, var, 1.0)), out=var)
+    # per window row, Σ_x z_x = U − ū with U = block·scale and ū = mean·scale,
+    # so Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖² = Σ U² − m·ū² − m·d
+    u = np.matmul(block.transpose(1, 0, 2), scale.transpose(1, 2, 0))
+    u *= offsets[:, None] < sizes  # keep the rows inside each span's window
+    u_bar = np.einsum("scn,scn->cs", mean, scale)
+    d = defined.sum(axis=2).T
     n_pairs = d * (d - 1) // 2
-    s0 = np.full(len(d), np.nan)
-    have = n_pairs > 0
-    s0[have] = off_diagonal[have] / z.shape[1] / 2.0 / n_pairs[have]
-    return s0, n_pairs
+    off_diagonal = np.einsum("cms,cms->cs", u, u) - sizes * (u_bar * u_bar + d)
+    off_diagonal /= 2.0 * sizes * np.maximum(n_pairs, 1)
+    s0 = np.where(n_pairs > 0, off_diagonal, np.nan)
+    return block, mean, scale, s0, n_pairs
 
 
-def _market_values(returns: np.ndarray, starts: np.ndarray, span: int):
-    """S_0 and defined-pair counts at each start, as _market_s0 gives them."""
-    s0 = np.empty(len(starts))
-    n_pairs = np.empty(len(starts), dtype=np.int64)
-    for sel, z, defined in _zscored_windows(returns, starts, span):
-        s0[sel], n_pairs[sel] = _market_s0(z, defined)
-    return s0, n_pairs
-
-
-def _pair_values(pair_returns: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
-    """S_(x,y) at each start from the (days, 2) returns of x and y; NaN where
-    either window is undefined."""
-    values = np.empty(len(starts))
-    for sel, z, defined in _zscored_windows(pair_returns, starts, span):
-        s = np.einsum("cm,cm->c", z[:, :, 0], z[:, :, 1]) / (span + 1)
-        values[sel] = np.where(defined.all(axis=1), s, np.nan)
-    return values
+def _single_span(returns: np.ndarray, starts: np.ndarray, span: int):
+    """S_0 and defined pairs of one span at each start; of two columns, S_(x,y)."""
+    chunks = [_window_kernel(returns, starts[lo:lo + _CHUNK], span, span)[3:]
+              for lo in range(0, len(starts), _CHUNK)]
+    return tuple(np.concatenate([chunk[k][:, 0] for chunk in chunks]) for k in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -350,81 +346,86 @@ class _SweepSums:
     time_den: np.ndarray
 
 
-def _sweep(panel: AlignedPanel, horizon: int, spans: Sequence[int],
+def _held_bands(edges: np.ndarray, chosen) -> np.ndarray:
+    """Which bands (rows) each chosen level (column) holds: band b has b
+    edges ≤ r, and the last band, windows past the panel's end, none."""
+    band = np.arange(len(edges) + 2)[:, None]
+    edge = np.searchsorted(edges, chosen)
+    return np.where(np.asarray(chosen) < 0.0, band <= edge,
+                    (band > edge) & (band <= len(edges)))
+
+
+def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
            levels: Sequence[float], pair_levels: Sequence[float] = (),
            time_levels: Sequence[float] = (), columns=slice(None)) -> _SweepSums:
-    """One pass over all window sizes that gathers each member window once.
+    """One pass of the nested-span kernel over every start some level holds.
 
     ``levels`` are sorted and distinct; ``pair_levels`` and ``time_levels``
-    name those that also need per-pair and per-time sums.  Per δt a window
-    falls in band b, the number of levels ≤ its index return r.  Level i
-    holds the bands b ≤ i when ρ_i < 0 (r < ρ_i) and b > i otherwise
-    (r ≥ ρ_i), so every sum is taken per band and mapped to the levels by
-    that 0/1 matrix.
+    name those that also need per-pair and per-time sums.  The χ products
+    use the coarser bands between the pair levels alone, and the starts are
+    sorted by those bands, so each Zᵀ Z covers many windows of one band.
     """
     returns = _returns(panel, horizon, columns)
     n_returns, n = returns.shape
-    levels = np.asarray(levels, dtype=np.float64)
-    n_bands = len(levels) + 1
-    band_ids = np.arange(n_bands)[:, None]
-    level_ids = np.arange(len(levels))
-    member = np.where(levels < 0.0, band_ids <= level_ids, band_ids > level_ids)
-    column = {lev: i for i, lev in enumerate(levels.tolist())}
-    pair_member = member[:, [column[lev] for lev in pair_levels]]
-    time_member = member[:, [column[lev] for lev in time_levels]]
-    gathered = member.any(axis=1)
-    pair_band = pair_member.any(axis=1)
-    pair_row = np.cumsum(pair_band) - 1  # a pair band's row in band_psum
+    dt1, dt2 = window_range
+    spans = np.arange(dt1, dt2 + 1)
+    n_bands = len(levels) + 2
+    member = _held_bands(levels, levels)
+    time_member = _held_bands(levels, time_levels)
+    pair_edges = np.sort(pair_levels)
+    pair_member = _held_bands(pair_edges, pair_levels)
+    held = pair_member.any(axis=1)
+    pair_member = pair_member[held]
+    # a band's χ band (pair levels ≤ r) as a pair_member row, -1 if none holds it
+    chi_band = np.append(np.searchsorted(pair_edges, np.append(-np.inf, levels), "right"),
+                         len(pair_edges) + 1)
+    pair_row = np.where(held, np.cumsum(held) - 1, -1)[chi_band]
+    bands = np.full((max(n_returns - dt1, 0), len(spans)), n_bands - 1,
+                    dtype=np.min_scalar_type(n_bands))
+    for j, span in enumerate(spans):
+        r = _condition_returns(panel, horizon, span)
+        bands[:len(r), j] = np.searchsorted(levels, r, side="right")
+    starts = np.flatnonzero(member.any(axis=1)[bands].any(axis=1))
+    if len(pair_levels):
+        starts = starts[np.lexsort(pair_row[bands[starts]].T)]
 
-    spans = np.asarray(spans)
-    counts = np.zeros((len(spans), len(levels)), dtype=np.int64)
-    sums = np.zeros(counts.shape)
-    sumsqs = np.zeros(counts.shape)
-    pair_num = np.zeros((len(pair_levels), n, n))
-    pair_den = np.zeros(pair_num.shape, dtype=np.int64)
-    pair_members = np.zeros(pair_num.shape, dtype=np.int64)
+    stats = np.zeros((3, len(spans) * n_bands))  # member count, Σ S_0, Σ S_0²
+    products = np.zeros((2, len(spans), len(pair_member), n, n))  # Σ Zᵀ Z, Σ Dᵀ D
     time_num = np.zeros((len(time_levels), n_returns))
     time_den = np.zeros(time_num.shape, dtype=np.int64)
-
-    for k, span in enumerate(spans):
-        band = np.searchsorted(levels, _condition_returns(panel, horizon, span),
-                               side="right")
-        starts = np.nonzero(gathered[band])[0]
-        # band-major (t order within a band), so a chunk spans few bands
-        starts = starts[np.argsort(band[starts], kind="stable")]
-        band_count = np.zeros(n_bands, dtype=np.int64)
-        band_sum = np.zeros(n_bands)
-        band_sumsq = np.zeros(n_bands)
-        # Σ z_x·z_y and defined-window counts per band that a pair level holds
-        band_psum = np.zeros((pair_row[-1] + 1, n, n))
-        band_pcnt = np.zeros(band_psum.shape)
-        for sel, z, defined in _zscored_windows(returns, starts, span):
-            s0, n_pairs = _market_s0(z, defined)
-            b = band[starts[sel]]
-            use = n_pairs > 0
-            vals, b_use, t_use = s0[use], b[use], starts[sel][use]
-            band_count += np.bincount(b_use, minlength=n_bands)
-            band_sum += np.bincount(b_use, vals, n_bands)
-            band_sumsq += np.bincount(b_use, vals * vals, n_bands)
-            in_level = time_member[b_use].T
-            time_num[:, t_use] += in_level * vals
-            time_den[:, t_use] += in_level
-            for j in np.unique(b[pair_band[b]]):
-                rows = b == j
-                stacked = z[rows].reshape(-1, n)
-                flags = defined[rows].astype(np.float64)
-                band_psum[pair_row[j]] += stacked.T @ stacked
-                band_pcnt[pair_row[j]] += flags.T @ flags
-        counts[k] = band_count @ member
-        sums[k] = band_sum @ member
-        sumsqs[k] = band_sumsq @ member
-        psum = np.tensordot(pair_member[pair_band].T, band_psum, axes=1)
-        pcnt = np.tensordot(pair_member[pair_band].T, band_pcnt, axes=1)
-        has = pcnt > 0
-        pair_num[has] += psum[has] / (span + 1) / pcnt[has]
-        pair_den += has
-        pair_members += pcnt.astype(np.int64)
-    return _SweepSums(spans, counts, sums, sumsqs, pair_num, pair_den, pair_members,
+    for lo in range(0, len(starts), _CHUNK):
+        t = starts[lo:lo + _CHUNK]
+        block, mean, scale, s0, n_pairs = _window_kernel(returns, t, dt1, dt2)
+        band = bands[t]
+        use = n_pairs > 0
+        vals, flat = s0[use], (band + n_bands * np.arange(len(spans)))[use]  # span, band
+        stats += [np.bincount(flat, w, stats.shape[1]) for w in (None, vals, vals * vals)]
+        in_level = time_member[band] & use[:, :, None]
+        time_num[:, t] = np.einsum("csk,cs->kc", in_level, np.where(use, s0, 0.0))
+        time_den[:, t] = in_level.sum(axis=1).T
+        pair_band = pair_row[band]
+        by_band = np.argsort(pair_band, axis=0, kind="stable")  # -1 (no pair level) first
+        for j, span in enumerate(spans if len(pair_levels) else ()):
+            rows = by_band[np.count_nonzero(pair_band[:, j] < 0):, j]
+            # Zᵀ Z = Σ_w (block_w·a_w)ᵀ (block_w·a_w) − m·(μ_w·a_w)ᵀ (μ_w·a_w)
+            a = scale[j, rows]
+            z = block.transpose(1, 0, 2)[rows, :span + 1]
+            z *= a[:, None]
+            centre = mean[j, rows] * a * np.sqrt(span + 1)
+            flags = (a > 0) * 1.0
+            b = pair_band[rows, j]
+            firsts = np.flatnonzero(np.diff(b, prepend=-1))
+            for g0, g1 in zip(firsts, np.append(firsts[1:], len(b))):
+                zz, cc, ff = z[g0:g1].reshape(-1, n), centre[g0:g1], flags[g0:g1]
+                products[0, j, b[g0]] += zz.T @ zz - cc.T @ cc
+                products[1, j, b[g0]] += ff.T @ ff
+        del block, mean, scale  # free this chunk before the next one is built
+    counts, sums, sumsqs = stats.reshape(3, len(spans), n_bands) @ member
+    psum, pcnt = np.moveaxis(np.moveaxis(products, 2, -1) @ pair_member, -1, 2)
+    psum /= (spans + 1)[:, None, None, None]
+    pair_num = (psum / np.maximum(pcnt, 1.0)).sum(axis=0)  # psum is 0 where pcnt is
+    return _SweepSums(spans, counts.astype(np.int64), sums, sumsqs, pair_num,
+                      (pcnt > 0).sum(axis=0), pcnt.sum(axis=0).astype(np.int64),
                       time_num, time_den)
 
 
@@ -452,6 +453,11 @@ def _resolve(panel: AlignedPanel, stock) -> int:
     return stock if isinstance(stock, (int, np.integer)) else panel.stock_index(stock)
 
 
+def _pair_columns(panel: AlignedPanel, x, y) -> list[int]:
+    """x's and y's columns in panel order, so S_(x,y) = S_(y,x) bit for bit."""
+    return sorted((_resolve(panel, x), _resolve(panel, y)))
+
+
 def pair_correlation(panel: AlignedPanel, x, y, t: int, window_span: int,
                      horizon: int = 1) -> float | None:
     """S_(x,y)(t, δt, Δt) for one window; None when either volatility is zero.
@@ -460,9 +466,8 @@ def pair_correlation(panel: AlignedPanel, x, y, t: int, window_span: int,
     the self-correlation identity.
     """
     _check_span(panel, horizon, window_span, t)
-    columns = [_resolve(panel, x), _resolve(panel, y)]
-    pair_returns = _returns(panel, horizon, columns, t, window_span + 1)
-    value = float(_pair_values(pair_returns, np.array([0]), window_span)[0])
+    returns = _returns(panel, horizon, _pair_columns(panel, x, y), t, window_span + 1)
+    value = float(_single_span(returns, np.array([0]), window_span)[0][0])
     return None if np.isnan(value) else value
 
 
@@ -470,10 +475,9 @@ def pair_correlation_series(panel: AlignedPanel, x, y, window_span: int,
                             horizon: int = 1) -> PairCorrelationSeries:
     """S_(x,y) at every valid start (vectorized); NaN marks undefined windows."""
     n_t = _check_span(panel, horizon, window_span)
-    xi, yi = _resolve(panel, x), _resolve(panel, y)
-    values = _pair_values(_returns(panel, horizon, [xi, yi]), np.arange(n_t), window_span)
-    name = (x if isinstance(x, str) else panel.tickers[xi],
-            y if isinstance(y, str) else panel.tickers[yi])
+    returns = _returns(panel, horizon, _pair_columns(panel, x, y))
+    values = _single_span(returns, np.arange(n_t), window_span)[0]
+    name = tuple(v if isinstance(v, str) else panel.tickers[v] for v in (x, y))
     return PairCorrelationSeries(name, window_span, horizon, values)
 
 
@@ -482,18 +486,16 @@ def market_component_correlation(panel: AlignedPanel, t: int, window_span: int,
     """S_0(t, δt, Δt) and its defined-pair count; None when no pair is defined."""
     _check_span(panel, horizon, window_span, t)
     returns = _returns(panel, horizon, first=t, n=window_span + 1)
-    s0, n_pairs = _market_values(returns, np.array([0]), window_span)
-    if n_pairs[0] == 0:
-        return None
-    return float(s0[0]), int(n_pairs[0])
+    s0, n_pairs = _single_span(returns, np.array([0]), window_span)
+    return None if n_pairs[0] == 0 else (float(s0[0]), int(n_pairs[0]))
 
 
 def market_correlation_series(panel: AlignedPanel, window_span: int,
                               horizon: int = 1) -> MarketCorrelationSeries:
     """S_0 at every valid start; NaN where no pair is defined."""
     n_t = _check_span(panel, horizon, window_span)
-    values, pair_counts = _market_values(_returns(panel, horizon), np.arange(n_t),
-                                         window_span)
+    returns = _returns(panel, horizon)
+    values, pair_counts = _single_span(returns, np.arange(n_t), window_span)
     return MarketCorrelationSeries(window_span, horizon, values, pair_counts)
 
 
@@ -547,7 +549,7 @@ def conditional_market_correlation(panel: AlignedPanel, level: float,
                                    ) -> tuple[float, int] | None:
     """C_0(ρ, δt, Δt) and the member count; None when the set is empty."""
     _check_span(panel, horizon, window_span)
-    average = _span_average(_sweep(panel, horizon, [window_span], [level]), 0)
+    average = _span_average(_sweep(panel, horizon, (window_span,) * 2, [level]), 0)
     return None if average is None else average[:2]
 
 
@@ -584,10 +586,8 @@ def pair_conditional_correlation(panel: AlignedPanel, x, y, level: float,
     _check_window_range(window_range)
     _check_span(panel, horizon, window_range[1])
     # over the two columns x and y, S_0 is S_(x,y)
-    columns = [_resolve(panel, x), _resolve(panel, y)]
-    sums = _sweep(panel, horizon, range(window_range[0], window_range[1] + 1), [level],
-                  columns=columns)
-    average = _span_average(sums, 0)
+    average = _span_average(_sweep(panel, horizon, window_range, [level],
+                                   columns=_pair_columns(panel, x, y)), 0)
     if average is None:
         return None
     value, total, excluded, _ = average
@@ -689,8 +689,7 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
     if any(np.isnan(levels)):
         raise ValidationError("levels must be numbers, not NaN")
 
-    sums = _sweep(panel, horizon, range(window_range[0], window_range[1] + 1), levels,
-                  pair_levels, ct_levels)
+    sums = _sweep(panel, horizon, window_range, levels, pair_levels, ct_levels)
 
     points = []
     for lev in curve_levels:

@@ -306,14 +306,18 @@ def fit_tail_exponent(hist: WaitingTimeHistogram,
 
 @dataclass(frozen=True)
 class GainLossEntry:
-    """Paired ±|ρ| histograms and their peak positions."""
+    """Paired ±|ρ| histograms and their peak positions.
+
+    A side where no start reaches the level (every start censored) has no
+    histogram and no mode, so its histogram, mode and the asymmetry are None.
+    """
 
     level_abs: float
-    plus: WaitingTimeHistogram
-    minus: WaitingTimeHistogram
-    mode_plus: float
-    mode_minus: float
-    asymmetry: float  # mode(+) − mode(−); positive when losses come sooner
+    plus: WaitingTimeHistogram | None
+    minus: WaitingTimeHistogram | None
+    mode_plus: float | None
+    mode_minus: float | None
+    asymmetry: float | None  # mode(+) − mode(−); positive when losses come sooner
 
 
 @dataclass(frozen=True)
@@ -325,6 +329,12 @@ class GainLossReport:
             if e.level_abs == level_abs:
                 return e
         raise ValidationError(f"no entry for level {level_abs}")
+
+
+def _histogram_if_crossed(result: FirstPassageResult, binning: str,
+                          ratio: float) -> WaitingTimeHistogram | None:
+    """The waiting-time histogram, or None when every start is censored."""
+    return waiting_time_histogram(result, binning, ratio) if len(result) else None
 
 
 def gain_loss_report(series, levels, binning: str = "log",
@@ -343,7 +353,7 @@ def gain_loss_report(series, levels, binning: str = "log",
     for sign in (1.0, -1.0):
         tables = _doubling_max_tables(values if sign > 0 else -values)
         hists[sign] = [
-            waiting_time_histogram(
+            _histogram_if_crossed(
                 first_passage_times(values, sign * magnitude, _tables=tables),
                 binning, ratio)
             for magnitude in magnitudes
@@ -354,9 +364,9 @@ def gain_loss_report(series, levels, binning: str = "log",
             level_abs=magnitude,
             plus=plus,
             minus=minus,
-            mode_plus=plus.mode,
-            mode_minus=minus.mode,
-            asymmetry=plus.mode - minus.mode,
+            mode_plus=None if plus is None else plus.mode,
+            mode_minus=None if minus is None else minus.mode,
+            asymmetry=None if plus is None or minus is None else plus.mode - minus.mode,
         )
         for magnitude, plus, minus in zip(magnitudes, hists[1.0], hists[-1.0])
     ))

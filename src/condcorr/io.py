@@ -591,13 +591,19 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
     report = inverse_stats.gain_loss_report(analyzed, levels,
                                             binning=config.binning,
                                             ratio=config.bin_ratio)
+    starts = len(analyzed) - 1  # every start is scanned at every level
     level_summaries = {}
     for entry in report.entries:
         tag = fmt(entry.level_abs)
-        write_histogram_tsv(out / f"hist_plus_{tag}.tsv", entry.plus)
-        write_histogram_tsv(out / f"hist_minus_{tag}.tsv", entry.minus)
-        fits = {}
+        fits, crossed, censored = {}, {}, {}
         for side, hist in (("plus", entry.plus), ("minus", entry.minus)):
+            if hist is None:
+                fits[side] = {"error": f"no crossings to histogram (all {starts} "
+                                       "starts censored)"}
+                crossed[side], censored[side] = 0, starts
+                continue
+            write_histogram_tsv(out / f"hist_{side}_{tag}.tsv", hist)
+            crossed[side], censored[side] = hist.total_samples, hist.censored_count
             try:
                 fit = inverse_stats.fit_tail_exponent(hist)
                 fits[side] = {"exponent": fit.exponent, "stderr": fit.stderr,
@@ -608,10 +614,10 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
             "mode_plus": entry.mode_plus,
             "mode_minus": entry.mode_minus,
             "asymmetry": entry.asymmetry,
-            "n_plus": entry.plus.total_samples,
-            "n_minus": entry.minus.total_samples,
-            "censored_plus": entry.plus.censored_count,
-            "censored_minus": entry.minus.censored_count,
+            "n_plus": crossed["plus"],
+            "n_minus": crossed["minus"],
+            "censored_plus": censored["plus"],
+            "censored_minus": censored["minus"],
             "tail_fit": fits,
         }
 

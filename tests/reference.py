@@ -30,11 +30,12 @@ def log_return_rows(close_rows, horizon):
 
 
 def window_moments(values):
+    """Two-pass mean and variance, so a window whose spread is tiny next to
+    its mean keeps its digits."""
     m = len(values)
     mean = sum(values) / m
-    meansq = sum(v * v for v in values) / m
-    var = max(meansq - mean * mean, 0.0)
-    defined = var > meansq * REL_VAR_FLOOR
+    var = sum((v - mean) ** 2 for v in values) / m
+    defined = var > (var + mean * mean) * REL_VAR_FLOOR
     return mean, var, defined
 
 
@@ -45,7 +46,7 @@ def pair_corr(rx, ry, t, span):
     my, vy, dy = window_moments(wy)
     if not (dx and dy):
         return None
-    cov = sum(a * b for a, b in zip(wx, wy)) / (span + 1) - mx * my
+    cov = sum((a - mx) * (b - my) for a, b in zip(wx, wy)) / (span + 1)
     return cov / (math.sqrt(vx) * math.sqrt(vy))
 
 
@@ -88,6 +89,22 @@ def curve_point(close_rows, index_closes, level, dt1, dt2, horizon):
     if not span_means:
         return None
     return sum(span_means) / len(span_means), total, excluded
+
+
+def time_resolved(close_rows, index_closes, level, dt1, dt2, horizon):
+    """C_t(ρ, Δt) from the definitions: {t: mean of S_0(t, δt) over the δt
+    where t is a member with a defined S_0}."""
+    returns = log_return_rows(close_rows, horizon)
+    index_log = [math.log(c) for c in index_closes]
+    n_returns = len(close_rows[0]) - horizon
+    values = {}
+    for span in range(dt1, dt2 + 1):
+        for t in range(max(n_returns - span, 0)):
+            if is_member(index_log[t + span] - index_log[t], level):
+                s0 = market_corr(returns, t, span)
+                if s0 is not None:
+                    values.setdefault(t, []).append(s0)
+    return {t: sum(v) / len(v) for t, v in values.items()}
 
 
 def pair_conditional(close_rows, index_closes, x, y, level, dt1, dt2, horizon):

@@ -121,6 +121,70 @@ def long_drift_panel():
     return panel_from_returns(steps)
 
 
+def block_edge_panel():
+    """300 days of ±0.01 walks with constant-return stretches placed against
+    the (δt2 + 1)-row blocks of window range (4, 12), each block shifted by
+    its first row."""
+    rng = np.random.default_rng(2024)
+    steps = rng.choice([-0.01, 0.01], size=(3, 299))
+    steps[0, 40:53] = 0.003     # exactly start 40's block
+    steps[1, 100:113] = 0.002   # start 100's block varies only on its shift row
+    steps[1, 100] = -0.004
+    steps[:, 150:161] = 0.001   # every stock flat inside blocks: no S_0 there
+    steps[2, 185:193] = -0.002  # ends on the last row of start 180's block
+    # defined, but its spread is 3e-4 of its mean: a shift by a row outside
+    # the window (the -0.01 after it) would cost these windows their digits
+    steps[2, 230:242] = 0.01 + 3e-6 * (-1.0) ** np.arange(12)
+    steps[2, 242] = -0.01
+    steps[0, 287:] = 0.004      # the last starts, which only δt < 12 reach
+    return panel_from_returns(steps)
+
+
+class TestNestedSpanOracle:
+    """One multi-span sweep over a short panel against the plain-loop
+    reference: member counts exactly, values to 1e-10."""
+
+    WINDOW_RANGE = (4, 12)
+    GRID = (-0.03, -0.01, -0.004, 0.0, 0.004, 0.01, 0.03)
+
+    def test_sweep_matches_reference(self):
+        p = block_edge_panel()
+        rows = [s.closes.tolist() for s in p.stocks]
+        idx = p.index_series.closes.tolist()
+        dt1, dt2 = self.WINDOW_RANGE
+        analysis = analyze_panel(p, self.GRID, self.WINDOW_RANGE, chi_levels=(0.004, 0.01),
+                                 ct_levels=(0.004, -0.01), min_samples=1)
+        for level in self.GRID:
+            got = analysis.curve.point(level)
+            value, n_samples, n_excluded = reference.curve_point(rows, idx, level,
+                                                                 dt1, dt2, 1)
+            assert (got.sample_count, got.excluded_windows) == (n_samples, n_excluded)
+            assert got.value == pytest.approx(value, abs=1e-10)
+        for level_abs, report in analysis.chi.items():
+            for pc in report.pairs:
+                x, y = (p.stock_index(t) for t in pc.pair)
+                for c, count, level in ((pc.c_minus, pc.count_minus, -level_abs),
+                                        (pc.c_plus, pc.count_plus, level_abs)):
+                    want, want_n = reference.pair_conditional(rows, idx, x, y, level,
+                                                              dt1, dt2, 1)
+                    assert count == want_n
+                    if want is None:
+                        assert c is None
+                    else:
+                        assert c == pytest.approx(want, abs=1e-10)
+        for level, ct in analysis.time_resolved.items():
+            want = reference.time_resolved(rows, idx, level, dt1, dt2, 1)
+            np.testing.assert_array_equal(ct.times, sorted(want))
+            np.testing.assert_allclose(ct.values, [want[t] for t in sorted(want)],
+                                       rtol=0, atol=1e-10)
+        # the stretches do reach the sweep: windows with no defined S_0 among
+        # the members, and members among the starts only short spans reach
+        returns = reference.log_return_rows(rows, 1)
+        assert reference.market_corr(returns, 150, dt1) is None
+        assert reference.window_moments(returns[2][230:230 + dt1 + 1])[2]
+        assert max(analysis.time_resolved[0.004].times) > p.n_days - 1 - dt2
+
+
 class TestLongPanelOracle:
     """Every window of a long panel against the plain-loop reference:
     definedness exactly, values to 1e-10."""
@@ -169,6 +233,24 @@ class TestLongPanelOracle:
             ]
             np.testing.assert_array_equal(series.pair_counts,
                                           [d * (d - 1) // 2 for d in defined])
+
+    def test_sweep_matches_per_span_selection(self, long_panel):
+        p, _ = long_panel
+        levels = (-0.03, -0.01, 0.0, 0.01, 0.03)
+        analysis = analyze_panel(p, levels, window_range=(10, 35), min_samples=1)
+        members = {level: [] for level in levels}
+        for span in range(10, 36):
+            series = market_correlation_series(p, span)
+            returns = index_condition_returns(p, span)
+            for level in levels:
+                members[level].append(conditional_select(series, returns, level))
+        for level in levels:
+            got = analysis.curve.point(level)
+            sizes = [len(m) for m in members[level]]
+            assert got.sample_count == sum(sizes)
+            assert got.excluded_windows == sizes.count(0)
+            means = [m.member_values.mean() for m in members[level] if len(m)]
+            assert got.value == pytest.approx(np.mean(means), abs=1e-10)
 
     def test_single_windows(self, long_panel):
         p, returns = long_panel

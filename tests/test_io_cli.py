@@ -513,6 +513,28 @@ class TestRunInvstats:
             assert "3x the mode" in side["error"]
         assert (out / "hist_plus_0.03.tsv").is_file()
 
+    def test_unreachable_level_records_error(self, tmp_path):
+        """This 34-day index never rises by 0.03: that side records why it
+        has no histogram, and every other level and side is still written."""
+        data = tmp_path / "market"
+        assert main(["simulate", "--n-stocks", "2", "--n-steps", "33",
+                     "--fear-probability", "0.05", "--seed", "3", "--out", str(data)]) == 0
+        out = tmp_path / "inv"
+        assert main(["invstats", "--manifest", str(data / "manifest.json"),
+                     "--out", str(out), "--rho-grid=-0.03,-0.02,-0.01,0.01,0.02,0.03",
+                     "--detrend-window", "0"]) == 0
+        levels = json.loads((out / "summary.json").read_text())["levels"]
+        unreached = levels["0.03"]
+        assert unreached["n_plus"] == 0 and unreached["censored_plus"] == 33
+        assert unreached["mode_plus"] is None and unreached["asymmetry"] is None
+        assert "all 33 starts censored" in unreached["tail_fit"]["plus"]["error"]
+        assert unreached["mode_minus"] is not None
+        for tag, entry in levels.items():
+            for side in ("plus", "minus"):
+                assert entry[f"n_{side}"] + entry[f"censored_{side}"] == 33
+                written = (out / f"hist_{side}_{tag}.tsv").is_file()
+                assert written == (entry[f"n_{side}"] > 0), (tag, side)
+
     def test_zero_level_rejected(self, tmp_path):
         series = PriceSeries("W", calendar(100),
                              np.exp(np.linspace(0, 0.5, 100)))
