@@ -16,8 +16,8 @@ that skips every block whose maximum stays below each start's threshold.
 Each table has one entry per position 0..n and holds +inf where a block
 would run past the end, so a block that does not fit never looks skippable.
 The tables depend only on the series and the sign of the level, so
-``gain_loss_report`` builds one set for the rises and, after freeing it, one
-for the drops, and shares each across every magnitude.
+``gain_loss_report`` runs one descent per sign over every magnitude at once,
+chunk by chunk of starts, freeing each sign's tables before the next build.
 """
 
 from __future__ import annotations
@@ -48,18 +48,24 @@ __all__ = [
 ]
 
 DEFAULT_LOG_BIN_RATIO = 1.25
+# (magnitude, start) elements one descent step handles: a chunk's positions,
+# thresholds and gathered maxima stay in cache across all the table levels
+_DESCENT_CHUNK = 1 << 15
 
 
 def _log_price_values(series) -> np.ndarray:
     if isinstance(series, PriceSeries):
-        return series.log_closes
-    if isinstance(series, DetrendedLogPrice):
-        return series.values
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError("log-price series must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("log-price series contains non-finite values")
+        arr = series.log_closes
+    elif isinstance(series, DetrendedLogPrice):
+        arr = series.values
+    else:
+        arr = np.asarray(series, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValidationError("log-price series must be one-dimensional")
+        if not np.all(np.isfinite(arr)):
+            raise DataError("log-price series contains non-finite values")
+    if len(arr) < 2:
+        raise ValidationError(f"series of length {len(arr)} has no starts")
     return arr
 
 
@@ -117,24 +123,32 @@ def _doubling_max_tables(s: np.ndarray) -> list[np.ndarray]:
     while (1 << k) <= n:
         h = 1 << (k - 1)
         prev = tables[-1]
-        table = np.full(n + 1, np.inf)
+        table = np.empty(n + 1)
         np.maximum(prev[:-h], prev[h:], out=table[:n + 1 - h])
+        table[n + 1 - h:] = np.inf
         tables.append(table)
         k += 1
     return tables
 
 
-def _first_passage_up(tables: list[np.ndarray], rho: float) -> np.ndarray:
+def _first_passage_up(tables: list[np.ndarray], rhos) -> np.ndarray:
     """Positions of the first s[j] >= s[t0] + rho with j > t0, or n if none.
 
-    ``tables`` are ``_doubling_max_tables(s)``; their level 0 holds s.
+    One row per rho in ``rhos``, one column per start, in the smallest type
+    holding n.  ``tables`` are ``_doubling_max_tables(s)``; level 0 holds s.
     """
     n = len(tables[0]) - 1
-    pos = np.arange(1, n, dtype=np.int64)
-    thresholds = tables[0][:n - 1] + rho
-    for k in range(len(tables) - 1, -1, -1):
-        pos += (tables[k][pos] < thresholds) << k
-    return pos
+    rhos = np.asarray(rhos, dtype=np.float64)[:, None]
+    out = np.empty((len(rhos), n - 1), dtype=np.min_scalar_type(n))
+    step = max(1, _DESCENT_CHUNK // max(len(rhos), 1))
+    for a in range(0, n - 1, step):
+        b = min(a + step, n - 1)
+        thresholds = tables[0][a:b] + rhos
+        pos = np.tile(np.arange(a + 1, b + 1), (len(rhos), 1))
+        for k in range(len(tables) - 1, -1, -1):
+            pos += (tables[k][pos] < thresholds) << k
+        out[:, a:b] = pos
+    return out
 
 
 def _check_level(level: float):
@@ -143,29 +157,27 @@ def _check_level(level: float):
 
 
 def first_passage_times(series, level: float, *,
-                        _tables: list[np.ndarray] | None = None) -> FirstPassageResult:
+                        _positions: np.ndarray | None = None) -> FirstPassageResult:
     """First-passage waiting times from every start of a log-price series.
 
     ``series`` may be a PriceSeries (log closes are used), a
-    DetrendedLogPrice, or a bare array of log-price values.  ``_tables``
-    (private) are the doubling tables of the series for a rise (level > 0)
-    or of its negation for a drop, built once by the caller.
+    DetrendedLogPrice, or a bare array of log-price values.  ``_positions``
+    (private) are the crossing positions of every start at this level, found
+    by the caller's descent over all its magnitudes at once.
     """
     _check_level(level)
     s = _log_price_values(series)
     n = len(s)
-    if n < 2:
-        raise ValidationError(f"series of length {n} has no starts")
-    if _tables is None:
+    if _positions is None:
         # a drop of |rho| in s is a rise of |rho| in -s
-        _tables = _doubling_max_tables(s if level > 0 else -s)
-    pos = _first_passage_up(_tables, abs(level))
+        tables = _doubling_max_tables(s if level > 0 else -s)
+        _positions = _first_passage_up(tables, [abs(level)])[0]
     starts = np.arange(n - 1, dtype=np.int64)
-    crossed = pos < n
+    crossed = _positions < n
     return FirstPassageResult(
         level,
         starts[crossed],
-        (pos - starts)[crossed],
+        (_positions - starts)[crossed],
         censored_count=int(np.sum(~crossed)),
         n_starts=n - 1,
     )
@@ -212,7 +224,8 @@ def waiting_time_histogram(samples, binning: str = "log",
 
     ``binning="log"`` uses multiplicative edges (ratio ``ratio``, floored at
     unit width); ``binning="linear"`` uses fixed-width bins aligned so
-    integer waiting times sit at bin centers when width = 1.
+    integer waiting times sit at bin centers when width = 1.  A waiting
+    time below 1 raises ValidationError.
     """
     if isinstance(samples, FirstPassageResult):
         taus = samples.waiting_times
@@ -228,6 +241,8 @@ def waiting_time_histogram(samples, binning: str = "log",
         censored = 0
     if len(taus) == 0:
         raise InsufficientDataError("no crossings to histogram (all starts censored)")
+    if np.min(taus) < 1:
+        raise ValidationError(f"waiting times must be at least 1, got {np.min(taus)}")
 
     tau_max = float(np.max(taus))
     if binning == "log":
@@ -241,7 +256,9 @@ def waiting_time_histogram(samples, binning: str = "log",
     else:
         raise ValidationError(f"unknown binning {binning!r}")
 
-    counts, _ = np.histogram(taus, bins=edges)
+    # waiting times are integers, so #{τ < edge} = #{τ ≤ ceil(edge) − 1}
+    at_most = np.cumsum(np.bincount(taus))
+    counts = np.diff(at_most[np.minimum(np.ceil(edges) - 1, tau_max).astype(np.int64)])
     widths = np.diff(edges)
     densities = counts / (len(taus) * widths)
     return WaitingTimeHistogram(level, edges, densities, counts,
@@ -331,19 +348,13 @@ class GainLossReport:
         raise ValidationError(f"no entry for level {level_abs}")
 
 
-def _histogram_if_crossed(result: FirstPassageResult, binning: str,
-                          ratio: float) -> WaitingTimeHistogram | None:
-    """The waiting-time histogram, or None when every start is censored."""
-    return waiting_time_histogram(result, binning, ratio) if len(result) else None
-
-
 def gain_loss_report(series, levels, binning: str = "log",
                      ratio: float = DEFAULT_LOG_BIN_RATIO) -> GainLossReport:
     """Waiting-time histograms at ±|ρ| for each magnitude in ``levels``.
 
     A positive asymmetry (mode(+) above mode(−)) means the series reaches
     losses sooner than equal-sized gains.  Every magnitude is checked before
-    the first scan; the scans of one sign share one set of doubling tables.
+    the first scan; each sign runs one descent over every magnitude.
     """
     values = _log_price_values(series)
     magnitudes = [abs(float(level)) for level in levels]
@@ -351,14 +362,15 @@ def gain_loss_report(series, levels, binning: str = "log",
         _check_level(magnitude)
     hists = {}
     for sign in (1.0, -1.0):
-        tables = _doubling_max_tables(values if sign > 0 else -values)
-        hists[sign] = [
-            _histogram_if_crossed(
-                first_passage_times(values, sign * magnitude, _tables=tables),
-                binning, ratio)
-            for magnitude in magnitudes
+        # the tables are freed as the descent returns and the positions at
+        # del, so one sign's arrays are alive at a time
+        positions = _first_passage_up(_doubling_max_tables(sign * values), magnitudes)
+        hists[sign] = [  # a side no start crosses has no histogram
+            waiting_time_histogram(result, binning, ratio) if len(result) else None
+            for result in (first_passage_times(values, sign * magnitude, _positions=row)
+                           for magnitude, row in zip(magnitudes, positions))
         ]
-        del tables  # free before the next sign's build: one set alive at a time
+        del positions
     return GainLossReport(tuple(
         GainLossEntry(
             level_abs=magnitude,

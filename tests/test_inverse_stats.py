@@ -115,6 +115,13 @@ class TestFirstPassage:
                                               [tau for _, tau in hits])
                 assert got.censored_count == censored
 
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    def test_matches_brute_force_across_chunk_edges(self, rng, monkeypatch, chunk):
+        """The same cases with a descent chunk of a few starts, so the
+        lattice and last-index ties fall on both sides of chunk edges."""
+        monkeypatch.setattr(inverse_stats, "_DESCENT_CHUNK", chunk)
+        self.test_matches_brute_force_exactly(rng)
+
     def test_flat_lattice_path(self):
         """Ties with the threshold on a repeating lattice still match the loop."""
         values = np.array([0.0, 0.01, 0.0, 0.02, 0.01, 0.02, 0.03, 0.0] * 5)
@@ -173,6 +180,28 @@ class TestWaitingTimeHistogram:
         ratios = edges[1:][grown] / edges[:-1][grown]
         np.testing.assert_allclose(ratios, 1.25, rtol=1e-12)
         assert edges[-1] > 200
+
+    @pytest.mark.parametrize("binning, params", [
+        ("log", {"ratio": 1.25}), ("log", {"ratio": 2.0}),
+        ("linear", {"width": 1.0}), ("linear", {"width": 0.5}), ("linear", {"width": 3.0}),
+    ])
+    def test_counts_match_numpy_histogram(self, rng, binning, params):
+        """Counts from the integer cumulative counts equal np.histogram's,
+        also where edges land exactly on integers (ratio 2.0, width 0.5)."""
+        taus = rng.geometric(0.05, size=3000)
+        samples = [WaitingTimeSample(i, int(t), 0.05) for i, t in enumerate(taus)]
+        h = waiting_time_histogram(samples, binning, **params)
+        on_integers = h.bin_edges == np.round(h.bin_edges)
+        assert on_integers.any() == (params in ({"ratio": 2.0}, {"width": 0.5}))
+        np.testing.assert_array_equal(h.counts, np.histogram(taus, bins=h.bin_edges)[0])
+
+    @pytest.mark.parametrize("binning", ["log", "linear"])
+    def test_rejects_waiting_times_below_one(self, binning):
+        """A waiting time below 1 would fall outside every bin yet count in
+        the density's denominator."""
+        samples = [WaitingTimeSample(i, t, 0.05) for i, t in enumerate([0, 2, -3])]
+        with pytest.raises(ValidationError):
+            waiting_time_histogram(samples, binning)
 
     def test_normalization_both_binnings(self, rng):
         taus = np.clip(rng.geometric(0.1, size=400), 1, None)
@@ -318,6 +347,33 @@ class TestGainLoss:
                 np.testing.assert_array_equal(hist.bin_edges, alone.bin_edges)
                 np.testing.assert_array_equal(hist.counts, alone.counts)
                 assert hist.censored_count == alone.censored_count
+
+    def test_batched_descent_matches_brute_force(self, rng, monkeypatch):
+        """Three magnitudes per sign in one descent, over more than two
+        default chunks of starts, against the plain loop start by start."""
+        step = 2.0 ** -7
+        n = 2 * (inverse_stats._DESCENT_CHUNK // 3) + 1000
+        t = np.arange(n)
+        # a lattice walk (exact ties with the thresholds) plus an oscillation
+        # that widens by one step every 4 days, so every loop scan ends soon
+        values = step * (np.cumsum(rng.choice([-1.0, 1.0], n))
+                         + np.where(t % 2 == 0, 1.0, -1.0) * (t // 4))
+        scans = []
+        scan = inverse_stats.first_passage_times
+
+        def recording(*args, **kwargs):
+            scans.append(scan(*args, **kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(inverse_stats, "first_passage_times", recording)
+        gain_loss_report(values, [2 * step, step, 3 * step])
+        levels = [2 * step, step, 3 * step, -2 * step, -step, -3 * step]
+        assert [r.level for r in scans] == levels
+        for got in scans:
+            hits, censored = reference.first_passage(values.tolist(), got.level)
+            np.testing.assert_array_equal(got.start_indices, [t0 for t0, _ in hits])
+            np.testing.assert_array_equal(got.waiting_times, [tau for _, tau in hits])
+            assert got.censored_count == censored
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_bad_level_raises_before_any_scan(self, rng, monkeypatch, bad):
