@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import DataError, InsufficientDataError, ValidationError
 from .timeseries import DetrendedLogPrice, PriceSeries
@@ -163,15 +162,16 @@ def first_passage_times(series, level: float, *,
     ``series`` may be a PriceSeries (log closes are used), a
     DetrendedLogPrice, or a bare array of log-price values.  ``_positions``
     (private) are the crossing positions of every start at this level, found
-    by the caller's descent over all its magnitudes at once.
+    by the caller's descent over all its magnitudes at once; the caller has
+    validated the series, so it is not read again.
     """
     _check_level(level)
-    s = _log_price_values(series)
-    n = len(s)
     if _positions is None:
+        s = _log_price_values(series)
         # a drop of |rho| in s is a rise of |rho| in -s
         tables = _doubling_max_tables(s if level > 0 else -s)
         _positions = _first_passage_up(tables, [abs(level)])[0]
+    n = len(_positions) + 1
     starts = np.arange(n - 1, dtype=np.int64)
     crossed = _positions < n
     return FirstPassageResult(
@@ -311,14 +311,23 @@ def fit_tail_exponent(hist: WaitingTimeHistogram,
         raise ValidationError(f"empty fit range [{tau_min}, {tau_max}]")
     centers = hist.bin_centers
     use = (centers >= tau_min) & (centers <= tau_max) & (hist.densities > 0.0)
-    if int(np.sum(use)) < 4:
+    n_bins = int(np.sum(use))
+    if n_bins < 4:
         raise InsufficientDataError(
-            f"only {int(np.sum(use))} nonzero bins in [{tau_min:g}, {tau_max:g}]; "
+            f"only {n_bins} nonzero bins in [{tau_min:g}, {tau_max:g}]; "
             "need 4 for a tail fit"
         )
-    fit = linregress(np.log(centers[use]), np.log(hist.densities[use]))
-    return TailFit(exponent=float(-fit.slope), fit_range=(tau_min, tau_max),
-                   stderr=float(fit.stderr), n_bins=int(np.sum(use)))
+    # least squares from the biased second moments; r is clipped to [-1, 1]
+    # and undefined (so is stderr) when a variance and the covariance vanish
+    x, y = np.log(centers[use]), np.log(hist.densities[use])
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    if sxx == 0.0 or syy == 0.0:
+        r = np.nan if sxy == 0.0 else 0.0
+    else:
+        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    stderr = np.sqrt((1.0 - r**2) * syy / sxx / (n_bins - 2))
+    return TailFit(exponent=float(-(sxy / sxx)), fit_range=(tau_min, tau_max),
+                   stderr=float(stderr), n_bins=n_bins)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """First-passage waiting times, log-binned histograms, tail fits, gain/loss."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -303,6 +304,30 @@ class TestTailFit:
         h = power_law_histogram(1.5)
         with pytest.raises(ValidationError):
             fit_tail_exponent(h, fit_range=(10.0, 2.0))
+
+    @pytest.mark.parametrize("case", ["fair-walk", "power-law", "flat"])
+    def test_matches_linregress_exactly(self, case):
+        """Exponent and stderr equal scipy's linregress bit for bit, the
+        undefined stderr of a flat density included."""
+        stats = pytest.importorskip("scipy.stats")
+        if case == "fair-walk":
+            rng = np.random.default_rng(9)
+            steps = np.where(rng.random(200_000) < 0.5, 0.01, -0.01)
+            values = np.concatenate([[0.0], np.cumsum(steps)])
+            h = waiting_time_histogram(first_passage_times(values, 0.1))
+            fit_range = default_fit_range(h)
+        else:
+            h = power_law_histogram(1.5)
+            if case == "flat":
+                h = dataclasses.replace(h, densities=np.ones_like(h.densities))
+            fit_range = (h.bin_centers[0], h.bin_centers[-1])
+        fit = fit_tail_exponent(h, fit_range)
+        c = h.bin_centers
+        use = (c >= fit_range[0]) & (c <= fit_range[1]) & (h.densities > 0.0)
+        ref = stats.linregress(np.log(c[use]), np.log(h.densities[use]))
+        assert fit.n_bins == int(np.sum(use)) >= 4
+        np.testing.assert_array_equal([fit.exponent, fit.stderr], [-ref.slope, ref.stderr])
+        assert math.isnan(fit.stderr) == (case == "flat")
 
     def test_fair_walk_tail_near_three_halves(self):
         """A long fair multiplicative walk should show the ~tau^(-3/2) tail."""

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condcorr
 from condcorr import (
     DataError,
     PriceSeries,
@@ -571,6 +575,45 @@ class TestCli:
         ]) == 0
         assert "|rho|=0.02" in capsys.readouterr().out
         assert (inv / "hist_plus_0.02.tsv").is_file()
+
+    def test_runtime_needs_no_scipy(self, tmp_path):
+        """The README chain and the rank-sum command run with scipy blocked
+        from import, lazy imports included, and leave no scipy module loaded."""
+        script = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from condcorr.cli import main
+data, reports, inv, a, b = sys.argv[1:]
+codes = [
+    main(["simulate", "--n-stocks", "5", "--n-steps", "2000", "--fear-probability", "0.1",
+          "--seed", "6", "--out", data]),
+    main(["condcorr", "--manifest", data + "/manifest.json", "--out", reports,
+          "--dt1", "3", "--dt2", "6", "--rho-grid=-0.02,-0.01,0.01,0.02",
+          "--chi-levels", "0.01", "--ct-level", "0.01", "--min-samples", "2"]),
+    main(["invstats", "--manifest", data + "/manifest.json", "--out", inv,
+          "--rho-grid=-0.02,0.02", "--detrend-window", "0"]),
+    main(["wilcoxon", a, b]),
+]
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.partition(".")[0] == "scipy" and module is not None)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("1\n2\n2\n3\n")
+        b.write_text("2\n4\n5\n6\n")
+        paths = [tmp_path / "market", tmp_path / "reports", tmp_path / "inv", a, b]
+        src = str(Path(condcorr.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * 4, "loaded": []}
+        # the rank tests and both tail fits ran, not only their error paths
+        summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
+        assert summary["wilcoxon_pairs"] and summary["wilcoxon_time"]
+        fits = json.loads((tmp_path / "inv" / "summary.json").read_text())
+        assert all("exponent" in side for side in fits["levels"]["0.02"]["tail_fit"].values())
 
     def test_cli_matches_library_run(self, tmp_path):
         data = simulated_dataset(tmp_path)

@@ -1,6 +1,7 @@
 """Rank-sum z-test, equal-size subsampling, and sample histograms."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from condcorr import (
     equal_size_subsample,
     wilcoxon_rank_sum,
 )
+import condcorr.ranktests as ranktests
 from condcorr.ranktests import equalize_sizes
 
 import reference
@@ -146,6 +148,54 @@ class TestWilcoxonRankSum:
         # in the comfortable range, log10_p and p agree
         r2 = wilcoxon_rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert 10.0 ** r2.log10_p == pytest.approx(r2.p_two_sided, rel=1e-9)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=40),
+    )
+    @settings(max_examples=150)
+    def test_midranks_match_pure_python(self, a, b):
+        """Tie-heavy samples: z from the pure-python midranks, with the same
+        arithmetic as the test, equals the reported z bit for bit."""
+        pooled = [float(v) for v in a + b]
+        counts = Counter(pooled).values()
+        if len(counts) == 1:
+            return  # all pooled values identical
+        n_a, n_b, n = len(a), len(b), len(pooled)
+        w = sum(midranks(pooled)[:n_a])
+        correction = 1.0 - float(sum(t**3 - t for t in counts)) / (n**3 - n)
+        variance = n_a * n_b * (n + 1) / 12.0 * correction
+        r = wilcoxon_rank_sum(a, b)
+        assert r.z == (w - n_a * (n + 1) / 2.0) / math.sqrt(variance)
+        assert r.tie_groups == sum(t > 1 for t in counts)
+
+    def test_log_normal_tail_matches_log_ndtr(self):
+        """ln P(Z >= x) within 1e-15 relative of scipy's log_ndtr(-x), from
+        0 to 1e5 and on both sides of the switch to the series."""
+        special = pytest.importorskip("scipy.special")
+        limit = ranktests._ERFC_TAIL_LIMIT
+        xs = np.concatenate([
+            np.linspace(0.0, 50.0, 5001),
+            np.geomspace(1e-8, 1e5, 2001),
+            limit + np.array([-1e-9, 0.0, 1e-9]),
+        ])
+        got = np.array([ranktests._log_normal_tail(float(x)) for x in xs])
+        np.testing.assert_allclose(got, special.log_ndtr(-xs), rtol=1e-15, atol=0.0)
+        # the reported log10_p takes the same tail, here past the switch
+        r = wilcoxon_rank_sum(np.arange(1000.0), np.arange(1000.0) + 1000.0)
+        assert -r.z > limit
+        want = (special.log_ndtr(r.z) + math.log(2.0)) / math.log(10.0)
+        assert r.log10_p == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_log_normal_tail_branches_agree(self, monkeypatch):
+        """Where both branches are accurate, erfc and the Mills-ratio series
+        give the same ln P(Z >= x) within 1e-15 relative."""
+        xs = np.linspace(25.0, 37.0, 1201)
+        monkeypatch.setattr(ranktests, "_ERFC_TAIL_LIMIT", math.inf)
+        via_erfc = np.array([ranktests._log_normal_tail(float(x)) for x in xs])
+        monkeypatch.setattr(ranktests, "_ERFC_TAIL_LIMIT", 0.0)
+        via_series = np.array([ranktests._log_normal_tail(float(x)) for x in xs])
+        np.testing.assert_allclose(via_series, via_erfc, rtol=1e-15, atol=0.0)
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
