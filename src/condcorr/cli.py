@@ -29,7 +29,9 @@ from . import io
 from .conditional import relative_difference_chi
 from .errors import CondCorrError, DataError, ValidationError
 from .fearsim import SimConfig
+from .inverse_stats import BINNINGS
 from .ranktests import equalize_sizes, wilcoxon_rank_sum
+from .timeseries import DETREND_MODES
 
 _CONFIG_FIELDS = [f.name for f in fields(io.RunConfig)]
 
@@ -53,8 +55,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
                        help="|rho| magnitude for the time-resolved analysis")
     group.add_argument("--detrend-window", type=int,
                        help="moving-average width in days; 0 disables detrending")
-    group.add_argument("--detrend-mode", choices=("centered", "trailing"))
-    group.add_argument("--binning", choices=("log", "linear"))
+    group.add_argument("--detrend-mode", choices=DETREND_MODES)
+    group.add_argument("--binning", choices=BINNINGS)
     group.add_argument("--bin-ratio", type=float,
                        help="edge ratio for logarithmic waiting-time bins")
     group.add_argument("--seed", type=int, help="subsampling seed")

@@ -24,7 +24,8 @@ from . import conditional, inverse_stats
 from .errors import DataError, InsufficientDataError, ValidationError
 from .fearsim import SimConfig, simulate_market, to_aligned_panel
 from .ranktests import RankSumResult, equalize_sizes, wilcoxon_rank_sum
-from .timeseries import AlignedPanel, PriceSeries, align_panel, detrend_log_price
+from .timeseries import (DETREND_MODES, AlignedPanel, PriceSeries, align_panel,
+                         detrend_log_price)
 
 __all__ = [
     "CSV_HEADER",
@@ -268,6 +269,11 @@ class RunConfig:
             raise ValidationError("detrend_window must be >= 0 (0 disables)")
         if self.min_samples < 1:
             raise ValidationError("min_samples must be >= 1")
+        if self.detrend_mode not in DETREND_MODES:
+            raise ValidationError(f"unknown detrend_mode {self.detrend_mode!r}")
+        inverse_stats.check_binning(self.binning, self.bin_ratio)
+        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
+            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
     @property
     def window_range(self) -> tuple[int, int]:

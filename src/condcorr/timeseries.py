@@ -33,7 +33,10 @@ __all__ = [
     "window_stats",
     "detrend_log_price",
     "align_panel",
+    "DETREND_MODES",
 ]
+
+DETREND_MODES = ("centered", "trailing")
 
 
 def _as_dates(dates: Iterable) -> np.ndarray:
@@ -251,7 +254,7 @@ def detrend_log_price(series: PriceSeries, drift_window: int = 251,
     ``len(series) - drift_window + 1`` fully covered days.
     """
     w = drift_window
-    if mode not in ("centered", "trailing"):
+    if mode not in DETREND_MODES:
         raise ValidationError(f"unknown detrend mode {mode!r}")
     if w < 3 or w > len(series):
         raise ValidationError(

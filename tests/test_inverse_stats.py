@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from condcorr import (
     DataError,
     InsufficientDataError,
     PriceSeries,
+    RunConfig,
     SimConfig,
     ValidationError,
     WaitingTimeHistogram,
@@ -88,24 +90,33 @@ class TestFirstPassage:
             first_passage_times(np.array([0.0, math.inf, 1.0]), 0.05)
 
     def test_matches_brute_force_exactly(self, rng):
-        """Doubling-table scan must agree bit-for-bit with a plain loop.
+        """Two-scale table scan must agree bit-for-bit with a plain loop.
 
         Beyond random walks, every length around a power of two reaches the
-        ends of the doubling tables: a dyadic lattice walk (sums and
-        thresholds exact, so ties with the threshold are exact) and flat
-        series that cross, on a tie, only at the last index.
+        ends of the fine tables, and lengths around small multiples of the
+        block size the ends of the block tables: a dyadic lattice walk (sums
+        and thresholds exact, so ties with the threshold are exact) and flat
+        series that cross, on a tie, only at the last index, which sends the
+        block search to the last block.  Staircases that step at every block
+        boundary put every tie on a block's first position.
         """
         cases = [(np.cumsum(rng.normal(0.0, 0.01, size=300)),
                   (0.004, 0.02, -0.004, -0.02)) for _ in range(8)]
         step = 2.0 ** -7
         lattice_levels = (step, 2 * step, 3 * step, -step, -2 * step, -3 * step)
-        for n in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33):
+        block = inverse_stats._BLOCK
+        lengths = {2, 3, 4, 5, 7, 8, 9, 16, 17, block - 1, block, block + 1,
+                   2 * block, 2 * block + 1, 4 * block, 4 * block + 1}
+        for n in sorted(lengths):
             walk = np.concatenate([[0.0], np.cumsum(rng.choice([-step, step], n - 1))])
             cases.append((walk, lattice_levels))
             for jump in (2 * step, -2 * step):
                 last_only = np.zeros(n)
                 last_only[-1] = jump
                 cases.append((last_only, lattice_levels))
+        for n in (4 * block + 1, 8 * block):
+            stairs = step * (np.arange(n) // block)
+            cases += [(stairs, lattice_levels), (-stairs, lattice_levels)]
         for values, levels in cases:
             for level in levels:
                 got = first_passage_times(values, level)
@@ -248,10 +259,12 @@ class TestWaitingTimeHistogram:
 
     def test_bad_bin_parameters(self):
         samples = [WaitingTimeSample(0, 2, 0.05)]
-        with pytest.raises(ValidationError):
-            waiting_time_histogram(samples, binning="log", ratio=1.0)
-        with pytest.raises(ValidationError):
-            waiting_time_histogram(samples, binning="linear", width=0.0)
+        for ratio in (1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                waiting_time_histogram(samples, binning="log", ratio=ratio)
+        for width in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                waiting_time_histogram(samples, binning="linear", width=width)
         with pytest.raises(ValidationError):
             waiting_time_histogram(samples, binning="cubic")
 
@@ -402,14 +415,36 @@ class TestGainLoss:
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_bad_level_raises_before_any_scan(self, rng, monkeypatch, bad):
+        """A bad level, log bin ratio or binning raises before any table is
+        built; each value of ``bad`` is also a bad ratio."""
         def no_scan(*args, **kwargs):
-            raise AssertionError("scan started before the levels were checked")
+            raise AssertionError("scan started before the parameters were checked")
 
-        monkeypatch.setattr(inverse_stats, "_doubling_max_tables", no_scan)
+        monkeypatch.setattr(inverse_stats, "_first_passage_tables", no_scan)
         monkeypatch.setattr(inverse_stats, "first_passage_times", no_scan)
         values = np.cumsum(rng.normal(0.0, 0.01, size=100))
         with pytest.raises(ValidationError):
             gain_loss_report(values, [0.02, 0.01, bad])
+        with pytest.raises(ValidationError):
+            gain_loss_report(values, [0.02, 0.01], ratio=bad)
+        with pytest.raises(ValidationError):
+            gain_loss_report(values, [0.02, 0.01], binning="cubic")
+
+    def test_table_memory_is_linear(self, rng):
+        """Traced peak of a report on a 2**18-day walk at the 8 default
+        magnitudes: about 89 bytes a day with the two-scale tables, where a
+        doubling table at every scale made it about 188."""
+        n = 1 << 18
+        values = np.cumsum(rng.normal(0.0, 0.01, size=n))
+        levels = sorted({abs(rho) for rho in RunConfig().rho_grid})
+        assert len(levels) == 8
+        tracemalloc.start()
+        try:
+            gain_loss_report(values, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 120
 
     def test_unknown_entry_rejected(self, rng):
         values = np.cumsum(rng.normal(0.0, 0.01, size=1000))

@@ -299,6 +299,17 @@ class TestRunConfig:
         for bad in (0.0, -0.02):
             with pytest.raises(ValidationError, match="ct_level"):
                 RunConfig(ct_level=bad)
+        # NaN fails every comparison, so it must fail the checks too
+        for bad in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="ratio"):
+                RunConfig(bin_ratio=bad)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="epsilon"):
+                RunConfig(epsilon=bad)
+        with pytest.raises(ValidationError, match="binning"):
+            RunConfig(binning="cubic")
+        with pytest.raises(ValidationError, match="detrend_mode"):
+            RunConfig(detrend_mode="sideways")
         # level lists are coerced in one place, which names the bad key
         with pytest.raises(ValidationError, match="rho_grid"):
             load_run_config(None, {"rho_grid": ["-0.05", "x"]})
@@ -659,6 +670,29 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         ])
         assert code == 2
         assert "chi_levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["condcorr", "invstats"])
+    @pytest.mark.parametrize("flags, config", [
+        (["--bin-ratio", "nan"], None),
+        ([], {"bin_ratio": math.nan}),
+        (["--epsilon", "-1"], None),
+        ([], {"epsilon": -1.0}),
+        ([], {"binning": "cubic"}),
+        ([], {"detrend_mode": "sideways"}),
+    ], ids=["ratio-flag", "ratio-json", "epsilon-flag", "epsilon-json",
+            "binning-json", "detrend-mode-json"])
+    def test_bad_config_exits_2_before_ingest(self, tmp_path, capsys, command,
+                                              flags, config):
+        """A bad parameter exits 2 with a message, not a traceback, and before
+        the manifest is read: an absent manifest would exit 3."""
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))  # NaN is written as NaN
+            flags = [*flags, "--config", str(cfg)]
+        code = main([command, "--manifest", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main([
