@@ -57,7 +57,6 @@ from .inverse_stats import (
     GainLossReport,
     TailFit,
     WaitingTimeHistogram,
-    WaitingTimeSample,
     default_fit_range,
     first_passage_times,
     fit_tail_exponent,
@@ -76,22 +75,16 @@ from .io import (
     run_simulate,
 )
 from .ranktests import (
-    DistributionHistogram,
     RankSumResult,
-    distribution_histogram,
     equal_size_subsample,
     wilcoxon_rank_sum,
 )
 from .timeseries import (
     AlignedPanel,
     DetrendedLogPrice,
-    LogReturnSeries,
     PriceSeries,
-    WindowStats,
     align_panel,
     detrend_log_price,
-    log_returns,
-    window_stats,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -41,6 +41,7 @@ member span plus the χ member elements, not with the number of levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,6 +71,7 @@ __all__ = [
     "average_over_windows",
     "correlation_curve",
     "pair_conditional_correlation",
+    "check_epsilon",
     "relative_difference_chi",
     "chi_distribution",
     "time_resolved_correlation",
@@ -595,10 +597,18 @@ def pair_conditional_correlation(panel: AlignedPanel, x, y, level: float,
                       excluded_windows=excluded)
 
 
+def check_epsilon(epsilon: float):
+    """Raise ValidationError unless the χ denominator guard is finite and
+    >= 0; NaN fails the test."""
+    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def relative_difference_chi(c_minus: float, c_plus: float,
                             epsilon: float = DEFAULT_EPSILON) -> float | None:
     """χ_ρ = (C(−|ρ|) − C(+|ρ|)) / |C(+|ρ|)|; None when the denominator is
     within ``epsilon`` of zero (excluded sample)."""
+    check_epsilon(epsilon)
     if abs(c_plus) <= epsilon:
         return None
     return (c_minus - c_plus) / abs(c_plus)

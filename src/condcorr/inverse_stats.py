@@ -29,10 +29,9 @@ sign's tables before the next build.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .errors import DataError, InsufficientDataError, ValidationError
 from .timeseries import DetrendedLogPrice, PriceSeries
 
 __all__ = [
-    "WaitingTimeSample",
     "FirstPassageResult",
     "WaitingTimeHistogram",
     "TailFit",
@@ -85,49 +83,29 @@ def _log_price_values(series) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class WaitingTimeSample:
-    """One start's first-passage time to the level."""
-
-    start_index: int
-    waiting_time: int
-    level: float
-
-
-class FirstPassageResult(Sequence):
+@dataclass(frozen=True, eq=False)
+class FirstPassageResult:
     """All non-censored first passages of one series at one level.
 
-    Sequence of WaitingTimeSample; the underlying integer arrays are exposed
-    as attributes for bulk work.  ``censored_count`` is the number of starts
-    whose level was never reached; ``n_starts`` counts every start tried.
+    ``start_indices`` and ``waiting_times`` are read-only integer arrays, one
+    entry per start that reached the level.  ``censored_count`` is the
+    number of starts whose level was never reached; ``n_starts`` counts
+    every start tried.  Results compare by identity, as arrays have no
+    single truth value.
     """
 
-    def __init__(self, level: float, start_indices: np.ndarray,
-                 waiting_times: np.ndarray, censored_count: int, n_starts: int):
-        self.level = float(level)
-        self.start_indices = start_indices
-        self.waiting_times = waiting_times
-        self.censored_count = int(censored_count)
-        self.n_starts = int(n_starts)
-        start_indices.flags.writeable = False
-        waiting_times.flags.writeable = False
+    level: float
+    start_indices: np.ndarray
+    waiting_times: np.ndarray
+    censored_count: int
+    n_starts: int
+
+    def __post_init__(self):
+        self.start_indices.flags.writeable = False
+        self.waiting_times.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.waiting_times)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return WaitingTimeSample(int(self.start_indices[i]),
-                                 int(self.waiting_times[i]), self.level)
-
-    def __iter__(self) -> Iterator[WaitingTimeSample]:
-        for t0, tau in zip(self.start_indices, self.waiting_times):
-            yield WaitingTimeSample(int(t0), int(tau), self.level)
-
-    def __repr__(self) -> str:
-        return (f"FirstPassageResult(level={self.level}, crossed={len(self)}, "
-                f"censored={self.censored_count})")
 
 
 class _PassageTables(NamedTuple):
@@ -224,7 +202,7 @@ def first_passage_times(series, level: float, *,
     starts = np.arange(n - 1, dtype=np.int64)
     crossed = _positions < n
     return FirstPassageResult(
-        level,
+        float(level),
         starts[crossed],
         (_positions - starts)[crossed],
         censored_count=int(np.sum(~crossed)),
@@ -281,10 +259,10 @@ class WaitingTimeHistogram:
         return float(self.bin_centers[int(np.argmax(self.densities))])
 
 
-def waiting_time_histogram(samples, binning: str = "log",
+def waiting_time_histogram(result: FirstPassageResult, binning: str = "log",
                            ratio: float = DEFAULT_LOG_BIN_RATIO,
                            width: float = 1.0) -> WaitingTimeHistogram:
-    """Bin first-passage times into a normalized density histogram.
+    """Bin one level's first-passage times into a normalized density histogram.
 
     ``binning="log"`` uses multiplicative edges (ratio ``ratio``, floored at
     unit width); ``binning="linear"`` uses fixed-width bins aligned so
@@ -292,18 +270,7 @@ def waiting_time_histogram(samples, binning: str = "log",
     time below 1 raises ValidationError.
     """
     check_binning(binning, ratio, width)
-    if isinstance(samples, FirstPassageResult):
-        taus = samples.waiting_times
-        level = samples.level
-        censored = samples.censored_count
-    else:
-        listed = list(samples)
-        taus = np.asarray([s.waiting_time for s in listed], dtype=np.int64)
-        levels = {s.level for s in listed}
-        if len(levels) > 1:
-            raise ValidationError(f"mixed levels in one histogram: {sorted(levels)}")
-        level = levels.pop() if levels else float("nan")
-        censored = 0
+    taus = result.waiting_times
     if len(taus) == 0:
         raise InsufficientDataError("no crossings to histogram (all starts censored)")
     if np.min(taus) < 1:
@@ -320,9 +287,9 @@ def waiting_time_histogram(samples, binning: str = "log",
     counts = np.diff(at_most[np.minimum(np.ceil(edges) - 1, tau_max).astype(np.int64)])
     widths = np.diff(edges)
     densities = counts / (len(taus) * widths)
-    return WaitingTimeHistogram(level, edges, densities, counts,
+    return WaitingTimeHistogram(result.level, edges, densities, counts,
                                 total_samples=int(len(taus)),
-                                censored_count=int(censored), binning=binning)
+                                censored_count=result.censored_count, binning=binning)
 
 
 @dataclass(frozen=True)

@@ -272,16 +272,24 @@ class RunConfig:
         if self.detrend_mode not in DETREND_MODES:
             raise ValidationError(f"unknown detrend_mode {self.detrend_mode!r}")
         inverse_stats.check_binning(self.binning, self.bin_ratio)
-        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
-            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        conditional.check_epsilon(self.epsilon)
 
     @property
     def window_range(self) -> tuple[int, int]:
         return (self.dt1, self.dt2)
 
 
+# the JSON values each scalar RunConfig field takes; a bool is never a number
+_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                 "str": ((str,), "a string")}
+
+
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional flat JSON file plus overrides."""
+    """Build a RunConfig from an optional flat JSON file plus overrides.
+
+    Each scalar key must hold its field's JSON type (an integer, a number or
+    a string); a mismatch raises ValidationError naming the key.
+    """
     values: dict = {}
     if path is not None:
         path = Path(path)
@@ -298,6 +306,12 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         values.update(raw)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
+    for f in fields(RunConfig):
+        if f.type in _SCALAR_TYPES and f.name in values:
+            allowed, noun = _SCALAR_TYPES[f.type]
+            value = values[f.name]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValidationError(f"{f.name}: expected {noun}, got {value!r}")
     for key in ("rho_grid", "chi_levels"):
         if key in values:
             if not isinstance(values[key], (list, tuple)):

@@ -1,4 +1,4 @@
-"""Nonparametric two-sample machinery: rank-sum z-test, subsampling, histograms.
+"""Nonparametric two-sample machinery: rank-sum z-test and subsampling.
 
 The rank-sum (Mann–Whitney) form is used rather than the signed-rank test:
 the comparisons here are between two unpaired collections, and the
@@ -20,11 +20,9 @@ from .errors import DataError, ValidationError
 
 __all__ = [
     "RankSumResult",
-    "DistributionHistogram",
     "wilcoxon_rank_sum",
     "equal_size_subsample",
     "equalize_sizes",
-    "distribution_histogram",
 ]
 
 # smallest positive double; p below this is reported clamped, log10_p exact
@@ -134,22 +132,3 @@ def equalize_sizes(sample_a, sample_b, seed: int):
         sample_b = equal_size_subsample(sample_b, len(sample_a), seed)
     return sample_a, sample_b
 
-
-@dataclass(frozen=True)
-class DistributionHistogram:
-    """Normalized density histogram of a real-valued sample."""
-
-    bin_edges: np.ndarray
-    densities: np.ndarray
-    sample_count: int
-
-
-def distribution_histogram(values, bins: int | np.ndarray = 50) -> DistributionHistogram:
-    """Density histogram over [min, max] (or explicit edges)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise DataError("cannot histogram an empty sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("histogram input must be finite")
-    densities, edges = np.histogram(arr, bins=bins, density=True)
-    return DistributionHistogram(edges, densities, int(arr.size))

@@ -1,8 +1,8 @@
 """Date-indexed daily price series primitives.
 
-Core building blocks for everything downstream: log returns over a fixed
-horizon, windowed mean/volatility, drift removal in log-price space, and
-alignment of several assets onto a common trading calendar.
+Core building blocks for everything downstream: validated price series,
+drift removal in log-price space, and alignment of several assets onto a
+common trading calendar.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -25,12 +25,8 @@ from .errors import DataError, ValidationError
 
 __all__ = [
     "PriceSeries",
-    "LogReturnSeries",
-    "WindowStats",
     "DetrendedLogPrice",
     "AlignedPanel",
-    "log_returns",
-    "window_stats",
     "detrend_log_price",
     "align_panel",
     "DETREND_MODES",
@@ -87,45 +83,6 @@ class PriceSeries:
         which holds each date once."""
         mask = np.isin(self.dates, calendar, assume_unique=True)
         return PriceSeries(self.ticker, self.dates[mask], self.closes[mask])
-
-
-@dataclass(frozen=True)
-class LogReturnSeries:
-    """Log returns over a fixed horizon; dates mark each interval's start."""
-
-    ticker: str
-    dates: np.ndarray
-    values: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", _frozen(_as_dates(self.dates)))
-        object.__setattr__(
-            self, "values", _frozen(np.asarray(self.values, dtype=np.float64))
-        )
-        if len(self.dates) != len(self.values):
-            raise ValidationError("dates and values must have equal length")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1 trading day")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError(f"{self.ticker}: non-finite log return")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Mean and population volatility of one return window."""
-
-    mean: float
-    volatility: float
-    window_start: int
-    window_span: int
-
-    @property
-    def sample_count(self) -> int:
-        return self.window_span + 1
 
 
 @dataclass(frozen=True)
@@ -196,47 +153,6 @@ class AlignedPanel:
     @cached_property
     def index_log_closes(self) -> np.ndarray:
         return self.index_series.log_closes
-
-
-def log_returns(series: PriceSeries, horizon: int = 1) -> LogReturnSeries:
-    """Log returns ``ln(p(t + horizon) / p(t))`` for every valid start t.
-
-    The result has ``len(series) - horizon`` entries, dated by interval start.
-    """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1 trading day")
-    if len(series) <= horizon:
-        raise ValidationError(
-            f"{series.ticker}: series of length {len(series)} too short for "
-            f"horizon {horizon}"
-        )
-    logc = series.log_closes
-    values = logc[horizon:] - logc[:-horizon]
-    return LogReturnSeries(series.ticker, series.dates[:-horizon], values, horizon)
-
-
-def window_stats(returns: LogReturnSeries | np.ndarray, window_start: int,
-                 window_span: int) -> WindowStats:
-    """Mean and population volatility of returns over [t, t + span].
-
-    The window holds ``span + 1`` samples.  The volatility is computed by
-    centering first (two-pass), which is algebraically the root of
-    mean-of-squares minus squared-mean but immune to cancellation when the
-    mean dominates the spread.
-    """
-    values = returns.values if isinstance(returns, LogReturnSeries) else np.asarray(returns)
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    if window_start < 0 or window_start + window_span >= len(values):
-        raise ValidationError(
-            f"window [{window_start}, {window_start + window_span}] exceeds "
-            f"series bounds (length {len(values)})"
-        )
-    w = values[window_start: window_start + window_span + 1]
-    mean = float(np.mean(w))
-    dev = w - mean
-    vol = float(np.sqrt(max(np.mean(dev * dev), 0.0)))
-    return WindowStats(mean, vol, window_start, window_span)
 
 
 def _moving_average(values: np.ndarray, width: int) -> np.ndarray:

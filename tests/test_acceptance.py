@@ -20,7 +20,6 @@ from condcorr import (
     analyze_panel,
     average_over_windows,
     detrend_log_price,
-    distribution_histogram,
     first_passage_times,
     fit_tail_exponent,
     gain_loss_report,
@@ -307,15 +306,11 @@ def test_randomized_invariant_battery():
             assert got.censored_count == censored
 
     # histograms: unit normalization under both binnings
-    taus = rng.geometric(0.05, size=500)
     samples = first_passage_times(np.cumsum(rng.normal(0, 0.01, 5000)), 0.02)
     for binning in ("log", "linear"):
         hist = waiting_time_histogram(samples, binning=binning)
         integral = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
         assert integral == pytest.approx(1.0, abs=1e-9)
-    dist = distribution_histogram(taus.astype(float), bins=40)
-    integral = float(np.sum(dist.densities * np.diff(dist.bin_edges)))
-    assert integral == pytest.approx(1.0, abs=1e-9)
 
     # simulator: symmetric marginal, determinism, synchronized drops
     cfg = SimConfig(n_stocks=1, n_steps=1_000_000, fear_probability=0.05,

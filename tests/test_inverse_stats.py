@@ -10,13 +10,13 @@ import pytest
 import condcorr.inverse_stats as inverse_stats
 from condcorr import (
     DataError,
+    FirstPassageResult,
     InsufficientDataError,
     PriceSeries,
     RunConfig,
     SimConfig,
     ValidationError,
     WaitingTimeHistogram,
-    WaitingTimeSample,
     default_fit_range,
     detrend_log_price,
     first_passage_times,
@@ -29,6 +29,13 @@ from condcorr import (
 
 import reference
 from conftest import calendar
+
+
+def passages(taus, level=0.05):
+    """A FirstPassageResult holding these waiting times, none censored."""
+    taus = np.array(taus, dtype=np.int64)
+    return FirstPassageResult(level, np.arange(len(taus)), taus,
+                              censored_count=0, n_starts=len(taus))
 
 
 class TestFirstPassage:
@@ -53,14 +60,6 @@ class TestFirstPassage:
         np.testing.assert_array_equal(r.start_indices, [0])
         np.testing.assert_array_equal(r.waiting_times, [2])
         assert r.censored_count == 1
-
-    def test_sequence_protocol(self):
-        r = first_passage_times(np.array([0.0, 0.01, 0.02, 0.08]), 0.05)
-        assert r[0] == WaitingTimeSample(0, 3, 0.05)
-        assert [s.waiting_time for s in r] == [3, 2, 1]
-        assert r[0:2] == [WaitingTimeSample(0, 3, 0.05),
-                          WaitingTimeSample(1, 2, 0.05)]
-        assert len(r) == 3 and r.censored_count == 0
 
     def test_price_series_uses_log_closes(self):
         s = PriceSeries("X", calendar(5), np.array([100.0, 101.0, 99.0, 103.0, 98.0]))
@@ -163,8 +162,7 @@ class TestFirstPassage:
 
 class TestWaitingTimeHistogram:
     def test_repeated_value_has_unit_density(self):
-        samples = [WaitingTimeSample(i, 5, 0.05) for i in range(5)]
-        h = waiting_time_histogram(samples, binning="linear")
+        h = waiting_time_histogram(passages([5] * 5), binning="linear")
         assert h.total_samples == 5
         widths = np.diff(h.bin_edges)
         in_bin = (h.bin_edges[:-1] < 5) & (5 <= h.bin_edges[1:])
@@ -172,17 +170,14 @@ class TestWaitingTimeHistogram:
         assert float(np.sum(h.densities * widths)) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_level_split(self):
-        samples = [WaitingTimeSample(i, tau, 0.05)
-                   for i, tau in enumerate([1, 1, 3, 3])]
-        h = waiting_time_histogram(samples, binning="linear")
+        h = waiting_time_histogram(passages([1, 1, 3, 3]), binning="linear")
         np.testing.assert_allclose(h.bin_edges, [0.5, 1.5, 2.5, 3.5], atol=1e-12)
         np.testing.assert_allclose(h.densities, [0.5, 0.0, 0.5], atol=1e-12)
         np.testing.assert_array_equal(h.counts, [2, 0, 2])
 
     def test_log_edges_floor_at_unit_width(self):
-        samples = [WaitingTimeSample(i, tau, 0.05)
-                   for i, tau in enumerate([1, 2, 5, 17, 60, 200])]
-        h = waiting_time_histogram(samples, binning="log", ratio=1.25)
+        h = waiting_time_histogram(passages([1, 2, 5, 17, 60, 200]),
+                                   binning="log", ratio=1.25)
         edges = h.bin_edges
         assert edges[0] == 0.5
         widths = np.diff(edges)
@@ -201,8 +196,7 @@ class TestWaitingTimeHistogram:
         """Counts from the integer cumulative counts equal np.histogram's,
         also where edges land exactly on integers (ratio 2.0, width 0.5)."""
         taus = rng.geometric(0.05, size=3000)
-        samples = [WaitingTimeSample(i, int(t), 0.05) for i, t in enumerate(taus)]
-        h = waiting_time_histogram(samples, binning, **params)
+        h = waiting_time_histogram(passages(taus), binning, **params)
         on_integers = h.bin_edges == np.round(h.bin_edges)
         assert on_integers.any() == (params in ({"ratio": 2.0}, {"width": 0.5}))
         np.testing.assert_array_equal(h.counts, np.histogram(taus, bins=h.bin_edges)[0])
@@ -211,23 +205,20 @@ class TestWaitingTimeHistogram:
     def test_rejects_waiting_times_below_one(self, binning):
         """A waiting time below 1 would fall outside every bin yet count in
         the density's denominator."""
-        samples = [WaitingTimeSample(i, t, 0.05) for i, t in enumerate([0, 2, -3])]
         with pytest.raises(ValidationError):
-            waiting_time_histogram(samples, binning)
+            waiting_time_histogram(passages([0, 2, -3]), binning)
 
     def test_normalization_both_binnings(self, rng):
         taus = np.clip(rng.geometric(0.1, size=400), 1, None)
-        samples = [WaitingTimeSample(i, int(t), -0.02) for i, t in enumerate(taus)]
         for binning in ("log", "linear"):
-            h = waiting_time_histogram(samples, binning=binning)
+            h = waiting_time_histogram(passages(taus, -0.02), binning=binning)
             integral = float(np.sum(h.densities * np.diff(h.bin_edges)))
             assert integral == pytest.approx(1.0, abs=1e-9)
             assert h.counts.sum() == 400
 
     def test_mode_is_geometric_center_of_peak_bin(self):
         taus = [1] * 3 + [7] * 10 + [8] * 2 + [40] * 1
-        samples = [WaitingTimeSample(i, t, 0.05) for i, t in enumerate(taus)]
-        h = waiting_time_histogram(samples, binning="log", ratio=2.0)
+        h = waiting_time_histogram(passages(taus), binning="log", ratio=2.0)
         peak = int(np.argmax(h.densities))
         assert h.mode == pytest.approx(
             math.sqrt(h.bin_edges[peak] * h.bin_edges[peak + 1]), rel=1e-12
@@ -241,24 +232,15 @@ class TestWaitingTimeHistogram:
         assert h.censored_count == r.censored_count
         assert h.total_samples == len(r)
 
-    def test_list_input_has_no_censoring_information(self):
-        samples = [WaitingTimeSample(0, 2, 0.05), WaitingTimeSample(1, 4, 0.05)]
-        assert waiting_time_histogram(samples, binning="linear").censored_count == 0
-
-    def test_rejects_mixed_levels(self):
-        samples = [WaitingTimeSample(0, 2, 0.05), WaitingTimeSample(1, 4, -0.05)]
-        with pytest.raises(ValidationError):
-            waiting_time_histogram(samples)
-
     def test_empty_input(self):
         with pytest.raises(InsufficientDataError):
-            waiting_time_histogram([])
+            waiting_time_histogram(passages([]))
         rising = first_passage_times(np.array([0.0, 0.01, 0.02]), -0.05)
         with pytest.raises(InsufficientDataError):
             waiting_time_histogram(rising)
 
     def test_bad_bin_parameters(self):
-        samples = [WaitingTimeSample(0, 2, 0.05)]
+        samples = passages([2])
         for ratio in (1.0, math.nan, math.inf):
             with pytest.raises(ValidationError):
                 waiting_time_histogram(samples, binning="log", ratio=ratio)
@@ -295,16 +277,14 @@ class TestTailFit:
 
     def test_default_range_semantics(self):
         taus = [2] * 40 + [3] * 25 + [5] * 18 + [9] * 11 + [15] * 7 + [30] * 3
-        samples = [WaitingTimeSample(i, t, 0.05) for i, t in enumerate(taus)]
-        h = waiting_time_histogram(samples, binning="log", ratio=1.4)
+        h = waiting_time_histogram(passages(taus), binning="log", ratio=1.4)
         lo, hi = default_fit_range(h, min_count=5)
         assert lo == pytest.approx(3.0 * h.mode, rel=1e-12)
         filled = np.nonzero(h.counts >= 5)[0]
         assert hi == pytest.approx(float(h.bin_centers[filled[-1]]), rel=1e-12)
 
     def test_default_range_needs_a_filled_bin(self):
-        samples = [WaitingTimeSample(i, t, 0.05) for i, t in enumerate([1, 4, 9])]
-        h = waiting_time_histogram(samples)
+        h = waiting_time_histogram(passages([1, 4, 9]))
         with pytest.raises(InsufficientDataError):
             default_fit_range(h, min_count=5)
 

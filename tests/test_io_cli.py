@@ -1,8 +1,10 @@
 """Ingestion, manifests, run configuration, report writers, and the CLI."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,16 @@ def simulated_dataset(tmp_path, n_stocks=5, n_steps=400, p=0.1, seed=6):
     run_simulate(SimConfig(n_stocks=n_stocks, n_steps=n_steps,
                            fear_probability=p, step_size=0.01, seed=seed), out)
     return out
+
+
+def test_every_exported_name_resolves():
+    """Each name in the package's and every submodule's ``__all__`` is an
+    attribute of that module, so a deleted name cannot stay exported."""
+    modules = [condcorr] + [importlib.import_module(f"condcorr.{info.name}")
+                            for info in pkgutil.iter_modules(condcorr.__path__)]
+    for module in modules:
+        stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert stale == [], module.__name__
 
 
 class TestFmt:
@@ -322,9 +334,10 @@ class TestRunConfig:
 
     def test_precedence_defaults_file_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"dt1": 3, "dt2": 6, "seed": 5}))
+        cfg_file.write_text(json.dumps({"dt1": 3, "dt2": 6, "seed": 5, "bin_ratio": 2}))
         c = load_run_config(cfg_file, {"dt2": 8, "seed": None})
         assert c.dt1 == 3       # from file
+        assert c.bin_ratio == 2  # an integer is a number
         assert c.dt2 == 8       # flag beats file
         assert c.seed == 5      # None override is "not given"
         assert c.delta_t == 1   # untouched default
@@ -694,6 +707,22 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"dt1": "3"}, {"bin_ratio": "1.5"}, {"seed": 1.5}, {"binning": 2},
+        {"dt2": True},
+    ], ids=["int-as-string", "float-as-string", "int-as-float", "str-as-int",
+            "int-as-bool"])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, config):
+        """A scalar of the wrong JSON type is named and exits 2 before the
+        manifest is read."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["invstats", "--manifest", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(config)) in err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main([
             "condcorr", "--manifest", str(tmp_path / "absent.json"),
@@ -710,6 +739,12 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert main(["chi", "0.3", "0.0"]) == 4
         out = json.loads(capsys.readouterr().out)
         assert out["excluded"] is True and out["chi"] is None
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan"])
+    def test_chi_rejects_bad_epsilon(self, capsys, epsilon):
+        assert main(["chi", "0.3", "0.0", "--epsilon", epsilon]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epsilon" in err
 
     def test_wilcoxon_subcommand(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -1,4 +1,4 @@
-"""Rank-sum z-test, equal-size subsampling, and sample histograms."""
+"""Rank-sum z-test and equal-size subsampling."""
 
 import math
 from collections import Counter
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from condcorr import (
     DataError,
     ValidationError,
-    distribution_histogram,
     equal_size_subsample,
     wilcoxon_rank_sum,
 )
@@ -261,29 +260,3 @@ class TestEqualSizeSubsample:
         np.testing.assert_array_equal(b, equal_size_subsample(large, 4, seed=3))
         a, b = equalize_sizes(small, small[::-1], seed=3)
         assert a is small and np.array_equal(b, small[::-1])
-
-
-class TestDistributionHistogram:
-    def test_single_value_density_is_inverse_binwidth(self):
-        h = distribution_histogram([3.0], bins=4)
-        widths = np.diff(h.bin_edges)
-        assert h.densities.max() == pytest.approx(1.0 / widths[h.densities.argmax()],
-                                                  rel=1e-12)
-        assert float(np.sum(h.densities * widths)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_two_symmetric_values_two_bins(self):
-        h = distribution_histogram([-1.0, 1.0], bins=2)
-        np.testing.assert_allclose(h.densities, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(h.bin_edges, [-1.0, 0.0, 1.0], atol=1e-12)
-        assert h.sample_count == 2
-
-    def test_normalization(self, rng):
-        h = distribution_histogram(rng.normal(size=1000), bins=37)
-        integral = float(np.sum(h.densities * np.diff(h.bin_edges)))
-        assert integral == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DataError):
-            distribution_histogram([])
-        with pytest.raises(ValidationError):
-            distribution_histogram([1.0, math.inf])

@@ -1,11 +1,9 @@
-"""Price-series primitives: log returns, window moments, detrending, alignment."""
+"""Price-series primitives: validation, detrending, alignment."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from condcorr import (
     DataError,
@@ -13,8 +11,6 @@ from condcorr import (
     ValidationError,
     align_panel,
     detrend_log_price,
-    log_returns,
-    window_stats,
 )
 
 from conftest import calendar
@@ -23,51 +19,6 @@ from conftest import calendar
 def series(closes, ticker="X", start=np.datetime64("2000-01-03")):
     closes = np.asarray(closes, dtype=float)
     return PriceSeries(ticker=ticker, dates=calendar(closes.size, start), closes=closes)
-
-
-class TestLogReturns:
-    def test_two_day_gain(self):
-        r = log_returns(series([100.0, 105.0]))
-        assert r.values.shape == (1,)
-        assert r.values[0] == pytest.approx(math.log(1.05), abs=1e-15)
-
-    def test_flat_series_returns_zero(self):
-        r = log_returns(series([50.0, 50.0, 50.0]))
-        np.testing.assert_array_equal(r.values, [0.0, 0.0])
-
-    def test_horizon_two_single_e_fold(self):
-        r = log_returns(series([100.0, 120.0, 100.0 * math.e]), horizon=2)
-        assert r.values.shape == (1,)
-        assert r.values[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_dates_are_interval_starts(self):
-        s = series([1.0, 2.0, 3.0, 4.0])
-        r = log_returns(s, horizon=2)
-        np.testing.assert_array_equal(r.dates, s.dates[:2])
-        assert r.horizon == 2
-
-    def test_series_too_short_for_horizon(self):
-        with pytest.raises(ValidationError):
-            log_returns(series([1.0, 2.0]), horizon=2)
-
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            log_returns(series([1.0, 2.0, 3.0]), horizon=0)
-
-    @given(
-        st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=60),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_telescoping_sum(self, closes, horizon):
-        """Horizon-h returns starting at multiples of h telescope to the total."""
-        if len(closes) <= horizon:
-            closes = closes + [1.0] * (horizon + 1 - len(closes))
-        s = series(closes)
-        r = log_returns(s, horizon=horizon)
-        n_whole = (len(closes) - 1) // horizon
-        total = float(np.sum(r.values[: n_whole * horizon: horizon]))
-        expected = math.log(closes[n_whole * horizon]) - math.log(closes[0])
-        assert total == pytest.approx(expected, abs=1e-12)
 
 
 class TestPriceSeriesValidation:
@@ -97,63 +48,6 @@ class TestPriceSeriesValidation:
         s = series([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             s.closes[0] = 5.0
-
-
-class TestWindowStats:
-    def test_constant_returns(self):
-        ws = window_stats(np.array([0.01, 0.01, 0.01]), 0, 2)
-        assert ws.mean == pytest.approx(0.01, abs=1e-18)
-        assert ws.volatility == 0.0
-        assert ws.sample_count == 3
-
-    def test_symmetric_pair(self):
-        ws = window_stats(np.array([-0.01, 0.01]), 0, 1)
-        assert ws.mean == pytest.approx(0.0, abs=1e-18)
-        assert ws.volatility == pytest.approx(0.01, abs=1e-15)
-
-    def test_three_sample_window(self):
-        ws = window_stats(np.array([0.01, -0.02, 0.03]), 0, 2)
-        assert ws.mean == pytest.approx(0.02 / 3, abs=1e-12)
-        # population volatility: sqrt(mean of squared deviations), divisor 3
-        assert ws.volatility == pytest.approx(0.020548046676563256, abs=1e-12)
-
-    def test_offset_window(self):
-        vals = np.array([9.0, 1.0, 2.0, 3.0])
-        ws = window_stats(vals, 1, 2)
-        assert ws.mean == pytest.approx(2.0)
-        assert ws.window_start == 1 and ws.window_span == 2
-
-    def test_window_bounds_checked(self):
-        vals = np.array([0.01, 0.02, 0.03])
-        with pytest.raises(ValidationError):
-            window_stats(vals, 1, 2)
-        with pytest.raises(ValidationError):
-            window_stats(vals, -1, 1)
-        with pytest.raises(ValidationError):
-            window_stats(vals, 0, 0)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-0.3, max_value=0.3),
-            min_size=2,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=200)
-    def test_matches_one_pass_moments(self, values):
-        """Squared volatility equals mean-of-squares minus squared mean.
-
-        Compared on the variance scale: the one-pass form loses up to
-        ~eps * meansq to cancellation, which the two-pass form avoids.
-        """
-        arr = np.asarray(values)
-        ws = window_stats(arr, 0, arr.size - 1)
-        mean = sum(values) / len(values)
-        meansq = sum(v * v for v in values) / len(values)
-        assert ws.mean == pytest.approx(mean, abs=1e-15)
-        assert ws.volatility ** 2 == pytest.approx(
-            max(meansq - mean * mean, 0.0), abs=1e-14
-        )
 
 
 class TestDetrend:
