@@ -15,6 +15,7 @@ import datetime
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -86,20 +87,83 @@ def _raise_first_bad_row(path, price_column, raw_dates, raw_prices, linenos):
             raise DataError(f"{path}:{lineno}: non-positive price {raw_price!r}")
 
 
+def _header_columns(reader, path, price_column: str) -> tuple[int, int]:
+    """Read the header record; return the ``Date`` and price column indices
+    (a repeated name means its last column)."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file, no header row")
+    missing = [c for c in ("Date", price_column) if c not in header]
+    if missing:
+        raise DataError(f"{path}: header {header} lacks column(s) {missing}")
+    column = {field: k for k, field in enumerate(header)}
+    return column["Date"], column[price_column]
+
+
+def _date_order(ordinals: np.ndarray):
+    """Stable date order of ``ordinals``, the sorted dates, and the sorted
+    positions whose date repeats the next one."""
+    order = np.argsort(ordinals, kind="stable")
+    dates = (ordinals[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return order, dates, np.flatnonzero(dates[1:] == dates[:-1])
+
+
 def ingest_csv(path, price_column: str = "Adj Close",
                ticker: str | None = None) -> PriceSeries:
     """Parse one daily-quote CSV into a PriceSeries.
 
-    The file is read once with ``csv.reader``; only the stripped ``Date``
-    and price fields of each non-blank record are kept (a repeated header
-    name means its last column, a short row's absent fields are empty).
-    The columns are then converted whole: dates with
-    ``datetime.date.fromisoformat`` (every ISO form it accepts), prices with
-    ``float``, followed by one finite-and-positive check.  Only when that
-    fails are the rows re-checked in order, so the error names the first
-    bad row by its physical line number.  Rows may arrive in any order: a
-    stable sort by date follows, and duplicate dates are rejected naming
-    both lines.  The ticker defaults to the file stem.
+    The header record is read with ``csv.reader``.  The body is then parsed
+    in one ``np.loadtxt`` call over the ``Date`` and price columns, the
+    dates stripped and converted with ``datetime.date.fromisoformat``.  If
+    that raises or warns, finds no rows, a price that is not finite and
+    positive, or a repeated date, the whole file is read again by the
+    ``csv.reader`` path (``_ingest_csv_reader``), which alone decides what
+    is accepted and alone raises ``DataError``.  Both paths give the same
+    series, so the accepted forms, the values and every error message are
+    those of the ``csv.reader`` path; only ``csv.field_size_limit()`` binds
+    that path alone.  The ticker defaults to the file stem.
+    """
+    # any failure or warning hands the file to the csv.reader path, which
+    # decides whether it is an error and reports it
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                date_col, price_col = _header_columns(reader, path, price_column)
+            body = np.loadtxt(path, delimiter=",", skiprows=reader.line_num,
+                              usecols=(date_col, price_col),
+                              dtype=[("d", object), ("p", np.float64)],
+                              quotechar='"', comments=None, encoding="utf-8",
+                              ndmin=1)
+            ordinals = np.fromiter(
+                map(datetime.date.toordinal,
+                    map(datetime.date.fromisoformat, map(str.strip, body["d"]))),
+                np.int64, len(body))
+    except Exception:
+        return _ingest_csv_reader(path, price_column, ticker)
+    closes = body["p"]
+    order, dates, repeats = _date_order(ordinals)
+    if (len(body) == 0 or len(repeats)
+            or not np.all(np.isfinite(closes) & (closes > 0.0))):
+        return _ingest_csv_reader(path, price_column, ticker)
+    return PriceSeries(ticker if ticker is not None else Path(path).stem,
+                       dates, closes[order])
+
+
+def _ingest_csv_reader(path, price_column: str = "Adj Close",
+                       ticker: str | None = None) -> PriceSeries:
+    """The ``csv.reader`` path of ``ingest_csv``, and the only one that
+    raises ``DataError``.
+
+    Only the stripped ``Date`` and price fields of each non-blank record
+    are kept (a short row's absent fields are empty).  The columns are then
+    converted whole: dates with ``datetime.date.fromisoformat`` (every ISO
+    form it accepts), prices with ``float``, followed by one
+    finite-and-positive check.  Only when that fails are the rows
+    re-checked in order, so the error names the first bad row by its
+    physical line number.  Rows may arrive in any order: a stable sort by
+    date follows, and duplicate dates are rejected naming both lines.
     """
     path = Path(path)
     if not path.is_file():
@@ -108,14 +172,7 @@ def ingest_csv(path, price_column: str = "Adj Close",
     raw_dates, raw_prices, linenos = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, no header row")
-        missing = [c for c in ("Date", price_column) if c not in header]
-        if missing:
-            raise DataError(f"{path}: header {header} lacks column(s) {missing}")
-        column = {field: k for k, field in enumerate(header)}
-        date_col, price_col = column["Date"], column[price_column]
+        date_col, price_col = _header_columns(reader, path, price_column)
         width = max(date_col, price_col) + 1
         for row in reader:
             if not row:
@@ -137,9 +194,7 @@ def ingest_csv(path, price_column: str = "Adj Close",
         _raise_first_bad_row(path, price_column, raw_dates, raw_prices, linenos)
     if n == 0:
         raise DataError(f"{path}: no data rows")
-    order = np.argsort(ordinals, kind="stable")
-    dates = (ordinals[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
-    repeats = np.flatnonzero(dates[1:] == dates[:-1])
+    order, dates, repeats = _date_order(ordinals)
     if len(repeats):
         k = repeats[0]
         raise DataError(f"{path}: duplicate date {dates[k]} "
@@ -226,13 +281,21 @@ def load_panel(manifest: DatasetManifest, min_days: int = 2) -> AlignedPanel:
 # run configuration
 
 
+# the values each scalar RunConfig field takes; a bool is never a number
+_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                 "str": ((str,), "a string")}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Analysis parameters, all overridable from the command line.
 
     rho_grid holds signed levels; chi_levels and ct_level are positive
     magnitudes (each expands to a ± pair).  detrend_window = 0 turns
-    detrending off for the inverse-statistics path.
+    detrending off for the inverse-statistics path.  Each scalar field must
+    hold its type (an int field an integer, a float field an integer or a
+    float, a str field a string; a bool is never a number); a mismatch
+    raises ValidationError naming the field.
     """
 
     delta_t: int = 1
@@ -253,6 +316,12 @@ class RunConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in _SCALAR_TYPES:
+                allowed, noun = _SCALAR_TYPES[f.type]
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise ValidationError(f"{f.name}: expected {noun}, got {value!r}")
         if self.delta_t < 1:
             raise ValidationError("delta_t must be >= 1")
         if not 1 <= self.dt1 < self.dt2:
@@ -263,8 +332,9 @@ class RunConfig:
             raise ValidationError("rho_grid must not be empty")
         if any(level <= 0 for level in self.chi_levels):
             raise ValidationError("chi_levels must be positive magnitudes")
-        if self.ct_level <= 0:
-            raise ValidationError("ct_level must be a positive magnitude")
+        if not (math.isfinite(self.ct_level) and self.ct_level > 0):
+            raise ValidationError("ct_level must be a finite positive magnitude")
+        object.__setattr__(self, "ct_level", float(self.ct_level))
         if self.detrend_window < 0:
             raise ValidationError("detrend_window must be >= 0 (0 disables)")
         if self.min_samples < 1:
@@ -279,16 +349,11 @@ class RunConfig:
         return (self.dt1, self.dt2)
 
 
-# the JSON values each scalar RunConfig field takes; a bool is never a number
-_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                 "str": ((str,), "a string")}
-
-
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional flat JSON file plus overrides.
 
-    Each scalar key must hold its field's JSON type (an integer, a number or
-    a string); a mismatch raises ValidationError naming the key.
+    The level lists are coerced to float tuples here; ``RunConfig`` checks
+    the type of every scalar key.
     """
     values: dict = {}
     if path is not None:
@@ -306,20 +371,12 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         values.update(raw)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    for f in fields(RunConfig):
-        if f.type in _SCALAR_TYPES and f.name in values:
-            allowed, noun = _SCALAR_TYPES[f.type]
-            value = values[f.name]
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValidationError(f"{f.name}: expected {noun}, got {value!r}")
     for key in ("rho_grid", "chi_levels"):
         if key in values:
             if not isinstance(values[key], (list, tuple)):
                 raise ValidationError(f"{key}: expected a list of numbers, "
                                       f"got {values[key]!r}")
             values[key] = tuple(_level(key, v) for v in values[key])
-    if "ct_level" in values:
-        values["ct_level"] = _level("ct_level", values["ct_level"])
     return RunConfig(**values)
 
 

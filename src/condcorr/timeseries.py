@@ -193,8 +193,11 @@ def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries,
                 min_days: int = 2) -> AlignedPanel:
     """Intersect all calendars and restrict every series to the common dates.
 
-    Raises if fewer than two stocks are given, tickers repeat, or the common
-    calendar ends up shorter than ``min_days``.
+    A member whose dates already equal the running calendar is not
+    intersected, and one as long as the common calendar is kept as it is:
+    it holds every common date and no other.  Raises if fewer than two
+    stocks are given, tickers repeat, or the common calendar ends up
+    shorter than ``min_days``.
     """
     if len(stocks) < 2:
         raise ValidationError("need at least 2 stocks to build a panel")
@@ -203,12 +206,15 @@ def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries,
         raise ValidationError(f"duplicate tickers: {sorted(tickers)}")
     calendar = index.dates
     for s in stocks:
-        calendar = np.intersect1d(calendar, s.dates, assume_unique=True)
+        if not np.array_equal(calendar, s.dates):
+            calendar = np.intersect1d(calendar, s.dates, assume_unique=True)
     if len(calendar) == 0:
         raise DataError("no common trading dates across panel members")
     if len(calendar) < min_days:
         raise DataError(
             f"common calendar has {len(calendar)} days, below minimum {min_days}"
         )
-    restricted = [s.restrict(calendar) for s in stocks]
-    return AlignedPanel(calendar, restricted, index.restrict(calendar))
+    def fit(s: PriceSeries) -> PriceSeries:
+        return s if len(s) == len(calendar) else s.restrict(calendar)
+
+    return AlignedPanel(calendar, [fit(s) for s in stocks], fit(index))

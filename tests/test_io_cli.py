@@ -11,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import condcorr
+from condcorr import io as cc_io
 from condcorr import (
     DataError,
     PriceSeries,
@@ -59,6 +62,14 @@ def simulated_dataset(tmp_path, n_stocks=5, n_steps=400, p=0.1, seed=6):
     run_simulate(SimConfig(n_stocks=n_stocks, n_steps=n_steps,
                            fear_probability=p, step_size=0.01, seed=seed), out)
     return out
+
+
+def assert_same_files(a, b):
+    """Directories ``a`` and ``b`` hold the same file names, byte for byte."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_every_exported_name_resolves():
@@ -163,6 +174,8 @@ class TestIngest:
         pytest.param('Date,Adj Close\n"2000-01-03","1.5"\n', [1.5], id="quoted"),
         pytest.param("Date,Adj Close\n 2000-01-03 , 1.5 \n", [1.5], id="space-padded"),
         pytest.param("Date,Adj Close\n2000-01-03,1_5\n", [15.0], id="underscore"),
+        pytest.param("Date,Adj Close\n2000-01-03,\u0661\n", [1.0],
+                     id="arabic-indic-digit"),
         pytest.param("Date,Adj Close\n2000-01-03,inf\n",
                      r":2: non-positive price 'inf'$", id="inf-refused"),
         pytest.param("Date,Open,Adj Close\n2000-01-03,1\n",
@@ -214,6 +227,78 @@ class TestIngest:
         wrong.write_text("Date,Price\n2000-01-03,1.0\n")
         with pytest.raises(DataError, match="lacks column"):
             ingest_csv(wrong)
+
+
+def ingest_outcome(ingest, path):
+    """What one ingest gives: its dates and closes bytes, or its error."""
+    try:
+        s = ingest(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s.ticker, s.dates.tobytes(), s.closes.tobytes()
+
+
+_VALID_DATES = [f"2000-01-{d:02d}" for d in range(3, 13)]
+_TRICKY_DATES = ["20000103", "2000-W01-1", "2000-01", " 2000-01-13 ", '"2000-01-14"',
+                 ' "2000-01-15"', '"2000-01-16" ', '"2000-01-17\n"', '20"00-01-18"',
+                 "2000-02-30", "Jan 3", ""]
+_VALID_PRICES = ["1", "1.5", "100", "0.333333333333", "1.23456789012e+12"]
+_TRICKY_PRICES = ["1_5", "\u0661", "+1", "1e400", "nan", "0x10", '"1"2', '"1\n"', "",
+                  "0", "-1", " 2 ", "\xa03", '"1,5"', "1 2", "inf", "null"]
+_HEADERS = [["Date", "Adj Close"], ["Date", "Open", "Adj Close"],
+            ["Adj Close", "Date"], ["Date", "Adj Close", "Adj Close"],
+            ["Date", "Close"]]
+
+
+@st.composite
+def csv_texts(draw):
+    """Daily-quote CSV text mixing well-formed rows with the forms where
+    ``csv.reader`` and ``np.loadtxt`` could part ways."""
+    header = draw(st.sampled_from(_HEADERS))
+    dates = st.one_of(st.sampled_from(_VALID_DATES), st.sampled_from(_TRICKY_DATES))
+    prices = st.one_of(st.sampled_from(_VALID_PRICES), st.sampled_from(_TRICKY_PRICES))
+    lines = [",".join(header)]
+    for kind in draw(st.lists(st.sampled_from(["row"] * 6 + ["short", "blank",
+                                                            "space", "header"]),
+                              max_size=8)):
+        if kind in ("row", "short"):
+            fields = [draw(dates if name == "Date" else prices) for name in header]
+            if kind == "short":
+                fields = fields[:draw(st.integers(0, len(fields) - 1))]
+            lines.append(",".join(fields))
+        else:
+            lines.append({"blank": "", "space": "  \t", "header": lines[0]}[kind])
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestIngestPaths:
+    """``ingest_csv`` parses the body with ``np.loadtxt`` and leaves every
+    other file to the ``csv.reader`` path, which must give the same result."""
+
+    @given(text=csv_texts())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_csv_reader_path(self, tmp_path, text):
+        path = tmp_path / "F.csv"
+        path.write_bytes(text.encode())
+        assert (ingest_outcome(ingest_csv, path)
+                == ingest_outcome(cc_io._ingest_csv_reader, path))
+
+    def test_written_csv_takes_fast_path(self, tmp_path, monkeypatch):
+        s = PriceSeries("T", calendar(300), np.exp(np.sin(np.arange(300.0))))
+        path = tmp_path / "T.csv"
+        write_price_csv(path, s)
+        expected = cc_io._ingest_csv_reader(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader path taken")
+
+        monkeypatch.setattr(cc_io, "_ingest_csv_reader", refuse)
+        back = ingest_csv(path)
+        np.testing.assert_array_equal(back.dates, expected.dates)
+        assert back.closes.tobytes() == expected.closes.tobytes()
 
 
 class TestManifest:
@@ -332,6 +417,16 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="chi_levels"):
             load_run_config(cfg_file)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt1", "3"), ("bin_ratio", True), ("detrend_mode", 1), ("seed", 1.5),
+        ("ct_level", "0.05"),
+    ])
+    def test_direct_construction_checks_types(self, field, value):
+        """Built from Python, a mistyped scalar is a ValidationError naming
+        the field, not a TypeError from a later comparison."""
+        with pytest.raises(ValidationError, match=rf"^{field}: expected"):
+            RunConfig(**{field: value})
+
     def test_precedence_defaults_file_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"dt1": 3, "dt2": 6, "seed": 5, "bin_ratio": 2}))
@@ -388,11 +483,8 @@ class TestSimulateRoundTrip:
                                    atol=1e-10)
 
     def test_same_seed_byte_identical(self, tmp_path):
-        a = simulated_dataset(tmp_path / "a")
-        b = simulated_dataset(tmp_path / "b")
-        for pa, pb in zip(sorted(a.iterdir()), sorted(b.iterdir())):
-            assert pa.name == pb.name
-            assert pa.read_bytes() == pb.read_bytes()
+        assert_same_files(simulated_dataset(tmp_path / "a"),
+                          simulated_dataset(tmp_path / "b"))
 
     def test_rejects_degenerate_fear_probability(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -464,8 +556,7 @@ class TestRunCondcorr:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_condcorr(manifest, small_config(), out1)
         run_condcorr(manifest, small_config(), out2)
-        for pa, pb in zip(sorted(out1.iterdir()), sorted(out2.iterdir())):
-            assert pa.read_bytes() == pb.read_bytes(), pa.name
+        assert_same_files(out1, out2)
 
     def test_prebuilt_panel_source(self, tmp_path):
         sim = to_aligned_panel(simulate_market(
@@ -507,6 +598,18 @@ class TestRunInvstats:
         assert summary["series"]["detrended"] is True
         hist_lines = (out / f"hist_plus_{fmt(levels[0])}.tsv").read_text().splitlines()
         assert hist_lines[0] == "tau_center\tdensity"
+
+    def test_reruns_byte_identical_over_csv(self, tmp_path):
+        """Both analyses read the same CSV manifest twice and write the
+        same bytes."""
+        data = simulated_dataset(tmp_path, n_stocks=4, n_steps=1500)
+        manifest = load_manifest(data / "manifest.json")
+        config = small_config(detrend_window=251)
+        for run in (run_condcorr, run_invstats):
+            first, second = tmp_path / f"{run.__name__}1", tmp_path / f"{run.__name__}2"
+            run(manifest, config, first)
+            run(manifest, config, second)
+            assert_same_files(first, second)
 
     def test_csv_source_without_detrending(self, tmp_path):
         data = simulated_dataset(tmp_path, n_stocks=2, n_steps=2000)

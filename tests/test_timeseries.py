@@ -147,3 +147,31 @@ class TestAlignPanel:
             panel.stock_index("Z")
         np.testing.assert_allclose(panel.log_close_matrix[0], np.arange(5.0))
         np.testing.assert_allclose(panel.index_log_closes, math.log(3.0))
+
+    def test_one_misaligned_member_gives_the_intersection(self):
+        d = calendar(12)
+        rng = np.random.default_rng(5)
+        stocks = [PriceSeries(f"S{i}", d, rng.uniform(1.0, 2.0, 12)) for i in range(4)]
+        keep = np.ones(12, dtype=bool)
+        keep[[0, 4, 9]] = False
+        stocks[2] = PriceSeries("S2", d[keep], rng.uniform(1.0, 2.0, keep.sum()))
+        idx = PriceSeries("IDX", d[1:], rng.uniform(1.0, 2.0, 11))
+        panel = align_panel(stocks, idx)
+        common = d[keep & (d != d[0])]
+        np.testing.assert_array_equal(panel.calendar, common)
+        expected = np.vstack([s.log_closes[np.isin(s.dates, common)] for s in stocks])
+        np.testing.assert_array_equal(panel.log_close_matrix, expected)
+        np.testing.assert_array_equal(panel.index_log_closes,
+                                      idx.log_closes[np.isin(idx.dates, common)])
+
+    def test_aligned_members_are_kept(self):
+        d = calendar(30)
+        rng = np.random.default_rng(6)
+        stocks = [PriceSeries(f"S{i}", d, rng.uniform(1.0, 2.0, 30)) for i in range(3)]
+        idx = PriceSeries("IDX", d, rng.uniform(1.0, 2.0, 30))
+        panel = align_panel(stocks, idx)
+        np.testing.assert_array_equal(panel.calendar, d)
+        assert all(a is b for a, b in zip(panel.stocks, stocks))
+        assert panel.index_series is idx
+        np.testing.assert_array_equal(panel.log_close_matrix,
+                                      np.vstack([s.log_closes for s in stocks]))
