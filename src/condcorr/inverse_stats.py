@@ -24,7 +24,10 @@ That is about (5 + 1)·n floats plus (n/B)·log₂(n/B), where a doubling table
 at every scale would take n·log₂n.  The tables depend only on the series
 and the sign of the level, so ``gain_loss_report`` runs one descent per
 sign over every magnitude at once, chunk by chunk of starts, freeing each
-sign's tables before the next build.
+sign's tables before the next build.  The descent writes every start's
+waiting time, 0 where it is censored (no crossing waits 0), and the report
+histograms each magnitude from one ``np.bincount`` of its row, the counts
+that ``waiting_time_histogram`` also bins a FirstPassageResult through.
 """
 
 from __future__ import annotations
@@ -151,10 +154,11 @@ def _first_passage_tables(s: np.ndarray) -> _PassageTables:
 
 
 def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
-    """Positions of the first s[j] >= s[t0] + rho with j > t0, or n if none.
+    """Waiting times to the first s[j] >= s[t0] + rho with j > t0, 0 if none.
 
-    One row per rho in ``rhos``, one column per start, in the smallest type
-    holding n.  ``tables`` are ``_first_passage_tables(s)``.
+    One row per rho in ``rhos``, one column per start t0, in the smallest
+    type holding n; no crossing waits 0, so 0 marks a censored start.
+    ``tables`` are ``_first_passage_tables(s)``.
     """
     n, fine, suffix, coarse = tables
     rhos = np.asarray(rhos, dtype=np.float64)[:, None]
@@ -163,7 +167,8 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
     for a in range(0, n - 1, step):
         b = min(a + step, n - 1)
         thresholds = fine[0][a:b] + rhos
-        first = np.arange(a + 1, b + 1)  # the first position each start tries
+        starts = np.arange(a, b)
+        first = starts + 1  # the first position each start tries
         # the first block past first's own whose maximum reaches the threshold
         block = np.tile(first // _BLOCK + 1, (len(rhos), 1))
         for k in range(len(coarse) - 1, -1, -1):
@@ -173,6 +178,9 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
         pos = np.where(suffix[first] < thresholds, block * _BLOCK, first)
         for k in range(_FINE_LEVELS - 1, -1, -1):
             pos += (fine[k][pos] < thresholds) << k
+        crossed = pos < n  # a search that found no crossing stopped at n
+        pos -= starts
+        pos *= crossed
         out[:, a:b] = pos
     return out
 
@@ -182,32 +190,19 @@ def _check_level(level: float):
         raise ValidationError("level must be nonzero and finite")
 
 
-def first_passage_times(series, level: float, *,
-                        _positions: np.ndarray | None = None) -> FirstPassageResult:
+def first_passage_times(series, level: float) -> FirstPassageResult:
     """First-passage waiting times from every start of a log-price series.
 
     ``series`` may be a PriceSeries (log closes are used), a
-    DetrendedLogPrice, or a bare array of log-price values.  ``_positions``
-    (private) are the crossing positions of every start at this level, found
-    by the caller's descent over all its magnitudes at once; the caller has
-    validated the series, so it is not read again.
+    DetrendedLogPrice, or a bare array of log-price values.
     """
     _check_level(level)
-    if _positions is None:
-        s = _log_price_values(series)
-        # a drop of |rho| in s is a rise of |rho| in -s
-        tables = _first_passage_tables(s if level > 0 else -s)
-        _positions = _first_passage_up(tables, [abs(level)])[0]
-    n = len(_positions) + 1
-    starts = np.arange(n - 1, dtype=np.int64)
-    crossed = _positions < n
-    return FirstPassageResult(
-        float(level),
-        starts[crossed],
-        (_positions - starts)[crossed],
-        censored_count=int(np.sum(~crossed)),
-        n_starts=n - 1,
-    )
+    s = _log_price_values(series)
+    # a drop of |rho| in s is a rise of |rho| in -s
+    taus = _first_passage_up(_first_passage_tables(s if level > 0 else -s), [abs(level)])[0]
+    starts = np.flatnonzero(taus)
+    return FirstPassageResult(float(level), starts, taus[starts].astype(np.int64),
+                              censored_count=len(taus) - len(starts), n_starts=len(taus))
 
 
 def check_binning(binning: str, ratio: float = DEFAULT_LOG_BIN_RATIO,
@@ -275,21 +270,28 @@ def waiting_time_histogram(result: FirstPassageResult, binning: str = "log",
         raise InsufficientDataError("no crossings to histogram (all starts censored)")
     if np.min(taus) < 1:
         raise ValidationError(f"waiting times must be at least 1, got {np.min(taus)}")
+    counts = np.bincount(taus)
+    counts[0] = result.censored_count
+    return _histogram(result.level, counts, binning, ratio, width)
 
-    tau_max = float(np.max(taus))
+
+def _histogram(level: float, counts: np.ndarray, binning: str, ratio: float,
+               width: float = 1.0) -> WaitingTimeHistogram:
+    # counts[τ] starts waited τ and counts[0] were censored; at least one
+    # start crossed, and counts ends at the longest wait (np.bincount's)
+    tau_max = float(len(counts) - 1)
     if binning == "log":
         edges = _log_edges(tau_max, ratio)
     else:
         edges = np.arange(0.5, tau_max + 0.5 + width, width)
 
     # waiting times are integers, so #{τ < edge} = #{τ ≤ ceil(edge) − 1}
-    at_most = np.cumsum(np.bincount(taus))
-    counts = np.diff(at_most[np.minimum(np.ceil(edges) - 1, tau_max).astype(np.int64)])
-    widths = np.diff(edges)
-    densities = counts / (len(taus) * widths)
-    return WaitingTimeHistogram(result.level, edges, densities, counts,
-                                total_samples=int(len(taus)),
-                                censored_count=result.censored_count, binning=binning)
+    at_most = np.cumsum(counts)
+    binned = np.diff(at_most[np.minimum(np.ceil(edges) - 1, tau_max).astype(np.int64)])
+    total = int(at_most[-1] - counts[0])
+    densities = binned / (total * np.diff(edges))
+    return WaitingTimeHistogram(level, edges, densities, binned, total_samples=total,
+                                censored_count=int(counts[0]), binning=binning)
 
 
 @dataclass(frozen=True)
@@ -399,15 +401,14 @@ def gain_loss_report(series, levels, binning: str = "log",
     check_binning(binning, ratio)
     hists = {}
     for sign in (1.0, -1.0):
-        # the tables are freed as the descent returns and the positions at
-        # del, so one sign's arrays are alive at a time
-        positions = _first_passage_up(_first_passage_tables(sign * values), magnitudes)
-        hists[sign] = [  # a side no start crosses has no histogram
-            waiting_time_histogram(result, binning, ratio) if len(result) else None
-            for result in (first_passage_times(values, sign * magnitude, _positions=row)
-                           for magnitude, row in zip(magnitudes, positions))
+        # the tables are freed as the descent returns and the waiting times
+        # at del, so one sign's arrays are alive at a time
+        taus = _first_passage_up(_first_passage_tables(sign * values), magnitudes)
+        hists[sign] = [  # a side no start crosses counts only censored starts
+            _histogram(sign * magnitude, counts, binning, ratio) if len(counts) > 1 else None
+            for magnitude, counts in zip(magnitudes, map(np.bincount, taus))
         ]
-        del positions
+        del taus
     return GainLossReport(tuple(
         GainLossEntry(
             level_abs=magnitude,

@@ -294,8 +294,8 @@ class RunConfig:
     magnitudes (each expands to a ± pair).  detrend_window = 0 turns
     detrending off for the inverse-statistics path.  Each scalar field must
     hold its type (an int field an integer, a float field an integer or a
-    float, a str field a string; a bool is never a number); a mismatch
-    raises ValidationError naming the field.
+    float, a str field a string; a bool is never a number), and every level
+    a finite number; a mismatch raises ValidationError naming the field.
     """
 
     delta_t: int = 1
@@ -328,6 +328,17 @@ class RunConfig:
             raise ValidationError(
                 f"need 1 <= dt1 < dt2, got dt1={self.dt1}, dt2={self.dt2}"
             )
+        for key in ("rho_grid", "chi_levels"):
+            levels = getattr(self, key)
+            if not isinstance(levels, (list, tuple)):
+                raise ValidationError(f"{key}: expected a list of numbers, got {levels!r}")
+            for level in levels:
+                try:
+                    finite = math.isfinite(level)
+                except TypeError:
+                    raise ValidationError(f"{key}: {level!r} is not a number") from None
+                if not finite:
+                    raise ValidationError(f"{key}: {level!r} is not finite")
         if len(self.rho_grid) == 0:
             raise ValidationError("rho_grid must not be empty")
         if any(level <= 0 for level in self.chi_levels):
@@ -353,7 +364,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional flat JSON file plus overrides.
 
     The level lists are coerced to float tuples here; ``RunConfig`` checks
-    the type of every scalar key.
+    the type of every key.
     """
     values: dict = {}
     if path is not None:
@@ -372,10 +383,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     for key in ("rho_grid", "chi_levels"):
-        if key in values:
-            if not isinstance(values[key], (list, tuple)):
-                raise ValidationError(f"{key}: expected a list of numbers, "
-                                      f"got {values[key]!r}")
+        if isinstance(values.get(key), (list, tuple)):
             values[key] = tuple(_level(key, v) for v in values[key])
     return RunConfig(**values)
 
@@ -479,10 +487,12 @@ def write_price_csv(path, series: PriceSeries, *, dates: list[str] | None = None
     """
     if dates is None:
         dates = np.datetime_as_string(series.dates).tolist()
-    values = [fmt(close) for close in series.closes.tolist()]
+    closes = series.closes.tolist()
+    # one %-format for the whole file: "%.12g" renders a float as fmt does,
+    # and each piece keeps its trailing comma
+    values = (("%.12g,\n" * len(closes)) % tuple(closes)).split("\n")
     rows = [",".join(CSV_HEADER) + "\n"]
-    rows += [f"{date},{value},{value},{value},{value},{value},0\n"
-             for date, value in zip(dates, values)]
+    rows += [f"{date},{v}{v}{v}{v}{v}0\n" for date, v in zip(dates, values)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(rows))
 

@@ -354,21 +354,36 @@ class TestGainLoss:
             gain_loss_report(values, [0.0])
 
     def test_shared_tables_match_per_level_scans(self, rng):
+        """Histograms built from the descent's counts equal, byte for byte,
+        the ones binned from each level's own scan, in both binnings and at
+        a non-default ratio; a magnitude no start crosses has no sides."""
         values = np.cumsum(rng.normal(0.0, 0.01, size=4000))
-        levels = [0.03, -0.005, 0.05, 0.01]
-        rep = gain_loss_report(values, levels)
-        assert [e.level_abs for e in rep.entries] == [0.03, 0.005, 0.05, 0.01]
-        for e in rep.entries:
-            for hist, level in ((e.plus, e.level_abs), (e.minus, -e.level_abs)):
-                alone = waiting_time_histogram(first_passage_times(values, level))
-                assert hist.level == level
-                np.testing.assert_array_equal(hist.bin_edges, alone.bin_edges)
-                np.testing.assert_array_equal(hist.counts, alone.counts)
-                assert hist.censored_count == alone.censored_count
+        levels = [0.03, -0.005, 0.05, 0.01, 100.0]
+        for binning, ratio in (("log", 1.25), ("log", 1.6), ("linear", 1.25)):
+            rep = gain_loss_report(values, levels, binning, ratio)
+            assert [e.level_abs for e in rep.entries] == [0.03, 0.005, 0.05, 0.01, 100.0]
+            for e in rep.entries:
+                for hist, level in ((e.plus, e.level_abs), (e.minus, -e.level_abs)):
+                    scan = first_passage_times(values, level)
+                    if len(scan) == 0:
+                        assert hist is None
+                        continue
+                    alone = waiting_time_histogram(scan, binning, ratio)
+                    assert (hist.level, hist.binning) == (level, binning)
+                    for name in ("bin_edges", "densities", "counts"):
+                        got, want = getattr(hist, name), getattr(alone, name)
+                        assert got.dtype == want.dtype
+                        assert got.tobytes() == want.tobytes()
+                    assert hist.total_samples == alone.total_samples
+                    assert hist.censored_count == alone.censored_count
+            never = rep.entry(100.0)
+            assert never.plus is None and never.minus is None
+            assert never.mode_plus is None and never.asymmetry is None
 
-    def test_batched_descent_matches_brute_force(self, rng, monkeypatch):
+    def test_batched_descent_matches_brute_force(self, rng):
         """Three magnitudes per sign in one descent, over more than two
-        default chunks of starts, against the plain loop start by start."""
+        default chunks of starts, against the plain loop start by start:
+        each start's waiting time, 0 where the start is censored."""
         step = 2.0 ** -7
         n = 2 * (inverse_stats._DESCENT_CHUNK // 3) + 1000
         t = np.arange(n)
@@ -376,22 +391,18 @@ class TestGainLoss:
         # that widens by one step every 4 days, so every loop scan ends soon
         values = step * (np.cumsum(rng.choice([-1.0, 1.0], n))
                          + np.where(t % 2 == 0, 1.0, -1.0) * (t // 4))
-        scans = []
-        scan = inverse_stats.first_passage_times
-
-        def recording(*args, **kwargs):
-            scans.append(scan(*args, **kwargs))
-            return scans[-1]
-
-        monkeypatch.setattr(inverse_stats, "first_passage_times", recording)
-        gain_loss_report(values, [2 * step, step, 3 * step])
-        levels = [2 * step, step, 3 * step, -2 * step, -step, -3 * step]
-        assert [r.level for r in scans] == levels
-        for got in scans:
-            hits, censored = reference.first_passage(values.tolist(), got.level)
-            np.testing.assert_array_equal(got.start_indices, [t0 for t0, _ in hits])
-            np.testing.assert_array_equal(got.waiting_times, [tau for _, tau in hits])
-            assert got.censored_count == censored
+        magnitudes = [2 * step, step, 3 * step]
+        for sign in (1.0, -1.0):
+            taus = inverse_stats._first_passage_up(
+                inverse_stats._first_passage_tables(sign * values), magnitudes)
+            assert taus.shape == (len(magnitudes), n - 1)
+            for magnitude, row in zip(magnitudes, taus):
+                hits, censored = reference.first_passage(values.tolist(), sign * magnitude)
+                expected = np.zeros(n - 1, dtype=np.int64)
+                for t0, tau in hits:
+                    expected[t0] = tau
+                np.testing.assert_array_equal(row, expected)
+                assert np.count_nonzero(row == 0) == censored
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_bad_level_raises_before_any_scan(self, rng, monkeypatch, bad):

@@ -427,6 +427,19 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match=rf"^{field}: expected"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, levels, message", [
+        ("rho_grid", (math.nan, 0.1), "nan is not finite"),
+        ("rho_grid", (math.inf,), "inf is not finite"),
+        ("chi_levels", (math.nan,), "nan is not finite"),
+        ("rho_grid", (0.05, "0.1"), "'0.1' is not a number"),
+        ("chi_levels", 0.05, "expected a list of numbers, got 0.05"),
+    ])
+    def test_direct_construction_checks_levels(self, field, levels, message):
+        """Built from Python, a level that is not a finite number is refused
+        as it is from JSON, where NaN would otherwise pass every sign check."""
+        with pytest.raises(ValidationError, match=f"^{field}: {message}$"):
+            RunConfig(**{field: levels})
+
     def test_precedence_defaults_file_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"dt1": 3, "dt2": 6, "seed": 5, "bin_ratio": 2}))
@@ -498,6 +511,20 @@ class TestSimulateRoundTrip:
         back = ingest_csv(path)
         np.testing.assert_array_equal(back.dates, s.dates)
         np.testing.assert_allclose(back.closes, s.closes, rtol=1e-11)
+
+    @given(closes=st.lists(st.one_of(
+        st.floats(min_value=5e-324, max_value=1.7e308),
+        st.sampled_from([1e-05, 1e-5 * (1 + 2**-52), 1e+16, 123456789012.5, 1e300,
+                         5e-324, 0.1, 1.0, 100.0])), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_written_values_are_fmt(self, tmp_path, closes):
+        """Every value field of a written file reads fmt(close), also for
+        tiny, huge and exponent-form values."""
+        path = tmp_path / "T.csv"
+        write_price_csv(path, PriceSeries("T", calendar(len(closes)), closes))
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [[fmt(c)] * 5 + ["0"] for c in closes]
 
     def test_price_csv_golden_bytes(self, tmp_path):
         s = PriceSeries("T", np.array(["2000-01-03", "2000-01-04", "2000-01-05"],
