@@ -31,6 +31,23 @@ import reference
 from conftest import calendar
 
 
+def descent(values, sign, magnitudes):
+    """The descent's waiting-time rows for the series times ``sign``."""
+    return inverse_stats._first_passage_up(
+        inverse_stats._first_passage_tables(sign * values), magnitudes)
+
+
+def brute_force_waits(values, sign, magnitudes):
+    """The plain loop's waiting times in the descent's layout, 0 if censored."""
+    waits = np.zeros((len(magnitudes), len(values) - 1), dtype=np.int64)
+    for row, magnitude in zip(waits, magnitudes):
+        hits, censored = reference.first_passage(values.tolist(), sign * magnitude)
+        for t0, tau in hits:
+            row[t0] = tau
+        assert np.count_nonzero(row == 0) == censored
+    return waits
+
+
 def passages(taus, level=0.05):
     """A FirstPassageResult holding these waiting times, none censored."""
     taus = np.array(taus, dtype=np.int64)
@@ -393,16 +410,54 @@ class TestGainLoss:
                          + np.where(t % 2 == 0, 1.0, -1.0) * (t // 4))
         magnitudes = [2 * step, step, 3 * step]
         for sign in (1.0, -1.0):
-            taus = inverse_stats._first_passage_up(
-                inverse_stats._first_passage_tables(sign * values), magnitudes)
+            taus = descent(values, sign, magnitudes)
             assert taus.shape == (len(magnitudes), n - 1)
-            for magnitude, row in zip(magnitudes, taus):
-                hits, censored = reference.first_passage(values.tolist(), sign * magnitude)
-                expected = np.zeros(n - 1, dtype=np.int64)
-                for t0, tau in hits:
-                    expected[t0] = tau
-                np.testing.assert_array_equal(row, expected)
-                assert np.count_nonzero(row == 0) == censored
+            expected = brute_force_waits(values, sign, magnitudes)
+            np.testing.assert_array_equal(taus, expected)
+
+    def test_split_descent_matches_brute_force(self, rng, monkeypatch):
+        """Near and far block searches against the plain loop, at splits of
+        0, 1 and the default G block levels.
+
+        A lattice walk around an oscillation that widens by one step every
+        block puts most crossings a few blocks out.  A staircase that rises
+        one step a block and then falls puts the crossing at k steps k - 1
+        blocks past b0 from most starts, so k = 2**G + 1 lands exactly on
+        the first far block; starts near the apex and on the far slope are
+        censored in both branches.  Walks of 2 to 70 days have tables of
+        one or two coarse levels, fewer than the default G.  At every split
+        each sign reaches crossed and censored starts in both branches.
+        """
+        step = 2.0 ** -7
+        block = inverse_stats._BLOCK
+        split = inverse_stats._NEAR_LEVELS
+        t = np.arange(3000)
+        widening = step * (rng.choice([-1.0, 0.0, 1.0], len(t))
+                           + np.where(t % 2 == 0, 1.0, -1.0) * (t // block))
+        rise = (1 << split) + 4
+        heights = np.arange(2 * rise * block) // block
+        stairs = step * np.minimum(heights, 2 * rise - 1 - heights)
+        boundary = sorted({1, 2, 3, 1 << split, (1 << split) + 1})
+        cases = [(widening, [step, 2 * step, 4 * step]),
+                 (stairs, [k * step for k in boundary])]
+        cases += [(step * np.cumsum(rng.choice([-1.0, 1.0], n)), [step, 2 * step, 3 * step])
+                  for n in range(2, 71)]
+        expected = {(i, sign): brute_force_waits(values, sign, magnitudes)
+                    for i, (values, magnitudes) in enumerate(cases)
+                    for sign in (1.0, -1.0)}
+        for near_levels in (0, 1, split):
+            monkeypatch.setattr(inverse_stats, "_NEAR_LEVELS", near_levels)
+            reached = set()  # (sign, far, censored) the cases reach
+            for (i, sign), want in expected.items():
+                values, magnitudes = cases[i]
+                np.testing.assert_array_equal(descent(values, sign, magnitudes), want)
+                coarse = inverse_stats._first_passage_tables(sign * values).coarse
+                b0 = np.arange(1, len(values)) // block + 1
+                top = coarse[min(near_levels, len(coarse) - 1)][b0]
+                far = top < sign * values[:-1] + np.asarray(magnitudes)[:, None]
+                reached.update((sign, *pair) for pair in zip(far.flat, (want == 0).flat))
+            assert reached == {(sign, far, censored) for sign in (1.0, -1.0)
+                               for far in (False, True) for censored in (False, True)}
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_bad_level_raises_before_any_scan(self, rng, monkeypatch, bad):
@@ -412,7 +467,7 @@ class TestGainLoss:
             raise AssertionError("scan started before the parameters were checked")
 
         monkeypatch.setattr(inverse_stats, "_first_passage_tables", no_scan)
-        monkeypatch.setattr(inverse_stats, "first_passage_times", no_scan)
+        monkeypatch.setattr(inverse_stats, "_first_passage_up", no_scan)
         values = np.cumsum(rng.normal(0.0, 0.01, size=100))
         with pytest.raises(ValidationError):
             gain_loss_report(values, [0.02, 0.01, bad])
