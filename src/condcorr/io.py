@@ -100,11 +100,20 @@ def _header_columns(reader, path, price_column: str) -> tuple[int, int]:
     return column["Date"], column[price_column]
 
 
-def _date_order(ordinals: np.ndarray):
-    """Stable date order of ``ordinals``, the sorted dates, and the sorted
+# a Date field the fast path takes is YYYY-MM-DD in ASCII digits: byte k of
+# its S11 field less _DATE_LOW[k] (wrapping) is at most _DATE_SPAN[k], and
+# byte 11 is empty, since a longer field is cut to 11 bytes
+_DATE_LOW = np.frombuffer(b"0000-00-00\0", np.uint8)
+_DATE_SPAN = np.frombuffer(b"\t\t\t\t\0\t\t\0\t\t\0", np.uint8)
+# numpy parses year 0000, which datetime.date refuses
+_FIRST_DATE = np.datetime64("0001-01-01", "D")
+
+
+def _date_order(dates: np.ndarray):
+    """Stable date order of ``dates``, the sorted dates, and the sorted
     positions whose date repeats the next one."""
-    order = np.argsort(ordinals, kind="stable")
-    dates = (ordinals[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
+    order = np.argsort(dates, kind="stable")
+    dates = dates[order]
     return order, dates, np.flatnonzero(dates[1:] == dates[:-1])
 
 
@@ -114,41 +123,53 @@ def ingest_csv(path, price_column: str = "Adj Close",
 
     The header record is read with ``csv.reader``.  The body is then parsed
     in one ``np.loadtxt`` call over the ``Date`` and price columns, the
-    dates stripped and converted with ``datetime.date.fromisoformat``.  If
-    that raises or warns, finds no rows, a price that is not finite and
-    positive, or a repeated date, the whole file is read again by the
+    dates read as 11-byte strings and converted in one cast to
+    ``datetime64[D]``.  That fast path takes a file only if it holds no NUL
+    byte (numpy drops a field's trailing NULs), every date is exactly
+    ``YYYY-MM-DD`` in ASCII digits with a year from 0001, and every price
+    is finite and positive, with at least one row and no repeated date.
+    Any other file, and any exception or warning on the way, goes to the
     ``csv.reader`` path (``_ingest_csv_reader``), which alone decides what
-    is accepted and alone raises ``DataError``.  Both paths give the same
-    series, so the accepted forms, the values and every error message are
-    those of the ``csv.reader`` path; only ``csv.field_size_limit()`` binds
-    that path alone.  The ticker defaults to the file stem.
+    is accepted and alone raises ``DataError``; a padded, basic or week
+    date is read there.  Both paths give the same series, so the accepted
+    forms, the values and every error message are those of the
+    ``csv.reader`` path; only ``csv.field_size_limit()`` binds that path
+    alone.  The ticker defaults to the file stem.
     """
     # any failure or warning hands the file to the csv.reader path, which
     # decides whether it is an error and reports it
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                date_col, price_col = _header_columns(reader, path, price_column)
-            body = np.loadtxt(path, delimiter=",", skiprows=reader.line_num,
-                              usecols=(date_col, price_col),
-                              dtype=[("d", object), ("p", np.float64)],
-                              quotechar='"', comments=None, encoding="utf-8",
-                              ndmin=1)
-            ordinals = np.fromiter(
-                map(datetime.date.toordinal,
-                    map(datetime.date.fromisoformat, map(str.strip, body["d"]))),
-                np.int64, len(body))
+            parsed = _parse_fast(path, price_column)
     except Exception:
+        parsed = None
+    if parsed is None:
         return _ingest_csv_reader(path, price_column, ticker)
-    closes = body["p"]
-    order, dates, repeats = _date_order(ordinals)
-    if (len(body) == 0 or len(repeats)
+    return PriceSeries(ticker if ticker is not None else Path(path).stem, *parsed)
+
+
+def _parse_fast(path, price_column: str):
+    """The ``np.loadtxt`` path of ``ingest_csv``: the sorted dates and
+    their prices, or None for a file it leaves to the ``csv.reader`` path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        date_col, price_col = _header_columns(reader, path, price_column)
+    if b"\0" in Path(path).read_bytes():
+        return None
+    body = np.loadtxt(path, delimiter=",", skiprows=reader.line_num,
+                      usecols=(date_col, price_col),
+                      dtype=[("d", "S11"), ("p", np.float64)],
+                      quotechar='"', comments=None, encoding="utf-8", ndmin=1)
+    raw = np.ascontiguousarray(body["d"]).view(np.uint8).reshape(-1, 11)
+    if len(body) == 0 or not np.all(raw - _DATE_LOW <= _DATE_SPAN):
+        return None
+    order, dates, repeats = _date_order(body["d"].astype("datetime64[D]"))
+    closes = body["p"][order]
+    if (len(repeats) or dates[0] < _FIRST_DATE
             or not np.all(np.isfinite(closes) & (closes > 0.0))):
-        return _ingest_csv_reader(path, price_column, ticker)
-    return PriceSeries(ticker if ticker is not None else Path(path).stem,
-                       dates, closes[order])
+        return None
+    return dates, closes
 
 
 def _ingest_csv_reader(path, price_column: str = "Adj Close",
@@ -194,7 +215,8 @@ def _ingest_csv_reader(path, price_column: str = "Adj Close",
         _raise_first_bad_row(path, price_column, raw_dates, raw_prices, linenos)
     if n == 0:
         raise DataError(f"{path}: no data rows")
-    order, dates, repeats = _date_order(ordinals)
+    order, dates, repeats = _date_order(
+        (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
     if len(repeats):
         k = repeats[0]
         raise DataError(f"{path}: duplicate date {dates[k]} "
@@ -204,7 +226,14 @@ def _ingest_csv_reader(path, price_column: str = "Adj Close",
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Which files make up a panel.  Paths are relative to ``base_dir``."""
+    """Which files make up a panel.  Paths are relative to ``base_dir``.
+
+    ``index_file`` and ``price_column`` must be strings, ``stock_files`` a
+    sequence of at least two ``(ticker, path)`` string pairs with distinct
+    tickers, and ``date_range`` None or two dates ``date.fromisoformat``
+    accepts, the first not after the second (kept as YYYY-MM-DD); a
+    mismatch raises ValidationError naming the field.
+    """
 
     index_file: str
     stock_files: tuple[tuple[str, str], ...]
@@ -213,38 +242,73 @@ class DatasetManifest:
     base_dir: Path = Path(".")
 
     def __post_init__(self):
+        for key in ("index_file", "price_column"):
+            value = getattr(self, key)
+            if not isinstance(value, str):
+                raise ValidationError(f"{key}: expected a string, got {value!r}")
+        pairs = self.stock_files
+        if not (isinstance(pairs, (list, tuple)) and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(part, str) for part in pair) for pair in pairs)):
+            raise ValidationError("stock_files: expected a list of [ticker, path] "
+                                  f"string pairs, got {pairs!r}")
+        object.__setattr__(self, "stock_files", tuple(map(tuple, pairs)))
         if len(self.stock_files) < 2:
             raise ValidationError("manifest needs at least 2 stock files")
         tickers = [t for t, _ in self.stock_files]
         if len(set(tickers)) != len(tickers):
             raise ValidationError(f"duplicate tickers in manifest: {sorted(tickers)}")
+        if self.date_range is not None:
+            object.__setattr__(self, "date_range", _date_range(self.date_range))
 
     def resolve(self, rel: str) -> Path:
         p = Path(rel)
         return p if p.is_absolute() else Path(self.base_dir) / p
 
 
-def load_manifest(path) -> DatasetManifest:
-    """Read a manifest JSON: index_file, stock_files, date_range, price_column."""
-    path = Path(path)
+def _date_range(bounds) -> tuple[str, str]:
+    """``bounds`` as two YYYY-MM-DD dates; the ValidationError names
+    ``date_range``."""
+    try:
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            raise ValueError
+        first, last = map(datetime.date.fromisoformat, bounds)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"date_range: expected null or two ISO dates, got {bounds!r}") from None
+    if first > last:
+        raise ValidationError(f"date_range: {bounds[0]!r} is after {bounds[1]!r}")
+    return first.isoformat(), last.isoformat()
+
+
+def _read_json_object(path: Path, noun: str) -> dict:
+    """The JSON object in ``path``; a missing file or invalid JSON raises
+    DataError, any other JSON value ValidationError."""
     if not path.is_file():
-        raise DataError(f"{path}: no such manifest")
+        raise DataError(f"{path}: no such {noun}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {raw!r}")
+    return raw
+
+
+def load_manifest(path) -> DatasetManifest:
+    """Read a manifest JSON: index_file, stock_files, date_range, price_column."""
+    path = Path(path)
+    raw = _read_json_object(path, "manifest")
     known = {"index_file", "stock_files", "date_range", "price_column"}
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"{path}: unknown manifest keys {sorted(unknown)}")
     if "index_file" not in raw or "stock_files" not in raw:
         raise ValidationError(f"{path}: manifest needs index_file and stock_files")
-    stock_files = tuple((str(t), str(p)) for t, p in raw["stock_files"])
-    date_range = tuple(raw["date_range"]) if raw.get("date_range") else None
     return DatasetManifest(
-        index_file=str(raw["index_file"]),
-        stock_files=stock_files,
-        date_range=date_range,
+        index_file=raw["index_file"],
+        stock_files=raw["stock_files"],
+        date_range=raw.get("date_range"),
         price_column=raw.get("price_column", "Adj Close"),
         base_dir=path.parent,
     )
@@ -369,12 +433,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     if path is not None:
         path = Path(path)
-        if not path.is_file():
-            raise DataError(f"{path}: no such config file")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
+        raw = _read_json_object(path, "config file")
         names = {f.name for f in fields(RunConfig)}
         unknown = set(raw) - names
         if unknown:

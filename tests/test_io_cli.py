@@ -239,9 +239,18 @@ def ingest_outcome(ingest, path):
 
 
 _VALID_DATES = [f"2000-01-{d:02d}" for d in range(3, 13)]
+# from "0000-01-01" on, the forms where numpy's date parse and fromisoformat
+# could part ways: a year 0000, a trailing NUL (numpy drops it), an 11th or
+# 12th byte (an S11 field cuts the 12th), a signed or short year (numpy reads
+# "+200-01-03" as 0200-01-03), non-ASCII digits (U+0133's low byte is "3"),
+# a day both refuse
 _TRICKY_DATES = ["20000103", "2000-W01-1", "2000-01", " 2000-01-13 ", '"2000-01-14"',
                  ' "2000-01-15"', '"2000-01-16" ', '"2000-01-17\n"', '20"00-01-18"',
-                 "2000-02-30", "Jan 3", ""]
+                 "2000-02-30", "Jan 3", "", "0000-01-01", "2000-01-03\x00",
+                 "2000-01-03x", "2000-01-031", "2000-1-03", "+2000-01-03",
+                 "+200-01-03", "-200-01-03", " 200-01-03",
+                 "\u0662\u0660\u0660\u0660-\u0660\u0661-\u0660\u0663", "2000-01-0\u0133",
+                 "1900-02-29"]
 _VALID_PRICES = ["1", "1.5", "100", "0.333333333333", "1.23456789012e+12"]
 _TRICKY_PRICES = ["1_5", "\u0661", "+1", "1e400", "nan", "0x10", '"1"2', '"1\n"', "",
                   "0", "-1", " 2 ", "\xa03", '"1,5"', "1 2", "inf", "null"]
@@ -286,19 +295,44 @@ class TestIngestPaths:
         assert (ingest_outcome(ingest_csv, path)
                 == ingest_outcome(cc_io._ingest_csv_reader, path))
 
+    @pytest.mark.parametrize("date", _TRICKY_DATES)
+    def test_each_tricky_date_matches(self, tmp_path, date):
+        """One tricky date among valid rows, so that it alone decides."""
+        path = tmp_path / "F.csv"
+        path.write_bytes(("Date,Adj Close\n2000-01-04,1.5\n"
+                          f"{date},2.5\n2000-01-05,3.5\n").encode())
+        assert (ingest_outcome(ingest_csv, path)
+                == ingest_outcome(cc_io._ingest_csv_reader, path))
+
     def test_written_csv_takes_fast_path(self, tmp_path, monkeypatch):
-        s = PriceSeries("T", calendar(300), np.exp(np.sin(np.arange(300.0))))
+        edges = np.array(["0001-01-01", "1600-02-29"], dtype="datetime64[D]")
+        dates = np.concatenate([edges, calendar(300),
+                                np.array(["9999-12-31"], dtype="datetime64[D]")])
+        assert np.datetime64("2000-02-29") in dates
+        s = PriceSeries("T", dates, np.exp(np.sin(np.arange(len(dates), dtype=float))))
         path = tmp_path / "T.csv"
         write_price_csv(path, s)
         expected = cc_io._ingest_csv_reader(path)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("csv.reader path taken")
-
-        monkeypatch.setattr(cc_io, "_ingest_csv_reader", refuse)
+        np.testing.assert_array_equal(expected.dates, dates)
+        monkeypatch.setattr(cc_io, "_ingest_csv_reader", refuse_csv_reader)
         back = ingest_csv(path)
         np.testing.assert_array_equal(back.dates, expected.dates)
         assert back.closes.tobytes() == expected.closes.tobytes()
+
+    def test_simulated_panel_takes_fast_path(self, tmp_path, monkeypatch):
+        data = simulated_dataset(tmp_path, n_stocks=30, n_steps=60)
+        expected = load_panel(load_manifest(data / "manifest.json"))
+        monkeypatch.setattr(cc_io, "_ingest_csv_reader", refuse_csv_reader)
+        panel = load_panel(load_manifest(data / "manifest.json"))
+        assert panel.n_stocks == 30
+        np.testing.assert_array_equal(panel.calendar, expected.calendar)
+        for got, want in zip(panel.stocks + (panel.index_series,),
+                             expected.stocks + (expected.index_series,)):
+            assert got.closes.tobytes() == want.closes.tobytes()
+
+
+def refuse_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader path taken")
 
 
 class TestManifest:
@@ -338,6 +372,53 @@ class TestManifest:
         payload = self.base_payload() | {"stock_files": [["A", "1.csv"], ["A", "2.csv"]]}
         with pytest.raises(ValidationError, match="duplicate"):
             load_manifest(self.manifest_file(tmp_path, payload))
+
+    @pytest.mark.parametrize("key, value, match", [
+        pytest.param("stock_files", [["A"], ["B"]],
+                     r"stock_files: expected a list of \[ticker, path\]", id="one-item-pairs"),
+        pytest.param("stock_files", {"A": "A.csv", "B": "B.csv"}, "stock_files: expected",
+                     id="pairs-as-object"),
+        pytest.param("stock_files", [["A", 1], ["B", "B.csv"]], "stock_files: expected",
+                     id="number-path"),
+        pytest.param("stock_files", "AB", "stock_files: expected", id="pairs-as-string"),
+        pytest.param("date_range", ["2000-01-05"], "date_range: expected", id="one-date"),
+        pytest.param("date_range", ["2000-13-01", "2001-01-01"], "date_range: expected",
+                     id="month-13"),
+        pytest.param("date_range", "2000", "date_range: expected", id="range-as-string"),
+        pytest.param("date_range", ["2000-01", "2000-03"], "date_range: expected",
+                     id="year-month"),
+        pytest.param("date_range", [], "date_range: expected", id="no-dates"),
+        pytest.param("date_range", [20000101, "2000-03-01"], "date_range: expected",
+                     id="number-date"),
+        pytest.param("date_range", ["2000-03-01", "2000-01-01"],
+                     "date_range: '2000-03-01' is after", id="reversed"),
+        pytest.param("price_column", 5, "price_column: expected a string, got 5",
+                     id="number-price-column"),
+        pytest.param("index_file", ["INDEX.csv"], "index_file: expected a string",
+                     id="list-index-file"),
+    ])
+    def test_malformed_key_is_named(self, tmp_path, key, value, match):
+        payload = self.base_payload() | {key: value}
+        with pytest.raises(ValidationError, match=match):
+            load_manifest(self.manifest_file(tmp_path, payload))
+
+    def test_malformed_key_exits_2(self, tmp_path, capsys):
+        payload = self.base_payload() | {"stock_files": [["A"], ["B"]]}
+        assert main(["ingest-check", str(self.manifest_file(tmp_path, payload))]) == 2
+        assert "stock_files: expected" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="fromisoformat is narrower")
+    def test_date_range_kept_as_iso_dates(self, tmp_path):
+        payload = self.base_payload() | {"date_range": ["20000104", "2000-01-06"]}
+        m = load_manifest(self.manifest_file(tmp_path, payload))
+        assert m.date_range == ("2000-01-04", "2000-01-06")
+
+    def test_not_an_object(self, tmp_path):
+        path = self.manifest_file(tmp_path, [["A", "A.csv"]])
+        with pytest.raises(ValidationError, match="expected a JSON object"):
+            load_manifest(path)
+        with pytest.raises(ValidationError, match="expected a JSON object"):
+            load_run_config(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "manifest.json"
