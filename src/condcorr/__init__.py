@@ -19,28 +19,13 @@ __version__ = "0.1.0"
 from .conditional import (
     ChiReport,
     ChiSample,
-    ConditionalSet,
     CorrelationCurve,
     CurvePoint,
-    MarketCorrelationSeries,
     PairConditional,
-    PairCorrelationSeries,
     PanelAnalysis,
     TimeResolvedCorrelation,
     analyze_panel,
-    average_over_windows,
-    chi_distribution,
-    conditional_market_correlation,
-    conditional_select,
-    correlation_curve,
-    index_condition_returns,
-    market_component_correlation,
-    market_correlation_series,
-    pair_conditional_correlation,
-    pair_correlation,
-    pair_correlation_series,
     relative_difference_chi,
-    time_resolved_correlation,
 )
 from .errors import CondCorrError, DataError, InsufficientDataError, ValidationError
 from .fearsim import (

@@ -17,26 +17,26 @@ vanishes; "vanishes" is relative — var ≤ 1e−12 × mean-square — so const
 windows stay undefined under floating-point noise.  Undefined pairs are
 dropped from the S_0 mean, never treated as zero.
 
-Every correlation entry point runs through one nested-span kernel.  Per
-window start t it gathers the (δt2 + 1)-day block of returns once and
-subtracts the block's first row.  Running sums of the shifted rows and of
-their squares give every span's mean and variance, one row-add per day;
+``analyze_panel`` is the one entry point.  It takes the curve C(ρ), each
+pair's C_(x,y) and χ, and C_t from one sweep of a nested-span kernel.  Per
+window start t the kernel gathers the (δt2 + 1)-day block of returns once
+and subtracts the block's first row.  Running sums of the shifted rows and
+of their squares give every span's mean and variance, one row-add per day;
 the shift lies inside each window, so rounding is bounded by the window
 length, not the panel length, and a constant window has variance exactly
 0.  With a = defined/σ per stock, U = block·aᵀ and m = δt + 1 rows,
 Σ_(x≠y) z_x·z_y = Σ U² − m·ū² − m·d (d the defined stocks), so S_0 of every
-span is one batched matrix product.  Single windows and single spans are
-the case δt1 = δt2.
+span is one batched matrix product.
 
-Every conditional result comes from one sweep of that kernel.  For one
-sign the level sets are nested half-lines in r, so each (t, δt) window
-falls in one band, b = the number of requested levels ≤ r; level i holds
-the bands b ≤ i when ρ_i < 0 and b > i when ρ_i ≥ 0 (which keeps ρ = 0 and
-exact ties on the branches of step 3).  Member counts and the S_0 and C_t
-sums are bincounts over (δt, band), mapped to levels by that 0/1 matrix;
-χ takes Zᵀ Z and the pair counts Dᵀ D (D the definedness flags) per δt and
-band between χ levels.  The cost scales with the starts that hold any
-member span plus the χ member elements, not with the number of levels.
+The sweep sorts the windows into bands.  For one sign the level sets are
+nested half-lines in r, so each (t, δt) window falls in one band, b = the
+number of requested levels ≤ r; level i holds the bands b ≤ i when
+ρ_i < 0 and b > i when ρ_i ≥ 0 (which keeps ρ = 0 and exact ties on the
+branches of step 3).  Member counts and the S_0 and C_t sums are bincounts
+over (δt, band), mapped to levels by that 0/1 matrix; χ takes Zᵀ Z and the
+pair counts Dᵀ D (D the definedness flags) per δt and band between χ
+levels.  The cost scales with the starts that hold any member span plus
+the χ member elements, not with the number of levels.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ from .errors import ValidationError
 from .timeseries import AlignedPanel
 
 __all__ = [
-    "PairCorrelationSeries",
-    "MarketCorrelationSeries",
-    "ConditionalSet",
     "CurvePoint",
     "CorrelationCurve",
     "ChiSample",
@@ -61,20 +58,8 @@ __all__ = [
     "ChiReport",
     "TimeResolvedCorrelation",
     "PanelAnalysis",
-    "pair_correlation",
-    "pair_correlation_series",
-    "market_component_correlation",
-    "market_correlation_series",
-    "index_condition_returns",
-    "conditional_select",
-    "conditional_market_correlation",
-    "average_over_windows",
-    "correlation_curve",
-    "pair_conditional_correlation",
     "check_epsilon",
     "relative_difference_chi",
-    "chi_distribution",
-    "time_resolved_correlation",
     "analyze_panel",
 ]
 
@@ -89,43 +74,6 @@ DEFAULT_MIN_SAMPLES = 10
 
 # ---------------------------------------------------------------------------
 # result containers
-
-
-@dataclass(frozen=True)
-class PairCorrelationSeries:
-    """S_(x,y) for every valid window start; NaN marks undefined windows."""
-
-    pair: tuple[str, str]
-    window_span: int
-    horizon: int
-    values: np.ndarray
-
-    @property
-    def undefined_count(self) -> int:
-        return int(np.sum(np.isnan(self.values)))
-
-
-@dataclass(frozen=True)
-class MarketCorrelationSeries:
-    """S_0 for every valid window start; pair_counts gives defined pairs per t."""
-
-    window_span: int
-    horizon: int
-    values: np.ndarray
-    pair_counts: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConditionalSet:
-    """Times (and matching values) whose index return clears the level."""
-
-    level: float
-    member_times: np.ndarray
-    member_values: np.ndarray
-    undefined_skipped: int = 0
-
-    def __len__(self) -> int:
-        return len(self.member_times)
 
 
 @dataclass(frozen=True)
@@ -236,41 +184,15 @@ def _check_window_range(window_range: tuple[int, int]):
         )
 
 
-def _n_starts(panel: AlignedPanel, horizon: int, span: int) -> int:
-    return max(panel.n_days - horizon - span, 0)
-
-
-def _check_span(panel: AlignedPanel, horizon: int, window_span: int,
-                t: int | None = None) -> int:
-    """Number of valid starts; raises when the span leaves none or, given a
-    start ``t``, when t is not one of them."""
-    _check_horizon(panel, horizon)
-    if window_span < 1:
-        raise ValidationError("window span must be >= 1")
-    n_t = _n_starts(panel, horizon, window_span)
-    if t is not None and not 0 <= t < n_t:
-        raise ValidationError(f"window start {t} outside [0, {n_t})")
-    if n_t == 0:
-        raise ValidationError(
-            f"window span {window_span} leaves no valid starts "
-            f"({panel.n_days - horizon} returns)"
-        )
-    return n_t
-
-
-def _returns(panel: AlignedPanel, horizon: int, columns=slice(None), first: int = 0,
-             n: int | None = None) -> np.ndarray:
-    """Δt-day log returns of the chosen stocks at the ``n`` starts from day
-    ``first`` (through the panel's end by default), time-major (days, N)."""
-    if n is None:
-        n = panel.n_days - horizon - first
-    logm = panel.log_close_matrix[columns, first: first + n + horizon]
-    return np.ascontiguousarray((logm[:, horizon:] - logm[:, :n]).T)
+def _returns(panel: AlignedPanel, horizon: int) -> np.ndarray:
+    """Δt-day log returns of every stock at every start, time-major (days, N)."""
+    logm = panel.log_close_matrix
+    return np.ascontiguousarray((logm[:, horizon:] - logm[:, :-horizon]).T)
 
 
 def _condition_returns(panel: AlignedPanel, horizon: int, span: int) -> np.ndarray:
     """Index log return over [t, t+span] for each valid window start."""
-    n_t = _n_starts(panel, horizon, span)
+    n_t = max(panel.n_days - horizon - span, 0)
     index_log = panel.index_log_closes
     return index_log[span: span + n_t] - index_log[:n_t]
 
@@ -318,13 +240,6 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int):
     return block, mean, scale, s0, n_pairs
 
 
-def _single_span(returns: np.ndarray, starts: np.ndarray, span: int):
-    """S_0 and defined pairs of one span at each start; of two columns, S_(x,y)."""
-    chunks = [_window_kernel(returns, starts[lo:lo + _CHUNK], span, span)[3:]
-              for lo in range(0, len(starts), _CHUNK)]
-    return tuple(np.concatenate([chunk[k][:, 0] for chunk in chunks]) for k in (0, 1))
-
-
 @dataclass(frozen=True)
 class _SweepSums:
     """Member sums of one sweep over the window sizes ``spans``.
@@ -359,7 +274,7 @@ def _held_bands(edges: np.ndarray, chosen) -> np.ndarray:
 
 def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
            levels: Sequence[float], pair_levels: Sequence[float] = (),
-           time_levels: Sequence[float] = (), columns=slice(None)) -> _SweepSums:
+           time_levels: Sequence[float] = ()) -> _SweepSums:
     """One pass of the nested-span kernel over every start some level holds.
 
     ``levels`` are sorted and distinct; ``pair_levels`` and ``time_levels``
@@ -367,7 +282,7 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
     use the coarser bands between the pair levels alone, and the starts are
     sorted by those bands, so each Zᵀ Z covers many windows of one band.
     """
-    returns = _returns(panel, horizon, columns)
+    returns = _returns(panel, horizon)
     n_returns, n = returns.shape
     dt1, dt2 = window_range
     spans = np.arange(dt1, dt2 + 1)
@@ -448,153 +363,7 @@ def _span_average(sums: _SweepSums, i: int):
 
 
 # ---------------------------------------------------------------------------
-# definitional (single-window) operations
-
-
-def _resolve(panel: AlignedPanel, stock) -> int:
-    return stock if isinstance(stock, (int, np.integer)) else panel.stock_index(stock)
-
-
-def _pair_columns(panel: AlignedPanel, x, y) -> list[int]:
-    """x's and y's columns in panel order, so S_(x,y) = S_(y,x) bit for bit."""
-    return sorted((_resolve(panel, x), _resolve(panel, y)))
-
-
-def pair_correlation(panel: AlignedPanel, x, y, t: int, window_span: int,
-                     horizon: int = 1) -> float | None:
-    """S_(x,y)(t, δt, Δt) for one window; None when either volatility is zero.
-
-    x == y is tolerated (gives 1.0 when defined) so test harnesses can probe
-    the self-correlation identity.
-    """
-    _check_span(panel, horizon, window_span, t)
-    returns = _returns(panel, horizon, _pair_columns(panel, x, y), t, window_span + 1)
-    value = float(_single_span(returns, np.array([0]), window_span)[0][0])
-    return None if np.isnan(value) else value
-
-
-def pair_correlation_series(panel: AlignedPanel, x, y, window_span: int,
-                            horizon: int = 1) -> PairCorrelationSeries:
-    """S_(x,y) at every valid start (vectorized); NaN marks undefined windows."""
-    n_t = _check_span(panel, horizon, window_span)
-    returns = _returns(panel, horizon, _pair_columns(panel, x, y))
-    values = _single_span(returns, np.arange(n_t), window_span)[0]
-    name = tuple(v if isinstance(v, str) else panel.tickers[v] for v in (x, y))
-    return PairCorrelationSeries(name, window_span, horizon, values)
-
-
-def market_component_correlation(panel: AlignedPanel, t: int, window_span: int,
-                                 horizon: int = 1) -> tuple[float, int] | None:
-    """S_0(t, δt, Δt) and its defined-pair count; None when no pair is defined."""
-    _check_span(panel, horizon, window_span, t)
-    returns = _returns(panel, horizon, first=t, n=window_span + 1)
-    s0, n_pairs = _single_span(returns, np.array([0]), window_span)
-    return None if n_pairs[0] == 0 else (float(s0[0]), int(n_pairs[0]))
-
-
-def market_correlation_series(panel: AlignedPanel, window_span: int,
-                              horizon: int = 1) -> MarketCorrelationSeries:
-    """S_0 at every valid start; NaN where no pair is defined."""
-    n_t = _check_span(panel, horizon, window_span)
-    returns = _returns(panel, horizon)
-    values, pair_counts = _single_span(returns, np.arange(n_t), window_span)
-    return MarketCorrelationSeries(window_span, horizon, values, pair_counts)
-
-
-def index_condition_returns(panel: AlignedPanel, window_span: int,
-                            horizon: int = 1) -> np.ndarray:
-    """r_δt(t): the index's own return over each correlation window.
-
-    Trimmed to the same valid starts as the matching correlation series, so
-    the two share a time index.
-    """
-    _check_span(panel, horizon, window_span)
-    return _condition_returns(panel, horizon, window_span)
-
-
-def conditional_select(s0_values, index_returns, level: float,
-                       branch: str | None = None) -> ConditionalSet:
-    """Times whose index return satisfies the level-ρ condition.
-
-    The branch follows the sign of ``level`` (≥ for ρ ≥ 0, < for ρ < 0);
-    pass ``branch="ge"`` or ``"lt"`` to override — used e.g. to split at
-    ρ = 0 into the two complementary sets.  NaN values (undefined windows)
-    are skipped and counted.
-    """
-    values = np.asarray(getattr(s0_values, "values", s0_values), dtype=np.float64)
-    returns = np.asarray(index_returns, dtype=np.float64)
-    if values.shape != returns.shape:
-        raise ValidationError(
-            f"series of {values.shape} vs index returns of {returns.shape}"
-        )
-    if branch is None:
-        # ρ = 0 belongs to the non-negative branch
-        branch = "lt" if level < 0.0 else "ge"
-    if branch == "ge":
-        mask = returns >= level
-    elif branch == "lt":
-        mask = returns < level
-    else:
-        raise ValidationError(f"unknown branch {branch!r}")
-    have = ~np.isnan(values)
-    keep = mask & have
-    return ConditionalSet(
-        level=level,
-        member_times=np.nonzero(keep)[0],
-        member_values=values[keep],
-        undefined_skipped=int(np.sum(mask & ~have)),
-    )
-
-
-def conditional_market_correlation(panel: AlignedPanel, level: float,
-                                   window_span: int, horizon: int = 1
-                                   ) -> tuple[float, int] | None:
-    """C_0(ρ, δt, Δt) and the member count; None when the set is empty."""
-    _check_span(panel, horizon, window_span)
-    average = _span_average(_sweep(panel, horizon, (window_span,) * 2, [level]), 0)
-    return None if average is None else average[:2]
-
-
-def average_over_windows(panel: AlignedPanel, level: float,
-                         window_range: tuple[int, int] = DEFAULT_WINDOW_RANGE,
-                         horizon: int = 1,
-                         min_samples: int = DEFAULT_MIN_SAMPLES) -> CurvePoint | None:
-    """C(ρ, Δt): mean of C_0 over integer δt in [δt1, δt2]; None when no
-    window size has members."""
-    analysis = analyze_panel(panel, (level,), window_range, horizon,
-                             min_samples=min_samples)
-    return analysis.curve.point(level)
-
-
-def correlation_curve(panel: AlignedPanel, rho_grid: Sequence[float],
-                      window_range: tuple[int, int] = DEFAULT_WINDOW_RANGE,
-                      horizon: int = 1,
-                      min_samples: int = DEFAULT_MIN_SAMPLES) -> CorrelationCurve:
-    """C(ρ, Δt) over a signed grid; grid must probe both branches."""
-    levels = sorted(set(float(r) for r in rho_grid))
-    if not levels:
-        raise ValidationError("rho grid is empty")
-    if not (any(r < 0 for r in levels) and any(r >= 0 for r in levels)):
-        raise ValidationError("rho grid must contain both a ρ < 0 and a ρ ≥ 0 level")
-    analysis = analyze_panel(panel, levels, window_range, horizon,
-                             chi_levels=(), ct_levels=(), min_samples=min_samples)
-    return analysis.curve
-
-
-def pair_conditional_correlation(panel: AlignedPanel, x, y, level: float,
-                                 window_range: tuple[int, int] = DEFAULT_WINDOW_RANGE,
-                                 horizon: int = 1) -> CurvePoint | None:
-    """C_(x,y)(ρ, Δt): the conditional pipeline with one pair's S in place of S_0."""
-    _check_window_range(window_range)
-    _check_span(panel, horizon, window_range[1])
-    # over the two columns x and y, S_0 is S_(x,y)
-    average = _span_average(_sweep(panel, horizon, window_range, [level],
-                                   columns=_pair_columns(panel, x, y)), 0)
-    if average is None:
-        return None
-    value, total, excluded, _ = average
-    return CurvePoint(rho=level, value=value, sample_count=total,
-                      excluded_windows=excluded)
+# χ and the one entry point
 
 
 def check_epsilon(epsilon: float):
@@ -612,28 +381,6 @@ def relative_difference_chi(c_minus: float, c_plus: float,
     if abs(c_plus) <= epsilon:
         return None
     return (c_minus - c_plus) / abs(c_plus)
-
-
-def chi_distribution(panel: AlignedPanel, level_abs: float,
-                     window_range: tuple[int, int] = DEFAULT_WINDOW_RANGE,
-                     horizon: int = 1,
-                     epsilon: float = DEFAULT_EPSILON) -> ChiReport:
-    """Per-pair χ_ρ over every unordered stock pair at one |ρ|."""
-    if level_abs <= 0:
-        raise ValidationError("chi level must be a positive magnitude")
-    analysis = analyze_panel(panel, rho_grid=(-abs(level_abs), abs(level_abs)),
-                             window_range=window_range, horizon=horizon,
-                             chi_levels=(abs(level_abs),), ct_levels=())
-    return analysis.chi[abs(level_abs)]
-
-
-def time_resolved_correlation(panel: AlignedPanel, level: float,
-                              window_range: tuple[int, int] = DEFAULT_WINDOW_RANGE,
-                              horizon: int = 1) -> TimeResolvedCorrelation:
-    """C_t(ρ, Δt) samples: for each time qualifying under at least one δt,
-    the mean of S_0(t, δt) over the qualifying window sizes."""
-    analysis = analyze_panel(panel, (), window_range, horizon, ct_levels=(level,))
-    return analysis.time_resolved[float(level)]
 
 
 def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,

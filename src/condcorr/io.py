@@ -134,7 +134,8 @@ def ingest_csv(path, price_column: str = "Adj Close",
     date is read there.  Both paths give the same series, so the accepted
     forms, the values and every error message are those of the
     ``csv.reader`` path; only ``csv.field_size_limit()`` binds that path
-    alone.  The ticker defaults to the file stem.
+    alone.  A file that is not UTF-8, or that ``csv.reader`` refuses, raises
+    ``DataError`` too.  The ticker defaults to the file stem.
     """
     # any failure or warning hands the file to the csv.reader path, which
     # decides whether it is an error and reports it
@@ -191,18 +192,23 @@ def _ingest_csv_reader(path, price_column: str = "Adj Close",
         raise DataError(f"{path}: no such file")
     name = ticker if ticker is not None else path.stem
     raw_dates, raw_prices, linenos = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        date_col, price_col = _header_columns(reader, path, price_column)
-        width = max(date_col, price_col) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            raw_dates.append(row[date_col].strip())
-            raw_prices.append(row[price_col].strip())
-            linenos.append(reader.line_num)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            date_col, price_col = _header_columns(reader, path, price_column)
+            width = max(date_col, price_col) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                raw_dates.append(row[date_col].strip())
+                raw_prices.append(row[price_col].strip())
+                linenos.append(reader.line_num)
+    except csv.Error as exc:  # an oversized field; on Python 3.10 also a NUL byte
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # decoded in chunks, so no line number
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     n = len(linenos)
     try:
         ordinals = np.fromiter(

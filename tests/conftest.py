@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from condcorr import AlignedPanel, PriceSeries
+from condcorr import AlignedPanel, PriceSeries, conditional
 
 START = np.datetime64("2000-01-03")
 
@@ -58,6 +58,20 @@ def random_oracle_panel(rng):
     noise = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.01, size=n_days - 1))])
     index_closes = np.exp(common + noise)
     return make_panel(rows, index_closes)
+
+
+def window_probe(panel, span, horizon=1, columns=None, starts=None):
+    """S_0 and the defined-pair count of one span at every valid window start
+    (or at ``starts``), straight from the kernel that ``analyze_panel``
+    sweeps.  Over two columns (x, y), taken in the order given, S_0 is
+    S_(x,y); NaN marks an undefined window."""
+    returns = conditional._returns(panel, horizon)
+    if columns is not None:
+        returns = np.ascontiguousarray(returns[:, list(columns)])
+    if starts is None:
+        starts = np.arange(max(len(returns) - span, 0))
+    s0, n_pairs = conditional._window_kernel(returns, np.asarray(starts), span, span)[3:]
+    return s0[:, 0], n_pairs[:, 0]
 
 
 @pytest.fixture

@@ -18,14 +18,10 @@ import pytest
 from condcorr import (
     SimConfig,
     analyze_panel,
-    average_over_windows,
     detrend_log_price,
     first_passage_times,
     fit_tail_exponent,
     gain_loss_report,
-    pair_conditional_correlation,
-    pair_correlation,
-    pair_correlation_series,
     simulate_market,
     to_aligned_panel,
     waiting_time_histogram,
@@ -34,7 +30,7 @@ from condcorr import (
 from condcorr.ranktests import equalize_sizes
 
 import reference
-from conftest import make_panel, random_oracle_panel
+from conftest import make_panel, random_oracle_panel, window_probe
 
 CONTROL_SEED = 20260801
 CONTROL_MAGNITUDES = (0.03, 0.05, 0.10)
@@ -80,9 +76,10 @@ def test_conditional_pipeline_matches_direct_definitions():
         dt1 = int(rng.integers(1, 4))
         dt2 = dt1 + int(rng.integers(1, 5))
         horizon = int(rng.integers(1, 3))
+        analysis = analyze_panel(panel, (-0.01, 0.0, 0.009), (dt1, dt2), horizon,
+                                 chi_levels=(0.005,), min_samples=1)
         for level in (-0.01, 0.0, 0.009):
-            got = average_over_windows(panel, level, (dt1, dt2), horizon,
-                                       min_samples=1)
+            got = analysis.curve.point(level)
             want = reference.curve_point(rows, idx, level, dt1, dt2, horizon)
             if want is None:
                 assert got is None
@@ -93,17 +90,19 @@ def test_conditional_pipeline_matches_direct_definitions():
             assert got.sample_count == n_samples
             assert got.excluded_windows == n_excluded
             n_points += 1
-        # one random pair through the same conditional machinery
-        x, y = rng.choice(panel.n_stocks, size=2, replace=False)
-        got = pair_conditional_correlation(panel, int(x), int(y), -0.005,
-                                           (dt1, dt2), horizon)
-        want, want_n = reference.pair_conditional(rows, idx, int(x), int(y),
-                                                  -0.005, dt1, dt2, horizon)
-        if want is None:
-            assert got is None
-        else:
-            assert abs(got.value - want) <= 1e-10
-            assert got.sample_count == want_n
+        # one random pair's conditionals at ∓0.005, as pairs_*.tsv prints them
+        x, y = sorted(rng.choice(panel.n_stocks, size=2, replace=False))
+        pc, = [pc for pc in analysis.chi[0.005].pairs
+               if pc.pair == (panel.tickers[x], panel.tickers[y])]
+        for got, got_n, level in ((pc.c_minus, pc.count_minus, -0.005),
+                                  (pc.c_plus, pc.count_plus, 0.005)):
+            want, want_n = reference.pair_conditional(rows, idx, int(x), int(y),
+                                                      level, dt1, dt2, horizon)
+            assert got_n == want_n
+            if want is None:
+                assert got is None
+            else:
+                assert abs(got - want) <= 1e-10
     elapsed = time.perf_counter() - started
     print(f"{n_points} curve points, max |deviation| {worst:.2e}, {elapsed:.1f}s")
     assert n_points > 150, "conditioning produced too few comparable points"
@@ -276,13 +275,14 @@ def test_randomized_invariant_battery():
     property suites carry the full versions)."""
     rng = np.random.default_rng(1)
 
-    # correlation: bit-exact pair symmetry, bounds, affine return invariance
+    # correlation: pair symmetry (definedness exactly, values to 1e-14),
+    # bounds, affine return invariance
     for _ in range(10):
         panel = random_oracle_panel(rng)
-        for t in (0, 3):
-            assert (pair_correlation(panel, 0, 1, t, 4)
-                    == pair_correlation(panel, 1, 0, t, 4))
-        values = pair_correlation_series(panel, 0, 1, window_span=4).values
+        values = window_probe(panel, 4, columns=(0, 1))[0]
+        swapped = window_probe(panel, 4, columns=(1, 0))[0]
+        np.testing.assert_array_equal(np.isnan(swapped), np.isnan(values))
+        np.testing.assert_allclose(swapped, values, rtol=0, atol=1e-14, equal_nan=True)
         finite = values[~np.isnan(values)]
         assert np.all(np.abs(finite) <= 1.0 + 1e-9)
         scaled = make_panel(
@@ -291,8 +291,7 @@ def test_randomized_invariant_battery():
             panel.index_series.closes,
         )
         np.testing.assert_allclose(
-            pair_correlation_series(scaled, 0, 1, window_span=4).values,
-            values, atol=1e-9, equal_nan=True,
+            window_probe(scaled, 4, columns=(0, 1))[0], values, atol=1e-9, equal_nan=True,
         )
 
     # first passage: minimality against the brute-force scan

@@ -5,26 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from condcorr import (
-    ValidationError,
-    analyze_panel,
-    average_over_windows,
-    chi_distribution,
-    conditional_market_correlation,
-    conditional_select,
-    correlation_curve,
-    index_condition_returns,
-    market_component_correlation,
-    market_correlation_series,
-    pair_conditional_correlation,
-    pair_correlation,
-    pair_correlation_series,
-    relative_difference_chi,
-    time_resolved_correlation,
-)
+from condcorr import ValidationError, analyze_panel, conditional, relative_difference_chi
 
 import reference
-from conftest import make_panel, random_oracle_panel
+from conftest import make_panel, random_oracle_panel, window_probe
 
 
 def panel_from_returns(return_rows, index_closes=None):
@@ -32,65 +16,86 @@ def panel_from_returns(return_rows, index_closes=None):
     return make_panel(rows, index_closes)
 
 
+def pair_value(p, span=2, columns=(0, 1), t=0):
+    """S_(x,y) of one window through the kernel; None when undefined."""
+    value = window_probe(p, span, columns=columns)[0][t]
+    return None if np.isnan(value) else float(value)
+
+
+def per_span_members(panel, level, spans, horizon=1):
+    """For each span, the defined S_0 of the windows in the level-ρ set,
+    selected here by the rule itself: r ≥ ρ for ρ ≥ 0, r < ρ for ρ < 0."""
+    members = []
+    for span in spans:
+        s0, _ = window_probe(panel, span, horizon)
+        r = conditional._condition_returns(panel, horizon, span)
+        member = r < level if level < 0 else r >= level
+        members.append(s0[member & ~np.isnan(s0)])
+    return members
+
+
+def assert_point_matches(got, members):
+    """A curve point against per-span member sets: the mean of the member
+    means, the member total, and the spans without members."""
+    sizes = [len(m) for m in members]
+    if sum(sizes) == 0:
+        assert got is None
+        return
+    assert got.sample_count == sum(sizes)
+    assert got.excluded_windows == sizes.count(0)
+    assert got.value == pytest.approx(np.mean([m.mean() for m in members if len(m)]),
+                                      abs=1e-10)
+
+
 class TestPairCorrelation:
     def test_identical_motion_gives_one(self):
         p = panel_from_returns([[0.01, -0.02, 0.03], [0.01, -0.02, 0.03]])
-        assert pair_correlation(p, 0, 1, 0, 2) == pytest.approx(1.0, abs=1e-12)
+        assert pair_value(p) == pytest.approx(1.0, abs=1e-12)
 
     def test_mirrored_motion_gives_minus_one(self):
         p = panel_from_returns([[0.01, -0.02, 0.03], [-0.01, 0.02, -0.03]])
-        assert pair_correlation(p, 0, 1, 0, 2) == pytest.approx(-1.0, abs=1e-12)
+        assert pair_value(p) == pytest.approx(-1.0, abs=1e-12)
 
     def test_half_correlated_window(self):
         p = panel_from_returns([[0.01, 0.02, 0.03], [0.01, 0.03, 0.02]])
-        assert pair_correlation(p, 0, 1, 0, 2) == pytest.approx(0.5, abs=1e-12)
+        assert pair_value(p) == pytest.approx(0.5, abs=1e-12)
 
     def test_flat_stock_is_undefined(self):
         p = panel_from_returns([[0.01, -0.02, 0.03], [0.0, 0.0, 0.0]])
-        assert pair_correlation(p, 0, 1, 0, 2) is None
+        assert pair_value(p) is None
+        assert window_probe(p, 2)[1][0] == 0
 
     def test_self_pair_gives_one(self):
         p = panel_from_returns([[0.01, -0.02, 0.03], [0.02, 0.01, -0.01]])
-        assert pair_correlation(p, 0, 0, 0, 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_accepts_tickers(self):
-        p = panel_from_returns([[0.01, 0.02, 0.03], [0.01, 0.03, 0.02]])
-        by_name = pair_correlation(p, "S00", "S01", 0, 2)
-        by_index = pair_correlation(p, 0, 1, 0, 2)
-        assert by_name == by_index
-
-    def test_window_bounds(self):
-        p = panel_from_returns([[0.01, -0.02, 0.03], [0.02, 0.01, -0.01]])
-        with pytest.raises(ValidationError):
-            pair_correlation(p, 0, 1, 1, 2)  # start 1 + span 2 needs 4 returns
-        with pytest.raises(ValidationError):
-            pair_correlation(p, 0, 1, 0, 0)
-        with pytest.raises(ValidationError):
-            pair_correlation(p, 0, 1, -1, 2)
+        assert pair_value(p, columns=(0, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_is_exact(self, rng):
-        p = random_oracle_panel(rng)
-        for t in range(0, 8, 2):
-            a = pair_correlation(p, 0, 1, t, 5)
-            b = pair_correlation(p, 1, 0, t, 5)
-            assert a == b  # bit-identical, not approximately equal
+        """Definedness exactly, values to 1e-14: the χ outputs list each
+        unordered pair once, so no output depends on the column order."""
+        for _ in range(20):
+            p = random_oracle_panel(rng)
+            a = window_probe(p, 5, columns=(0, 1))[0]
+            b = window_probe(p, 5, columns=(1, 0))[0]
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14, equal_nan=True)
 
     def test_bounded_by_one(self, rng):
         for _ in range(5):
             p = random_oracle_panel(rng)
-            s = pair_correlation_series(p, 0, 1, window_span=4)
-            finite = s.values[~np.isnan(s.values)]
+            values = window_probe(p, 4, columns=(0, 1))[0]
+            finite = values[~np.isnan(values)]
             assert np.all(np.abs(finite) <= 1.0 + 1e-9)
 
     def test_series_matches_pointwise(self, rng):
         p = random_oracle_panel(rng)
-        s = pair_correlation_series(p, 0, 1, window_span=3)
-        for t in range(len(s.values)):
-            single = pair_correlation(p, 0, 1, t, 3)
+        returns = reference.log_return_rows([s.closes.tolist() for s in p.stocks], 1)
+        values = window_probe(p, 3, columns=(0, 1))[0]
+        for t, value in enumerate(values):
+            single = reference.pair_corr(returns[0], returns[1], t, 3)
             if single is None:
-                assert math.isnan(s.values[t])
+                assert math.isnan(value)
             else:
-                assert s.values[t] == pytest.approx(single, abs=1e-12)
+                assert value == pytest.approx(single, abs=1e-12)
 
     def test_affine_return_invariance(self, rng):
         """Per-stock maps r -> a*r + b (a > 0) leave every window correlation alone."""
@@ -101,8 +106,8 @@ class TestPairCorrelation:
             for s, a, b in zip(p.stocks, (1.7, 0.4, 2.2, 0.9), (0.001, -0.002, 0.0, 0.003))
         ]
         q = make_panel(scaled[: p.n_stocks], p.index_series.closes)
-        s_p = pair_correlation_series(p, 0, 1, window_span=4).values
-        s_q = pair_correlation_series(q, 0, 1, window_span=4).values
+        s_p = window_probe(p, 4, columns=(0, 1))[0]
+        s_q = window_probe(q, 4, columns=(0, 1))[0]
         np.testing.assert_allclose(s_q, s_p, atol=1e-9, equal_nan=True)
 
 
@@ -160,18 +165,7 @@ class TestNestedSpanOracle:
                                                                  dt1, dt2, 1)
             assert (got.sample_count, got.excluded_windows) == (n_samples, n_excluded)
             assert got.value == pytest.approx(value, abs=1e-10)
-        for level_abs, report in analysis.chi.items():
-            for pc in report.pairs:
-                x, y = (p.stock_index(t) for t in pc.pair)
-                for c, count, level in ((pc.c_minus, pc.count_minus, -level_abs),
-                                        (pc.c_plus, pc.count_plus, level_abs)):
-                    want, want_n = reference.pair_conditional(rows, idx, x, y, level,
-                                                              dt1, dt2, 1)
-                    assert count == want_n
-                    if want is None:
-                        assert c is None
-                    else:
-                        assert c == pytest.approx(want, abs=1e-10)
+        assert_pairs_match_reference(p, analysis, self.WINDOW_RANGE)
         for level, ct in analysis.time_resolved.items():
             want = reference.time_resolved(rows, idx, level, dt1, dt2, 1)
             np.testing.assert_array_equal(ct.times, sorted(want))
@@ -214,7 +208,7 @@ class TestLongPanelOracle:
         p, returns = long_panel
         for span in self.SPANS:
             for x, y in ((0, 1), (0, 2), (1, 2)):
-                got = pair_correlation_series(p, x, y, window_span=span).values
+                got = window_probe(p, span, columns=(x, y))[0]
                 want = [reference.pair_corr(returns[x], returns[y], t, span)
                         for t in range(len(got))]
                 self.assert_matches(got, want)
@@ -222,46 +216,31 @@ class TestLongPanelOracle:
     def test_market_series_and_pair_counts(self, long_panel):
         p, returns = long_panel
         for span in self.SPANS:
-            series = market_correlation_series(p, span)
-            n_t = len(series.values)
+            values, pair_counts = window_probe(p, span)
+            n_t = len(values)
             self.assert_matches(
-                series.values, [reference.market_corr(returns, t, span) for t in range(n_t)]
+                values, [reference.market_corr(returns, t, span) for t in range(n_t)]
             )
             defined = [
                 sum(reference.window_moments(r[t: t + span + 1])[2] for r in returns)
                 for t in range(n_t)
             ]
-            np.testing.assert_array_equal(series.pair_counts,
-                                          [d * (d - 1) // 2 for d in defined])
+            np.testing.assert_array_equal(pair_counts, [d * (d - 1) // 2 for d in defined])
 
     def test_sweep_matches_per_span_selection(self, long_panel):
         p, _ = long_panel
         levels = (-0.03, -0.01, 0.0, 0.01, 0.03)
         analysis = analyze_panel(p, levels, window_range=(10, 35), min_samples=1)
-        members = {level: [] for level in levels}
-        for span in range(10, 36):
-            series = market_correlation_series(p, span)
-            returns = index_condition_returns(p, span)
-            for level in levels:
-                members[level].append(conditional_select(series, returns, level))
         for level in levels:
-            got = analysis.curve.point(level)
-            sizes = [len(m) for m in members[level]]
-            assert got.sample_count == sum(sizes)
-            assert got.excluded_windows == sizes.count(0)
-            means = [m.member_values.mean() for m in members[level] if len(m)]
-            assert got.value == pytest.approx(np.mean(means), abs=1e-10)
+            assert_point_matches(analysis.curve.point(level),
+                                 per_span_members(p, level, range(10, 36)))
 
     def test_single_windows(self, long_panel):
+        """The kernel at scattered starts, as the sweep gathers its members."""
         p, returns = long_panel
         for span in self.SPANS:
-            s0, pairs, s01 = [], [], []
-            for t in self.SPOT_STARTS:
-                got = market_component_correlation(p, t, span)
-                s0.append(np.nan if got is None else got[0])
-                pairs.append(0 if got is None else got[1])
-                got = pair_correlation(p, 0, 1, t, span)
-                s01.append(np.nan if got is None else got)
+            s0, pairs = window_probe(p, span, starts=self.SPOT_STARTS)
+            s01 = window_probe(p, span, columns=(0, 1), starts=self.SPOT_STARTS)[0]
             self.assert_matches(s0, [reference.market_corr(returns, t, span)
                                      for t in self.SPOT_STARTS])
             self.assert_matches(s01, [reference.pair_corr(returns[0], returns[1], t, span)
@@ -274,98 +253,105 @@ class TestLongPanelOracle:
 class TestMarketCorrelation:
     def test_two_stocks_reduce_to_single_pair(self):
         p = panel_from_returns([[0.01, 0.02, 0.03], [0.01, 0.03, 0.02]])
-        s0, n_pairs = market_component_correlation(p, 0, 2)
-        assert n_pairs == 1
-        assert s0 == pytest.approx(pair_correlation(p, 0, 1, 0, 2), abs=1e-12)
+        s0, n_pairs = window_probe(p, 2)
+        assert n_pairs[0] == 1
+        assert s0[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_over_defined_pairs(self, rng):
         p = random_oracle_panel(rng)
         span = 5
-        series = market_correlation_series(p, span)
-        for t in range(min(len(series.values), 10)):
-            vals = [
-                pair_correlation(p, i, j, t, span)
-                for i in range(p.n_stocks)
-                for j in range(i + 1, p.n_stocks)
-            ]
-            vals = [v for v in vals if v is not None]
+        values, pair_counts = window_probe(p, span)
+        pairs = [window_probe(p, span, columns=(i, j))[0]
+                 for i in range(p.n_stocks) for j in range(i + 1, p.n_stocks)]
+        for t in range(min(len(values), 10)):
+            vals = [v[t] for v in pairs if not np.isnan(v[t])]
             if not vals:
-                assert math.isnan(series.values[t])
+                assert math.isnan(values[t])
             else:
-                assert series.values[t] == pytest.approx(np.mean(vals), abs=1e-12)
-                assert series.pair_counts[t] == len(vals)
+                assert values[t] == pytest.approx(np.mean(vals), abs=1e-12)
+                assert pair_counts[t] == len(vals)
 
     def test_no_defined_pair_gives_none(self):
         p = panel_from_returns([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        assert market_component_correlation(p, 0, 2) is None
+        s0, n_pairs = window_probe(p, 2)
+        assert math.isnan(s0[0]) and n_pairs[0] == 0
 
     def test_partially_flat_panel_drops_pairs(self):
         p = panel_from_returns(
             [[0.01, -0.02, 0.03], [0.02, 0.01, -0.01], [0.0, 0.0, 0.0]]
         )
-        s0, n_pairs = market_component_correlation(p, 0, 2)
-        assert n_pairs == 1  # only the two moving stocks form a defined pair
-        assert s0 == pytest.approx(pair_correlation(p, 0, 1, 0, 2), abs=1e-12)
+        s0, n_pairs = window_probe(p, 2)
+        assert n_pairs[0] == 1  # only the two moving stocks form a defined pair
+        assert s0[0] == pytest.approx(pair_value(p), abs=1e-12)
 
 
 class TestConditionalSelect:
-    S0 = [0.2, 0.5, 0.3]
-    R = [0.02, -0.04, 0.00]
+    """The level-ρ set through ``analyze_panel``: r ≥ ρ for ρ ≥ 0 (ρ = 0
+    included), r < ρ for ρ < 0.  The index closes repeat and halve, so every
+    span-1 and span-2 index return is exactly 0, ±h or 2h with h = log ½
+    (log ¼ = 2·log ½ in floating point), and windows tie with the levels."""
+
+    INDEX = [1.0, 0.5, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0]
+    RETURNS = [[0.01, -0.02, 0.03, -0.01, 0.02, -0.03, 0.01],
+               [0.02, 0.01, -0.01, 0.03, -0.02, 0.01, 0.02]]
+    H = math.log(0.5)
+
+    def point(self, level):
+        p = panel_from_returns(self.RETURNS, self.INDEX)
+        point = analyze_panel(p, (level,), window_range=(1, 2), min_samples=1).curve.point(level)
+        assert_point_matches(point, per_span_members(p, level, (1, 2)))
+        return point
 
     def test_zero_level_takes_nonnegative_branch(self):
-        cs = conditional_select(self.S0, self.R, 0.0)
-        np.testing.assert_array_equal(cs.member_times, [0, 2])
-        np.testing.assert_allclose(cs.member_values, [0.2, 0.3])
+        p = panel_from_returns(self.RETURNS, self.INDEX)
+        span1, span2 = (conditional._condition_returns(p, 1, span) for span in (1, 2))
+        np.testing.assert_array_equal(span1, [self.H, self.H, 0.0, -self.H, 0.0, -self.H])
+        np.testing.assert_array_equal(span2, [2 * self.H, self.H, -self.H, -self.H, -self.H])
+        # span 1 starts 2-5 (two of them exactly at 0) and span 2 starts 2-4
+        assert self.point(0.0).sample_count == 7
 
     def test_negative_level_takes_strict_below_branch(self):
-        cs = conditional_select(self.S0, self.R, -0.03)
-        np.testing.assert_array_equal(cs.member_times, [1])
-        np.testing.assert_allclose(cs.member_values, [0.5])
+        # three windows sit exactly at h; only the 2h window lies below it
+        assert self.point(self.H).sample_count == 1
+        assert self.point(self.H).excluded_windows == 1
+        assert self.point(2 * self.H) is None
 
     def test_unreached_level_gives_empty_set(self):
-        cs = conditional_select(self.S0, self.R, 0.05)
-        assert len(cs) == 0
+        assert self.point(1.0) is None
+        assert self.point(-2.0) is None
 
     def test_negative_zero_behaves_as_zero(self):
-        cs = conditional_select(self.S0, self.R, -0.0)
-        np.testing.assert_array_equal(cs.member_times, [0, 2])
-
-    def test_branch_override_partitions_at_zero(self):
-        ge = conditional_select(self.S0, self.R, 0.0, branch="ge")
-        lt = conditional_select(self.S0, self.R, 0.0, branch="lt")
-        assert len(ge) + len(lt) == len(self.S0)
-        assert set(ge.member_times) | set(lt.member_times) == {0, 1, 2}
+        assert self.point(-0.0) == self.point(0.0)
 
     def test_undefined_windows_are_skipped_and_counted(self):
-        cs = conditional_select([0.2, math.nan, 0.3], [0.02, 0.05, 0.01], 0.0)
-        np.testing.assert_allclose(cs.member_values, [0.2, 0.3])
-        assert cs.undefined_skipped == 1
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            conditional_select([0.1, 0.2], [0.01], 0.0)
-
-    def test_unknown_branch_rejected(self):
-        with pytest.raises(ValidationError):
-            conditional_select(self.S0, self.R, 0.0, branch="le")
+        # stock 0 is flat over returns 0-2: span-1 starts 0 and 1 and span-2
+        # start 0 have no defined pair; the index rises, so every window is a
+        # member at ρ = 0, and those three are the ones skipped
+        p = panel_from_returns([[0.01, 0.01, 0.01, -0.02, 0.03, -0.01],
+                                [0.02, -0.01, 0.03, 0.01, -0.02, 0.02]],
+                               np.exp(0.001 * np.arange(7.0)))
+        undefined = [np.flatnonzero(window_probe(p, span)[1] == 0) for span in (1, 2)]
+        assert [u.tolist() for u in undefined] == [[0, 1], [0]]
+        point = analyze_panel(p, (0.0,), window_range=(1, 2), min_samples=1).curve.point(0.0)
+        assert point.sample_count == (5 + 4) - 3
+        assert_point_matches(point, per_span_members(p, 0.0, (1, 2)))
 
     def test_partition_counts_on_random_panel(self, rng):
         p = random_oracle_panel(rng)
-        span = 4
-        series = market_correlation_series(p, span)
-        cond = index_condition_returns(p, span)
-        ge = conditional_select(series, cond, 0.0, branch="ge")
-        lt = conditional_select(series, cond, 0.0, branch="lt")
-        n_defined = int(np.sum(~np.isnan(series.values)))
-        assert len(ge) + len(lt) == n_defined
-        assert ge.undefined_skipped + lt.undefined_skipped == len(series.values) - n_defined
+        # r < the largest negative float exactly when r < 0, so the two
+        # levels split the windows into the ρ = 0 set and its complement
+        below = np.nextafter(0.0, -1.0)
+        analysis = analyze_panel(p, (below, 0.0), window_range=(4, 5), min_samples=1)
+        n_defined = sum(int(np.sum(~np.isnan(window_probe(p, span)[0]))) for span in (4, 5))
+        counts = [point.sample_count for point in analysis.curve.points]
+        assert sum(counts) == n_defined
 
 
 class TestIndexConditionReturns:
     def test_window_return_definition(self, rng):
         p = random_oracle_panel(rng)
         span = 6
-        r = index_condition_returns(p, span)
+        r = conditional._condition_returns(p, 1, span)
         logc = np.log(p.index_series.closes)
         n_returns = p.n_days - 1
         assert r.shape == (n_returns - span,)
@@ -374,16 +360,8 @@ class TestIndexConditionReturns:
 
     def test_horizon_trims_starts(self, rng):
         p = random_oracle_panel(rng)
-        r = index_condition_returns(p, 4, horizon=2)
+        r = conditional._condition_returns(p, 2, 4)
         assert r.shape == ((p.n_days - 2) - 4,)
-
-    @pytest.mark.parametrize("span", [-2, 0, 39])
-    def test_rejects_span_without_windows(self, rng, span):
-        # 40 days give 39 one-day returns: span 39 leaves no window start
-        p = panel_from_returns(rng.normal(0.0, 0.01, size=(3, 39)))
-        assert index_condition_returns(p, 38).shape == (1,)
-        with pytest.raises(ValidationError, match="window span"):
-            index_condition_returns(p, span)
 
 
 class TestConditionalAverages:
@@ -393,40 +371,27 @@ class TestConditionalAverages:
             [[0.01, 0.02, 0.03, 0.01, 0.02, 0.03], [0.01, 0.03, 0.02, 0.01, 0.03, 0.02]],
             index_closes=np.exp([0.0, 0.01, -0.01, 0.02, -0.02, 0.03, -0.03])[:7],
         )
-        out = conditional_market_correlation(p, 0.0, window_span=2)
-        assert out is not None
-        c0, count = out
-        series = market_correlation_series(p, 2)
-        cond = index_condition_returns(p, 2)
-        members = conditional_select(series, cond, 0.0)
-        assert count == len(members)
-        assert c0 == pytest.approx(float(np.mean(members.member_values)), abs=1e-12)
+        point = analyze_panel(p, (0.0,), window_range=(2, 3), min_samples=1).curve.point(0.0)
+        assert point is not None
+        assert_point_matches(point, per_span_members(p, 0.0, (2, 3)))
 
     def test_empty_set_gives_none(self):
         p = panel_from_returns(
             [[0.01, 0.02, 0.03], [0.01, 0.03, 0.02]],
             index_closes=np.exp([0.0, -0.01, -0.02, -0.03]),
         )
-        assert conditional_market_correlation(p, 0.5, window_span=2) is None
+        assert analyze_panel(p, (0.5,), window_range=(1, 2)).curve.point(0.5) is None
 
     def test_average_over_windows_mean_of_span_means(self, rng):
         p = random_oracle_panel(rng)
-        point = average_over_windows(p, 0.0, window_range=(2, 4), min_samples=1)
-        per_span = [
-            conditional_market_correlation(p, 0.0, window_span=s) for s in (2, 3, 4)
-        ]
-        values = [v for v in per_span if v is not None]
-        assert point.value == pytest.approx(
-            float(np.mean([v[0] for v in values])), abs=1e-12
-        )
-        assert point.sample_count == sum(v[1] for v in values)
-        assert point.excluded_windows == sum(v is None for v in per_span)
+        point = analyze_panel(p, (0.0,), window_range=(2, 4), min_samples=1).curve.point(0.0)
+        assert_point_matches(point, per_span_members(p, 0.0, (2, 3, 4)))
 
     def test_constant_correlation_passes_through(self):
         rng = np.random.default_rng(7)
         steps = rng.normal(0.0, 0.02, size=19)
         p = panel_from_returns([steps, steps])  # identical stocks: S_0 = 1 always
-        point = average_over_windows(p, 0.0, window_range=(2, 5), min_samples=1)
+        point = analyze_panel(p, (0.0,), window_range=(2, 5), min_samples=1).curve.point(0.0)
         assert point.value == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_spans_excluded_and_counted(self):
@@ -436,36 +401,31 @@ class TestConditionalAverages:
         # so a 0.0115 level admits only the span-12 windows of range (10, 12)
         index = np.exp(0.001 * np.arange(15.0))
         p = panel_from_returns(rows, index)
-        point = average_over_windows(p, 0.0115, window_range=(10, 12), min_samples=1)
+        curve = analyze_panel(p, (0.0115, 0.5), window_range=(10, 12), min_samples=1).curve
+        point = curve.point(0.0115)
         assert point.excluded_windows == 2
         assert point.sample_count == 2  # n_returns(14) - span(12) starts
-        assert average_over_windows(p, 0.5, window_range=(10, 12)) is None
+        assert curve.point(0.5) is None
 
     def test_min_samples_flags_thin_points(self, rng):
         p = random_oracle_panel(rng)
-        point = average_over_windows(p, 0.0, window_range=(2, 3), min_samples=10 ** 6)
+        point = analyze_panel(p, (0.0,), window_range=(2, 3),
+                              min_samples=10 ** 6).curve.point(0.0)
         assert point.flagged
-        healthy = average_over_windows(p, 0.0, window_range=(2, 3), min_samples=1)
+        healthy = analyze_panel(p, (0.0,), window_range=(2, 3),
+                                min_samples=1).curve.point(0.0)
         assert not healthy.flagged
         assert healthy.stderr is None or healthy.stderr >= 0.0
 
 
 class TestCurve:
-    def test_grid_must_cover_both_branches(self, rng):
-        p = random_oracle_panel(rng)
-        with pytest.raises(ValidationError):
-            correlation_curve(p, [], window_range=(2, 3))
-        with pytest.raises(ValidationError):
-            correlation_curve(p, [0.01, 0.02], window_range=(2, 3))
-        with pytest.raises(ValidationError):
-            correlation_curve(p, [-0.02, -0.01], window_range=(2, 3))
-
     def test_points_match_single_level_runs(self, rng):
         p = random_oracle_panel(rng)
         grid = [-0.02, -0.01, 0.0, 0.01]
-        curve = correlation_curve(p, grid, window_range=(2, 4), min_samples=1)
+        curve = analyze_panel(p, grid, window_range=(2, 4), min_samples=1).curve
         for rho in grid:
-            single = average_over_windows(p, rho, window_range=(2, 4), min_samples=1)
+            single = analyze_panel(p, (rho,), window_range=(2, 4),
+                                   min_samples=1).curve.point(rho)
             got = curve.point(rho)
             if single is None:
                 assert got is None
@@ -482,15 +442,14 @@ class TestCurve:
                 [1.0 / s.closes for s in p.stocks], 1.0 / p.index_series.closes
             )
             rho = 0.004
-            plus = average_over_windows(p, rho, window_range=(2, 4), min_samples=1)
-            minus_m = average_over_windows(mirrored, -rho, window_range=(2, 4),
-                                           min_samples=1)
+            plus = analyze_panel(p, (rho,), window_range=(2, 4),
+                                 min_samples=1).curve.point(rho)
+            minus_m = analyze_panel(mirrored, (-rho,), window_range=(2, 4),
+                                    min_samples=1).curve.point(-rho)
             # r' < -rho  <=>  r > rho; ties r == rho have zero measure here
             if plus is None or minus_m is None:
                 assert plus is None and minus_m is None
                 continue
-            series = market_correlation_series(p, 3)
-            del series
             assert minus_m.value == pytest.approx(plus.value, abs=1e-11)
             assert minus_m.sample_count == plus.sample_count
 
@@ -508,7 +467,8 @@ class TestChi:
 
     def test_distribution_report(self, rng):
         p = random_oracle_panel(rng)
-        report = chi_distribution(p, 0.004, window_range=(2, 4))
+        report = analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
+                               chi_levels=(0.004,)).chi[0.004]
         n_pairs = p.n_stocks * (p.n_stocks - 1) // 2
         assert len(report.pairs) == n_pairs
         assert (
@@ -524,30 +484,49 @@ class TestChi:
                 assert sample.chi == pytest.approx(expected, abs=1e-12)
 
     def test_level_must_be_positive(self, rng):
+        # a χ level is a magnitude: its sign is dropped, and ±0 has none
         p = random_oracle_panel(rng)
-        with pytest.raises(ValidationError):
-            chi_distribution(p, 0.0, window_range=(2, 4))
+        for zero in (0.0, -0.0):
+            with pytest.raises(ValidationError):
+                analyze_panel(p, (), window_range=(2, 4), chi_levels=(zero,))
+        analysis = analyze_panel(p, (), window_range=(2, 4), chi_levels=(-0.004,))
+        assert list(analysis.chi) == [0.004]
+
+
+def assert_pairs_match_reference(p, analysis, window_range, horizon=1):
+    """Every pair's C_(x,y) and member counts at ∓|ρ| of each χ level against
+    the plain-loop reference."""
+    rows = [s.closes.tolist() for s in p.stocks]
+    idx = p.index_series.closes.tolist()
+    for level_abs, report in analysis.chi.items():
+        for pc in report.pairs:
+            x, y = (p.stock_index(t) for t in pc.pair)
+            for c, count, level in ((pc.c_minus, pc.count_minus, -level_abs),
+                                    (pc.c_plus, pc.count_plus, level_abs)):
+                want, want_n = reference.pair_conditional(rows, idx, x, y, level,
+                                                          *window_range, horizon)
+                assert count == want_n
+                if want is None:
+                    assert c is None
+                else:
+                    assert c == pytest.approx(want, abs=1e-10)
 
 
 class TestPairConditional:
     def test_self_pair_is_unit_correlation(self, rng):
         p = random_oracle_panel(rng)
-        point = pair_conditional_correlation(p, 0, 0, 0.0, window_range=(2, 4))
-        assert point.value == pytest.approx(1.0, abs=1e-9)
+        twin = make_panel([p.stocks[0].closes] * 2, p.index_series.closes)
+        analysis = analyze_panel(twin, (), window_range=(2, 4), chi_levels=(0.004,))
+        pc, = analysis.chi[0.004].pairs
+        assert pc.c_minus is not None or pc.c_plus is not None
+        for c in (pc.c_minus, pc.c_plus):
+            assert c is None or c == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_reference(self, rng):
         for _ in range(4):
             p = random_oracle_panel(rng)
-            rows = [s.closes.tolist() for s in p.stocks]
-            idx = p.index_series.closes.tolist()
-            for level in (-0.004, 0.0, 0.004):
-                got = pair_conditional_correlation(p, 0, 1, level, window_range=(2, 5))
-                want, want_n = reference.pair_conditional(rows, idx, 0, 1, level, 2, 5, 1)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.value == pytest.approx(want, abs=1e-10)
-                    assert got.sample_count == want_n
+            analysis = analyze_panel(p, (), window_range=(2, 5), chi_levels=(0.004,))
+            assert_pairs_match_reference(p, analysis, (2, 5))
 
 
 class TestTimeResolved:
@@ -555,7 +534,7 @@ class TestTimeResolved:
         rng = np.random.default_rng(3)
         steps = rng.normal(0.0, 0.02, size=24)
         p = panel_from_returns([steps, steps], np.exp(0.001 * np.arange(25.0)))
-        tr = time_resolved_correlation(p, 0.0, window_range=(2, 4))
+        tr = analyze_panel(p, (), window_range=(2, 4), ct_levels=(0.0,)).time_resolved[0.0]
         n_returns = p.n_days - 1
         np.testing.assert_array_equal(tr.times, np.arange(n_returns - 2))
         np.testing.assert_allclose(tr.values, 1.0, atol=1e-9)
@@ -565,11 +544,11 @@ class TestTimeResolved:
         rows = [rng.normal(0.0, 0.02, size=14) for _ in range(2)]
         index = np.exp(0.001 * np.arange(15.0))
         p = panel_from_returns(rows, index)
-        tr = time_resolved_correlation(p, 0.0115, window_range=(10, 12))
+        tr = analyze_panel(p, (), window_range=(10, 12),
+                           ct_levels=(0.0115,)).time_resolved[0.0115]
         # only span-12 windows qualify (see excluded-span test above)
         np.testing.assert_array_equal(tr.times, [0, 1])
-        series = market_correlation_series(p, 12)
-        np.testing.assert_allclose(tr.values, series.values[:2], atol=1e-12)
+        np.testing.assert_allclose(tr.values, window_probe(p, 12)[0][:2], atol=1e-12)
 
 
 class TestAnalyzePanel:
@@ -580,18 +559,21 @@ class TestAnalyzePanel:
             p, grid, window_range=(2, 4), chi_levels=(0.004,), ct_levels=(0.0,),
             min_samples=1,
         )
+        curve = analyze_panel(p, grid, window_range=(2, 4), min_samples=1).curve
         for rho in grid:
-            single = average_over_windows(p, rho, window_range=(2, 4), min_samples=1)
+            single = curve.point(rho)
             got = analysis.curve.point(rho)
             if single is None:
                 assert got is None
             else:
                 assert got.value == pytest.approx(single.value, abs=1e-12)
-        chi_direct = chi_distribution(p, 0.004, window_range=(2, 4))
+        chi_direct = analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
+                                   chi_levels=(0.004,)).chi[0.004]
         assert len(analysis.chi[0.004].samples) == len(chi_direct.samples)
         for a, b in zip(analysis.chi[0.004].samples, chi_direct.samples):
             assert a.chi == pytest.approx(b.chi, abs=1e-12)
-        tr_direct = time_resolved_correlation(p, 0.0, window_range=(2, 4))
+        tr_direct = analyze_panel(p, (), window_range=(2, 4),
+                                  ct_levels=(0.0,)).time_resolved[0.0]
         np.testing.assert_array_equal(analysis.time_resolved[0.0].times, tr_direct.times)
         np.testing.assert_allclose(
             analysis.time_resolved[0.0].values, tr_direct.values, atol=1e-12
@@ -627,7 +609,8 @@ class TestOracleSpotCheck:
             rows = [s.closes.tolist() for s in p.stocks]
             idx = p.index_series.closes.tolist()
             for level in (-0.006, 0.0, 0.006):
-                got = average_over_windows(p, level, window_range=(2, 5), min_samples=1)
+                got = analyze_panel(p, (level,), window_range=(2, 5),
+                                    min_samples=1).curve.point(level)
                 want = reference.curve_point(rows, idx, level, 2, 5, 1)
                 if want is None:
                     assert got is None
@@ -641,7 +624,7 @@ class TestOracleSpotCheck:
             # magnitudes (one off the grid), and levels tied exactly to
             # realised span-3 index returns
             grid = [-0.02, -0.01, -0.004, 0.0, 0.004, 0.01, 0.02]
-            realised = np.sort(index_condition_returns(p, 3))
+            realised = np.sort(conditional._condition_returns(p, 1, 3))
             n = len(realised)
             ties = sorted({float(realised[i]) for i in (0, n // 4, n // 2, 3 * n // 4, -1)})
             analysis = analyze_panel(p, grid + ties, window_range=(2, 5),
@@ -657,28 +640,6 @@ class TestOracleSpotCheck:
                     assert got.sample_count == n_samples
                     assert got.excluded_windows == n_excluded
             for level in ties:
-                per_span = []
-                for span in range(2, 6):
-                    members = conditional_select(market_correlation_series(p, span),
-                                                 index_condition_returns(p, span), level)
-                    single = conditional_market_correlation(p, level, span)
-                    assert (0 if single is None else single[1]) == len(members)
-                    per_span.append(len(members))
-                got = analysis.curve.point(level)
-                if sum(per_span) == 0:
-                    assert got is None
-                else:
-                    assert got.sample_count == sum(per_span)
-                    assert got.excluded_windows == per_span.count(0)
-            for level_abs, report in analysis.chi.items():
-                for pc in report.pairs:
-                    x, y = (p.stock_index(t) for t in pc.pair)
-                    for c, count, level in ((pc.c_minus, pc.count_minus, -level_abs),
-                                            (pc.c_plus, pc.count_plus, level_abs)):
-                        want, want_n = reference.pair_conditional(rows, idx, x, y, level,
-                                                                  2, 5, 1)
-                        assert count == want_n
-                        if want is None:
-                            assert c is None
-                        else:
-                            assert c == pytest.approx(want, abs=1e-10)
+                assert_point_matches(analysis.curve.point(level),
+                                     per_span_members(p, level, range(2, 6)))
+            assert_pairs_match_reference(p, analysis, (2, 5))
