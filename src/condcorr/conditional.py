@@ -35,8 +35,9 @@ number of requested levels ≤ r; level i holds the bands b ≤ i when
 branches of step 3).  Member counts and the S_0 and C_t sums are bincounts
 over (δt, band), mapped to levels by that 0/1 matrix; χ takes Zᵀ Z and the
 pair counts Dᵀ D (D the definedness flags) per δt and band between χ
-levels.  The cost scales with the starts that hold any member span plus
-the χ member elements, not with the number of levels.
+levels.  The cost scales with the starts that hold any member span, not
+with the number of levels; χ products and C_t sums run only in the chunks
+and spans that hold a χ or C_t window.
 """
 
 from __future__ import annotations
@@ -281,6 +282,8 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
     name those that also need per-pair and per-time sums.  The χ products
     use the coarser bands between the pair levels alone, and the starts are
     sorted by those bands, so each Zᵀ Z covers many windows of one band.
+    A chunk of starts takes χ products only over its spans holding a χ
+    window, and C_t sums only if some span holds a C_t window.
     """
     returns = _returns(panel, horizon)
     n_returns, n = returns.shape
@@ -303,6 +306,7 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
         r = _condition_returns(panel, horizon, span)
         bands[:len(r), j] = np.searchsorted(levels, r, side="right")
     starts = np.flatnonzero(member.any(axis=1)[bands].any(axis=1))
+    timed = time_member.any(axis=1)[bands].any(axis=1)  # some span in a C_t band
     if len(pair_levels):
         starts = starts[np.lexsort(pair_row[bands[starts]].T)]
 
@@ -317,12 +321,15 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
         use = n_pairs > 0
         vals, flat = s0[use], (band + n_bands * np.arange(len(spans)))[use]  # span, band
         stats += [np.bincount(flat, w, stats.shape[1]) for w in (None, vals, vals * vals)]
-        in_level = time_member[band] & use[:, :, None]
-        time_num[:, t] = np.einsum("csk,cs->kc", in_level, np.where(use, s0, 0.0))
-        time_den[:, t] = in_level.sum(axis=1).T
+        if timed[t].any():
+            in_level = time_member[band] & use[:, :, None]
+            time_num[:, t] = np.einsum("csk,cs->kc", in_level, np.where(use, s0, 0.0))
+            time_den[:, t] = in_level.sum(axis=1).T
         pair_band = pair_row[band]
-        by_band = np.argsort(pair_band, axis=0, kind="stable")  # -1 (no pair level) first
-        for j, span in enumerate(spans if len(pair_levels) else ()):
+        chi_spans = np.flatnonzero((pair_band >= 0).any(axis=0))  # spans with χ rows
+        if len(chi_spans):
+            by_band = np.argsort(pair_band, axis=0, kind="stable")  # -1 (no pair level) first
+        for j, span in zip(chi_spans, spans[chi_spans]):
             rows = by_band[np.count_nonzero(pair_band[:, j] < 0):, j]
             # Zᵀ Z = Σ_w (block_w·a_w)ᵀ (block_w·a_w) − m·(μ_w·a_w)ᵀ (μ_w·a_w)
             a = scale[j, rows]
@@ -388,20 +395,20 @@ def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
                 epsilon: float) -> ChiReport:
     tickers = panel.tickers
     iu, ju = np.triu_indices(len(tickers), k=1)
+    # each array's (∓|ρ|, pair) entries in one read: rows minus and plus, pairs i < j
+    (den_m, den_p), (num_m, num_p), (n_m, n_p) = (
+        a[[[minus], [plus]], iu, ju].tolist()
+        for a in (sums.pair_den, sums.pair_num, sums.pair_members))
     pairs = []
     samples = []
     small_denom = 0
     missing = 0
-    for i, j in zip(iu, ju):
-        dm, dp = int(sums.pair_den[minus, i, j]), int(sums.pair_den[plus, i, j])
-        c_minus = float(sums.pair_num[minus, i, j] / dm) if dm else None
-        c_plus = float(sums.pair_num[plus, i, j] / dp) if dp else None
-        pc = PairConditional(
-            pair=(tickers[i], tickers[j]),
-            c_minus=c_minus, c_plus=c_plus,
-            count_minus=int(sums.pair_members[minus, i, j]),
-            count_plus=int(sums.pair_members[plus, i, j]),
-        )
+    for i, j, dm, dp, sm, sp, cm, cp in zip(iu.tolist(), ju.tolist(), den_m, den_p,
+                                            num_m, num_p, n_m, n_p):
+        c_minus = sm / dm if dm else None
+        c_plus = sp / dp if dp else None
+        pc = PairConditional(pair=(tickers[i], tickers[j]), c_minus=c_minus,
+                             c_plus=c_plus, count_minus=cm, count_plus=cp)
         pairs.append(pc)
         if c_minus is None or c_plus is None:
             missing += 1

@@ -551,6 +551,100 @@ class TestTimeResolved:
         np.testing.assert_allclose(tr.values, window_probe(p, 12)[0][:2], atol=1e-12)
 
 
+def burst_panel():
+    """1200 days of three ±1% stock walks under a calm index (daily sd 3e-4)
+    with one rising and one falling burst of 0.0035 a day.  Over window
+    range (2, 5) the bursts' index returns reach ±0.008 from span 3 on and
+    ±0.015 only at span 5; stock 0 is flat inside the rising burst."""
+    rng = np.random.default_rng(77)
+    steps = rng.choice([-0.01, 0.01], size=(3, 1199))
+    steps[0, 405:412] = 0.0
+    index_steps = rng.normal(0.0, 3e-4, size=1199)
+    index_steps[400:420] += 0.0035
+    index_steps[800:820] -= 0.0035
+    return panel_from_returns(steps, np.exp(np.concatenate([[0.0], np.cumsum(index_steps)])))
+
+
+def level_windows(p, starts, spans, levels):
+    """(start, span) flags: the window lies in some level's set."""
+    flags = np.zeros((len(starts), len(spans)), dtype=bool)
+    for j, span in enumerate(spans):
+        r = conditional._condition_returns(p, 1, span)
+        inside = starts < len(r)
+        flags[inside, j] = np.any([r[starts[inside]] < lev if lev < 0
+                                   else r[starts[inside]] >= lev for lev in levels], axis=0)
+    return flags
+
+
+class TestChunkedSweep:
+    """χ and C_t over several ``_CHUNK``s of starts, where some chunks and
+    spans hold no χ or C_t window and the sweep skips their passes."""
+
+    WINDOW_RANGE = (2, 5)
+    GRID = (-0.01, -0.0002, 0.0, 0.01)
+    CHI, CT = 0.015, (-0.008, 0.008)
+
+    def analyze(self, p, chi_levels=(CHI,), ct_levels=CT):
+        return analyze_panel(p, self.GRID, self.WINDOW_RANGE, chi_levels=chi_levels,
+                             ct_levels=ct_levels, min_samples=1)
+
+    def test_multi_chunk_matches_reference(self, monkeypatch):
+        p = burst_panel()
+        chunks, kernel = [], conditional._window_kernel
+
+        def recording_kernel(returns, starts, *span_range):
+            chunks.append(starts)
+            return kernel(returns, starts, *span_range)
+
+        monkeypatch.setattr(conditional, "_window_kernel", recording_kernel)
+        analysis = self.analyze(p)
+        spans = range(self.WINDOW_RANGE[0], self.WINDOW_RANGE[1] + 1)
+        chi = [level_windows(p, t, spans, (-self.CHI, self.CHI)) for t in chunks]
+        ct = [level_windows(p, t, spans, self.CT).any() for t in chunks]
+        assert len(chunks) >= 3
+        assert {f.any() for f in chi} == {True, False} and set(ct) == {True, False}
+        assert any(f.any() and not f.any(axis=0).all() for f in chi)
+
+        assert_pairs_match_reference(p, analysis, self.WINDOW_RANGE)
+        assert any(pc.count_minus and pc.count_plus for pc in analysis.chi[self.CHI].pairs)
+        rows = [s.closes.tolist() for s in p.stocks]
+        idx = p.index_series.closes.tolist()
+        for level, tr in analysis.time_resolved.items():
+            want = reference.time_resolved(rows, idx, level, *self.WINDOW_RANGE, 1)
+            assert len(want) > 0
+            np.testing.assert_array_equal(tr.times, sorted(want))
+            np.testing.assert_allclose(tr.values, [want[t] for t in sorted(want)],
+                                       rtol=0, atol=1e-10)
+
+        # chunks of 7 starts split the χ and C_t windows over many chunks
+        monkeypatch.setattr(conditional, "_CHUNK", 7)
+        small = self.analyze(p)
+        for a, b in zip(analysis.curve.points, small.curve.points, strict=True):
+            assert (a.rho, a.sample_count, a.excluded_windows) == \
+                (b.rho, b.sample_count, b.excluded_windows)
+            assert a.value == pytest.approx(b.value, rel=0, abs=1e-12)
+        for a, b in zip(analysis.chi[self.CHI].pairs, small.chi[self.CHI].pairs, strict=True):
+            assert (a.pair, a.count_minus, a.count_plus) == (b.pair, b.count_minus, b.count_plus)
+            for x, y in ((a.c_minus, b.c_minus), (a.c_plus, b.c_plus)):
+                assert (x is None) == (y is None)
+                assert x is None or x == pytest.approx(y, rel=0, abs=1e-12)
+        for level, tr in analysis.time_resolved.items():
+            np.testing.assert_array_equal(small.time_resolved[level].times, tr.times)
+            np.testing.assert_allclose(small.time_resolved[level].values, tr.values,
+                                       rtol=0, atol=1e-12)
+
+    def test_unreached_levels_skip_every_pass(self):
+        p = burst_panel()
+        analysis = self.analyze(p, chi_levels=(1.0,), ct_levels=(-1.0, 1.0))
+        report = analysis.chi[1.0]
+        assert report.excluded_missing == len(report.pairs) == 3
+        assert all((pc.c_minus, pc.c_plus, pc.count_minus, pc.count_plus)
+                   == (None, None, 0, 0) for pc in report.pairs)
+        assert report.samples == () and report.excluded_denominator == 0
+        assert all(len(tr) == 0 for tr in analysis.time_resolved.values())
+        assert analysis.curve == self.analyze(p, chi_levels=(), ct_levels=()).curve
+
+
 class TestAnalyzePanel:
     def test_single_sweep_matches_componentwise_runs(self, rng):
         p = random_oracle_panel(rng)

@@ -278,6 +278,12 @@ _HEADERS = [["Date", "Adj Close"], ["Date", "Open", "Adj Close"],
             ["Date", "Close"]]
 
 
+def _by_index(values):
+    """One of ``values``, drawn by index: ``st.sampled_from`` may leave some
+    values out of a whole run."""
+    return st.integers(0, len(values) - 1).map(values.__getitem__)
+
+
 @st.composite
 def csv_texts(draw):
     """Daily-quote CSV text mixing well-formed rows with the forms where
@@ -285,16 +291,15 @@ def csv_texts(draw):
     if draw(st.integers(0, 3)):
         # for three of its four values: a file well-formed but for one tricky
         # Date between two valid rows, which alone then decides which path
-        # reads it.  The date is drawn by index (sampled_from may leave some
-        # values out of a whole run), and the line ending is the only other
-        # choice, so each run meets every tricky date several times
-        tricky = _TRICKY_DATES[draw(st.integers(0, len(_TRICKY_DATES) - 1))]
+        # reads it.  The line ending is the only other choice, so each run
+        # meets every tricky date several times
+        tricky = draw(_by_index(_TRICKY_DATES))
         lines = ["Date,Adj Close", "2000-01-04,1.5", f"{tricky},2.5", "2000-01-05,3.5"]
     else:
         header = draw(st.sampled_from(_HEADERS))
         lines = [",".join(header)]
-        dates = st.one_of(st.sampled_from(_VALID_DATES), st.sampled_from(_TRICKY_DATES))
-        prices = st.one_of(st.sampled_from(_VALID_PRICES), st.sampled_from(_TRICKY_PRICES))
+        dates = st.one_of(_by_index(_VALID_DATES), _by_index(_TRICKY_DATES))
+        prices = st.one_of(_by_index(_VALID_PRICES), _by_index(_TRICKY_PRICES))
         for kind in draw(st.lists(st.sampled_from(["row"] * 6 + ["short", "blank",
                                                                 "space", "header"]),
                                   max_size=8)):
@@ -329,6 +334,15 @@ class TestIngestPaths:
         path = tmp_path / "F.csv"
         path.write_bytes(("Date,Adj Close\n2000-01-04,1.5\n"
                           f"{date},2.5\n2000-01-05,3.5\n").encode())
+        assert (ingest_outcome(ingest_csv, path)
+                == ingest_outcome(cc_io._ingest_csv_reader, path))
+
+    @pytest.mark.parametrize("price", _TRICKY_PRICES)
+    def test_each_tricky_price_matches(self, tmp_path, price):
+        """One tricky price among valid rows, so that it alone decides."""
+        path = tmp_path / "F.csv"
+        path.write_bytes(("Date,Adj Close\n2000-01-04,1.5\n"
+                          f"2000-01-05,{price}\n2000-01-06,3.5\n").encode())
         assert (ingest_outcome(ingest_csv, path)
                 == ingest_outcome(cc_io._ingest_csv_reader, path))
 
