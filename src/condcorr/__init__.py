@@ -37,16 +37,13 @@ from .fearsim import (
     to_aligned_panel,
 )
 from .inverse_stats import (
-    FirstPassageResult,
     GainLossEntry,
     GainLossReport,
     TailFit,
     WaitingTimeHistogram,
     default_fit_range,
-    first_passage_times,
     fit_tail_exponent,
     gain_loss_report,
-    waiting_time_histogram,
 )
 from .io import (
     DatasetManifest,
@@ -59,11 +56,7 @@ from .io import (
     run_invstats,
     run_simulate,
 )
-from .ranktests import (
-    RankSumResult,
-    equal_size_subsample,
-    wilcoxon_rank_sum,
-)
+from .ranktests import RankSumResult, wilcoxon_rank_sum
 from .timeseries import (
     AlignedPanel,
     DetrendedLogPrice,

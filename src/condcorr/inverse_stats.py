@@ -26,8 +26,7 @@ and the sign of the level, so ``gain_loss_report`` runs one descent per
 sign over every magnitude at once, chunk by chunk of starts, freeing each
 sign's tables before the next build.  The descent writes every start's
 waiting time, 0 where it is censored (no crossing waits 0), and the report
-histograms each magnitude from one ``np.bincount`` of its row, the counts
-that ``waiting_time_histogram`` also bins a FirstPassageResult through.
+histograms each magnitude from one ``np.bincount`` of its row.
 
 The block descent is split in two.  One lookup of the maximum over the
 2^G blocks after the one holding t0 + 1 tells whether the crossing lies
@@ -53,15 +52,12 @@ from .errors import DataError, InsufficientDataError, ValidationError
 from .timeseries import DetrendedLogPrice, PriceSeries
 
 __all__ = [
-    "FirstPassageResult",
     "WaitingTimeHistogram",
     "TailFit",
     "GainLossEntry",
     "GainLossReport",
-    "first_passage_times",
     "BINNINGS",
     "check_binning",
-    "waiting_time_histogram",
     "default_fit_range",
     "fit_tail_exponent",
     "gain_loss_report",
@@ -103,31 +99,6 @@ def _log_price_values(series) -> np.ndarray:
     if len(arr) < 2:
         raise ValidationError(f"series of length {len(arr)} has no starts")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class FirstPassageResult:
-    """All non-censored first passages of one series at one level.
-
-    ``start_indices`` and ``waiting_times`` are read-only integer arrays, one
-    entry per start that reached the level.  ``censored_count`` is the
-    number of starts whose level was never reached; ``n_starts`` counts
-    every start tried.  Results compare by identity, as arrays have no
-    single truth value.
-    """
-
-    level: float
-    start_indices: np.ndarray
-    waiting_times: np.ndarray
-    censored_count: int
-    n_starts: int
-
-    def __post_init__(self):
-        self.start_indices.flags.writeable = False
-        self.waiting_times.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.waiting_times)
 
 
 class _PassageTables(NamedTuple):
@@ -230,39 +201,16 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
     return out
 
 
-def _check_level(level: float):
-    if level == 0.0 or not np.isfinite(level):
-        raise ValidationError("level must be nonzero and finite")
-
-
-def first_passage_times(series, level: float) -> FirstPassageResult:
-    """First-passage waiting times from every start of a log-price series.
-
-    ``series`` may be a PriceSeries (log closes are used), a
-    DetrendedLogPrice, or a bare array of log-price values.
-    """
-    _check_level(level)
-    s = _log_price_values(series)
-    # a drop of |rho| in s is a rise of |rho| in -s
-    taus = _first_passage_up(_first_passage_tables(s if level > 0 else -s), [abs(level)])[0]
-    starts = np.flatnonzero(taus)
-    return FirstPassageResult(float(level), starts, taus[starts].astype(np.int64),
-                              censored_count=len(taus) - len(starts), n_starts=len(taus))
-
-
-def check_binning(binning: str, ratio: float = DEFAULT_LOG_BIN_RATIO,
-                  width: float = 1.0):
+def check_binning(binning: str, ratio: float = DEFAULT_LOG_BIN_RATIO):
     """Raise ValidationError unless the histogram parameters are usable.
 
-    The binning is "log" or "linear", the log bin ratio finite and above 1,
-    the linear bin width finite and positive; NaN fails every test.
+    The binning is "log" or "linear" and the log bin ratio finite and above
+    1; a NaN ratio fails the test.
     """
     if binning not in BINNINGS:
         raise ValidationError(f"unknown binning {binning!r}")
     if not (ratio > 1.0 and np.isfinite(ratio)):
         raise ValidationError(f"log bin ratio must be finite and exceed 1, got {ratio}")
-    if not (width > 0.0 and np.isfinite(width)):
-        raise ValidationError(f"linear bin width must be finite and positive, got {width}")
 
 
 def _log_edges(tau_max: float, ratio: float) -> np.ndarray:
@@ -299,36 +247,15 @@ class WaitingTimeHistogram:
         return float(self.bin_centers[int(np.argmax(self.densities))])
 
 
-def waiting_time_histogram(result: FirstPassageResult, binning: str = "log",
-                           ratio: float = DEFAULT_LOG_BIN_RATIO,
-                           width: float = 1.0) -> WaitingTimeHistogram:
-    """Bin one level's first-passage times into a normalized density histogram.
-
-    ``binning="log"`` uses multiplicative edges (ratio ``ratio``, floored at
-    unit width); ``binning="linear"`` uses fixed-width bins aligned so
-    integer waiting times sit at bin centers when width = 1.  A waiting
-    time below 1 raises ValidationError.
-    """
-    check_binning(binning, ratio, width)
-    taus = result.waiting_times
-    if len(taus) == 0:
-        raise InsufficientDataError("no crossings to histogram (all starts censored)")
-    if np.min(taus) < 1:
-        raise ValidationError(f"waiting times must be at least 1, got {np.min(taus)}")
-    counts = np.bincount(taus)
-    counts[0] = result.censored_count
-    return _histogram(result.level, counts, binning, ratio, width)
-
-
-def _histogram(level: float, counts: np.ndarray, binning: str, ratio: float,
-               width: float = 1.0) -> WaitingTimeHistogram:
+def _histogram(level: float, counts: np.ndarray, binning: str,
+               ratio: float) -> WaitingTimeHistogram:
     # counts[τ] starts waited τ and counts[0] were censored; at least one
     # start crossed, and counts ends at the longest wait (np.bincount's)
     tau_max = float(len(counts) - 1)
     if binning == "log":
         edges = _log_edges(tau_max, ratio)
     else:
-        edges = np.arange(0.5, tau_max + 0.5 + width, width)
+        edges = np.arange(0.5, tau_max + 1.5, 1.0)  # unit bins centered on each τ
 
     # waiting times are integers, so #{τ < edge} = #{τ ≤ ceil(edge) − 1}
     at_most = np.cumsum(counts)
@@ -442,7 +369,8 @@ def gain_loss_report(series, levels, binning: str = "log",
     values = _log_price_values(series)
     magnitudes = [abs(float(level)) for level in levels]
     for magnitude in magnitudes:
-        _check_level(magnitude)
+        if magnitude == 0.0 or not np.isfinite(magnitude):
+            raise ValidationError("level must be nonzero and finite")
     check_binning(binning, ratio)
     hists = {}
     for sign in (1.0, -1.0):

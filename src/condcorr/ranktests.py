@@ -1,8 +1,9 @@
 """Nonparametric two-sample machinery: rank-sum z-test and subsampling.
 
 The rank-sum (Mann–Whitney) form is used rather than the signed-rank test:
-the comparisons here are between two unpaired collections, and the
-equal-size subsampling helper only makes sense for unpaired ranks.
+the comparisons here are between two unpaired collections, and trimming
+the larger one to the smaller one's size only makes sense for unpaired
+ranks.
 
 Midranks come from one ``np.unique`` pass over the pooled sample, and the
 normal tail from ``math.erfc``, switching to the asymptotic Mills-ratio
@@ -21,7 +22,6 @@ from .errors import DataError, ValidationError
 __all__ = [
     "RankSumResult",
     "wilcoxon_rank_sum",
-    "equal_size_subsample",
     "equalize_sizes",
 ]
 
@@ -105,30 +105,19 @@ def wilcoxon_rank_sum(sample_a, sample_b) -> RankSumResult:
     return RankSumResult(z, max(p, _TINY_P), log10_p, n_a, n_b, tie_groups)
 
 
-def equal_size_subsample(larger, target_size: int, seed: int) -> np.ndarray:
-    """Uniform subset without replacement, deterministic for a fixed seed.
-
-    Used to compare two collections of unequal size on equal footing:
-    random selection does not alter the normalized distribution.  Original
-    element order is preserved.  PRNG is PCG64 (the numpy default stream).
-    """
-    values = np.asarray(larger)
-    if not 0 <= target_size <= len(values):
-        raise ValidationError(
-            f"target_size {target_size} outside [0, {len(values)}]"
-        )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    keep = np.sort(rng.permutation(len(values))[:target_size])
-    return values[keep]
-
-
 def equalize_sizes(sample_a, sample_b, seed: int):
-    """Trim the larger sample to the smaller one's size with
-    equal_size_subsample; the smaller (or an equal-size) sample is returned
-    as given."""
-    if len(sample_a) > len(sample_b):
-        sample_a = equal_size_subsample(sample_a, len(sample_b), seed)
-    elif len(sample_b) > len(sample_a):
-        sample_b = equal_size_subsample(sample_b, len(sample_a), seed)
-    return sample_a, sample_b
+    """Trim the larger sample to the smaller one's size; the smaller (or an
+    equal-size) sample is returned as given.
 
+    The kept subset is uniform without replacement and keeps the original
+    element order, so the two collections compare on equal footing without
+    altering the larger one's normalized distribution.  It is deterministic
+    for a fixed seed; the PRNG is PCG64 (the numpy default stream).
+    """
+    if len(sample_a) == len(sample_b):
+        return sample_a, sample_b
+    small, large = sorted((sample_a, sample_b), key=len)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    keep = np.sort(rng.permutation(len(large))[:len(small)])
+    trimmed = np.asarray(large)[keep]
+    return (trimmed, small) if large is sample_a else (small, trimmed)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from condcorr import AlignedPanel, PriceSeries, conditional
+from condcorr import AlignedPanel, PriceSeries, conditional, inverse_stats
+
+import reference
 
 START = np.datetime64("2000-01-03")
 
@@ -72,6 +74,25 @@ def window_probe(panel, span, horizon=1, columns=None, starts=None):
         starts = np.arange(max(len(returns) - span, 0))
     s0, n_pairs = conditional._window_kernel(returns, np.asarray(starts), span, span)[3:]
     return s0[:, 0], n_pairs[:, 0]
+
+
+def descent(values, sign, magnitudes):
+    """Every start's waiting time to a move of ``sign`` times each magnitude,
+    0 where the start is censored: one row per magnitude, straight from the
+    descent that ``gain_loss_report`` runs per sign."""
+    return inverse_stats._first_passage_up(
+        inverse_stats._first_passage_tables(sign * values), magnitudes)
+
+
+def brute_force_waits(values, sign, magnitudes):
+    """The plain loop's waiting times in the descent's layout, 0 if censored."""
+    waits = np.zeros((len(magnitudes), len(values) - 1), dtype=np.int64)
+    for row, magnitude in zip(waits, magnitudes):
+        hits, censored = reference.first_passage(values.tolist(), sign * magnitude)
+        for t0, tau in hits:
+            row[t0] = tau
+        assert np.count_nonzero(row == 0) == censored
+    return waits
 
 
 @pytest.fixture

@@ -19,18 +19,22 @@ from condcorr import (
     SimConfig,
     analyze_panel,
     detrend_log_price,
-    first_passage_times,
     fit_tail_exponent,
     gain_loss_report,
     simulate_market,
     to_aligned_panel,
-    waiting_time_histogram,
     wilcoxon_rank_sum,
 )
 from condcorr.ranktests import equalize_sizes
 
 import reference
-from conftest import make_panel, random_oracle_panel, window_probe
+from conftest import (
+    brute_force_waits,
+    descent,
+    make_panel,
+    random_oracle_panel,
+    window_probe,
+)
 
 CONTROL_SEED = 20260801
 CONTROL_MAGNITUDES = (0.03, 0.05, 0.10)
@@ -258,9 +262,9 @@ def test_fair_walk_waiting_time_tail_exponent():
     cfg = SimConfig(n_stocks=1, n_steps=1_000_000, fear_probability=0.0,
                     step_size=0.01, seed=42)
     values = simulate_market(cfg).log_prices[0]
+    entry = gain_loss_report(values, [0.3]).entry(0.3)
     exponents = {}
-    for level in (0.3, -0.3):
-        hist = waiting_time_histogram(first_passage_times(values, level))
+    for level, hist in ((0.3, entry.plus), (-0.3, entry.minus)):
         fit = fit_tail_exponent(hist)
         exponents[level] = fit.exponent
         assert 1.3 <= fit.exponent <= 1.7, (level, fit.exponent)
@@ -297,17 +301,14 @@ def test_randomized_invariant_battery():
     # first passage: minimality against the brute-force scan
     for _ in range(5):
         series = np.cumsum(rng.normal(0.0, 0.01, size=200))
-        for level in (0.008, -0.008):
-            got = first_passage_times(series, level)
-            hits, censored = reference.first_passage(series.tolist(), level)
-            np.testing.assert_array_equal(got.waiting_times,
-                                          [tau for _, tau in hits])
-            assert got.censored_count == censored
+        for sign in (1.0, -1.0):
+            np.testing.assert_array_equal(descent(series, sign, [0.008]),
+                                          brute_force_waits(series, sign, [0.008]))
 
     # histograms: unit normalization under both binnings
-    samples = first_passage_times(np.cumsum(rng.normal(0, 0.01, 5000)), 0.02)
+    values = np.cumsum(rng.normal(0, 0.01, 5000))
     for binning in ("log", "linear"):
-        hist = waiting_time_histogram(samples, binning=binning)
+        hist = gain_loss_report(values, [0.02], binning).entry(0.02).plus
         integral = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
         assert integral == pytest.approx(1.0, abs=1e-9)
 

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condcorr import (
-    DataError,
-    ValidationError,
-    equal_size_subsample,
-    wilcoxon_rank_sum,
-)
+from condcorr import DataError, ValidationError, wilcoxon_rank_sum
 import condcorr.ranktests as ranktests
 from condcorr.ranktests import equalize_sizes
 
@@ -209,54 +204,51 @@ class TestWilcoxonRankSum:
 
 class TestEqualSizeSubsample:
     def test_full_size_is_identity(self):
-        vals = np.array([5.0, 1.0, 3.0])
-        np.testing.assert_array_equal(equal_size_subsample(vals, 3, seed=0), vals)
+        vals, other = np.array([5.0, 1.0, 3.0]), np.zeros(3)
+        a, b = equalize_sizes(vals, other, seed=0)
+        assert a is vals and b is other
 
     def test_zero_size_is_empty(self):
-        assert equal_size_subsample(np.arange(5), 0, seed=0).size == 0
+        empty = np.array([])
+        a, b = equalize_sizes(np.arange(5), empty, seed=0)
+        assert a.size == 0 and b is empty
 
     def test_deterministic_per_seed(self):
-        vals = np.arange(50, dtype=float)
-        one = equal_size_subsample(vals, 10, seed=42)
-        two = equal_size_subsample(vals, 10, seed=42)
+        vals, small = np.arange(50, dtype=float), np.zeros(10)
+        one = equalize_sizes(vals, small, seed=42)[0]
+        two = equalize_sizes(vals, small, seed=42)[0]
         np.testing.assert_array_equal(one, two)
-        other = equal_size_subsample(vals, 10, seed=43)
+        other = equalize_sizes(vals, small, seed=43)[0]
         assert not np.array_equal(one, other)
 
     def test_preserves_original_order(self):
         vals = np.array([9.0, 7.0, 5.0, 3.0, 1.0])
-        sub = equal_size_subsample(vals, 3, seed=1)
+        sub = equalize_sizes(vals, np.zeros(3), seed=1)[0]
         assert list(sub) == sorted(sub, reverse=True)  # source is descending
 
     def test_subset_without_replacement(self):
         vals = np.arange(30)
-        sub = equal_size_subsample(vals, 12, seed=7)
+        sub = equalize_sizes(np.zeros(12), vals, seed=7)[1]
         assert len(set(sub.tolist())) == 12
         assert set(sub.tolist()) <= set(vals.tolist())
 
-    def test_bounds_checked(self):
-        with pytest.raises(ValidationError):
-            equal_size_subsample(np.arange(3), 4, seed=0)
-        with pytest.raises(ValidationError):
-            equal_size_subsample(np.arange(3), -1, seed=0)
-
     def test_unbiased_over_many_seeds(self):
-        vals = np.random.default_rng(0).normal(size=100)
-        target = 20
+        vals, small = np.random.default_rng(0).normal(size=100), np.zeros(20)
         means = np.array([
-            float(np.mean(equal_size_subsample(vals, target, seed=s)))
+            float(np.mean(equalize_sizes(vals, small, seed=s)[0]))
             for s in range(10_000)
         ])
         se = means.std(ddof=1) / math.sqrt(len(means))
         assert abs(means.mean() - vals.mean()) < 3.0 * se
 
     def test_equalize_sizes_trims_the_larger_side(self):
-        small, large = np.arange(4.0), np.arange(10.0, 19.0)
+        """A seed fixes the subset: PCG64's permutation, first 4, sorted."""
+        small, large = np.arange(4.0), np.arange(10.0)
         a, b = equalize_sizes(large, small, seed=3)
-        np.testing.assert_array_equal(a, equal_size_subsample(large, 4, seed=3))
+        np.testing.assert_array_equal(a, [0.0, 2.0, 6.0, 9.0])
         assert b is small
         a, b = equalize_sizes(small, large, seed=3)
         assert a is small
-        np.testing.assert_array_equal(b, equal_size_subsample(large, 4, seed=3))
+        np.testing.assert_array_equal(b, [0.0, 2.0, 6.0, 9.0])
         a, b = equalize_sizes(small, small[::-1], seed=3)
         assert a is small and np.array_equal(b, small[::-1])
