@@ -100,8 +100,6 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class CorrelationCurve:
-    horizon: int
-    window_range: tuple[int, int]
     points: tuple[CurvePoint, ...]
 
     def point(self, rho: float) -> CurvePoint | None:
@@ -116,7 +114,6 @@ class ChiSample:
     """Per-pair relative conditional-correlation difference χ_ρ."""
 
     pair: tuple[str, str]
-    level: float
     chi: float
 
 
@@ -133,23 +130,16 @@ class PairConditional:
 
 @dataclass(frozen=True)
 class ChiReport:
-    level_abs: float
-    horizon: int
-    window_range: tuple[int, int]
     pairs: tuple[PairConditional, ...]
     samples: tuple[ChiSample, ...]
     excluded_denominator: int
     excluded_missing: int
-    epsilon: float
 
 
 @dataclass(frozen=True)
 class TimeResolvedCorrelation:
     """C_t(ρ, Δt): per-time mean of S_0 over the window sizes where t qualifies."""
 
-    level: float
-    horizon: int
-    window_range: tuple[int, int]
     times: np.ndarray
     values: np.ndarray
 
@@ -168,23 +158,6 @@ class PanelAnalysis:
 # the nested-span kernel and the sweep
 
 
-def _check_horizon(panel: AlignedPanel, horizon: int):
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1 trading day")
-    if panel.n_days <= horizon:
-        raise ValidationError(
-            f"panel of {panel.n_days} days too short for horizon {horizon}"
-        )
-
-
-def _check_window_range(window_range: tuple[int, int]):
-    dt1, dt2 = window_range
-    if not (1 <= dt1 < dt2):
-        raise ValidationError(
-            f"window range must satisfy 1 <= dt1 < dt2, got ({dt1}, {dt2})"
-        )
-
-
 def _returns(panel: AlignedPanel, horizon: int) -> np.ndarray:
     """Δt-day log returns of every stock at every start, time-major (days, N)."""
     logm = panel.log_close_matrix
@@ -194,7 +167,7 @@ def _returns(panel: AlignedPanel, horizon: int) -> np.ndarray:
 def _condition_returns(panel: AlignedPanel, horizon: int, span: int) -> np.ndarray:
     """Index log return over [t, t+span] for each valid window start."""
     n_t = max(panel.n_days - horizon - span, 0)
-    index_log = panel.index_log_closes
+    index_log = panel.index_series.log_closes
     return index_log[span: span + n_t] - index_log[:n_t]
 
 
@@ -391,7 +364,6 @@ def relative_difference_chi(c_minus: float, c_plus: float,
 
 
 def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
-                level_abs: float, horizon: int, window_range: tuple[int, int],
                 epsilon: float) -> ChiReport:
     tickers = panel.tickers
     iu, ju = np.triu_indices(len(tickers), k=1)
@@ -417,13 +389,9 @@ def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
         if chi is None:
             small_denom += 1
         else:
-            samples.append(ChiSample(pc.pair, level_abs, chi))
-    return ChiReport(
-        level_abs=level_abs, horizon=horizon, window_range=tuple(window_range),
-        pairs=tuple(pairs), samples=tuple(samples),
-        excluded_denominator=small_denom, excluded_missing=missing,
-        epsilon=epsilon,
-    )
+            samples.append(ChiSample(pc.pair, chi))
+    return ChiReport(pairs=tuple(pairs), samples=tuple(samples),
+                     excluded_denominator=small_denom, excluded_missing=missing)
 
 
 def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
@@ -440,8 +408,13 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
     of the member windows, and the sums are taken once per band between
     adjacent levels, so adding levels or analyses is nearly free.
     """
-    _check_window_range(window_range)
-    _check_horizon(panel, horizon)
+    dt1, dt2 = window_range
+    if not (1 <= dt1 < dt2):
+        raise ValidationError(f"window range must satisfy 1 <= dt1 < dt2, got ({dt1}, {dt2})")
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1 trading day")
+    if panel.n_days <= horizon:
+        raise ValidationError(f"panel of {panel.n_days} days too short for horizon {horizon}")
 
     chi_levels = tuple(abs(float(l)) for l in chi_levels)
     if any(lev <= 0 for lev in chi_levels):
@@ -463,22 +436,15 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
             points.append(CurvePoint(rho=lev, value=value, sample_count=total,
                                      excluded_windows=excluded, stderr=stderr,
                                      flagged=total < min_samples))
-    curve = CorrelationCurve(horizon=horizon, window_range=tuple(window_range),
-                             points=tuple(points))
+    curve = CorrelationCurve(points=tuple(points))
 
-    chi = {
-        lev: _chi_report(panel, sums, 2 * k, 2 * k + 1, lev, horizon, window_range,
-                         epsilon)
-        for k, lev in enumerate(chi_levels)
-    }
+    chi = {lev: _chi_report(panel, sums, 2 * k, 2 * k + 1, epsilon)
+           for k, lev in enumerate(chi_levels)}
 
     time_resolved = {}
     for k, lev in enumerate(ct_levels):
         have = sums.time_den[k] > 0
         time_resolved[lev] = TimeResolvedCorrelation(
-            level=lev, horizon=horizon, window_range=tuple(window_range),
-            times=np.nonzero(have)[0],
-            values=sums.time_num[k][have] / sums.time_den[k][have],
-        )
+            np.nonzero(have)[0], sums.time_num[k][have] / sums.time_den[k][have])
 
     return PanelAnalysis(curve=curve, chi=chi, time_resolved=time_resolved)

@@ -19,7 +19,6 @@ move uniforms — identical seeds give bit-identical panels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -88,12 +87,6 @@ class SimPanel:
     def n_steps(self) -> int:
         return self.config.n_steps
 
-    @cached_property
-    def index_log_price(self) -> np.ndarray:
-        out = np.log(build_index(self))
-        out.flags.writeable = False
-        return out
-
 
 def derive_up_probability(fear_probability: float) -> float:
     """Up-move probability q making the single-stock marginal symmetric.
@@ -130,19 +123,10 @@ def simulate_market(config: SimConfig) -> SimPanel:
     return SimPanel(config, log_prices, fear)
 
 
-def build_index(panel: SimPanel | AlignedPanel) -> np.ndarray | PriceSeries:
-    """Equal-weight price-average index over the panel's stocks.
-
-    Index price at t is the arithmetic mean of member prices at t.  For a
-    SimPanel the price array is returned; for an AlignedPanel a PriceSeries
-    on the panel calendar (useful when the ingested data has no index file).
-    """
-    if isinstance(panel, SimPanel):
-        return np.mean(np.exp(panel.log_prices), axis=0)
-    if isinstance(panel, AlignedPanel):
-        closes = np.mean(np.vstack([s.closes for s in panel.stocks]), axis=0)
-        return PriceSeries("INDEX", panel.calendar, closes)
-    raise ValidationError(f"cannot build an index from {type(panel).__name__}")
+def build_index(panel: SimPanel) -> np.ndarray:
+    """Equal-weight price-average index of a simulated market: the index
+    price at step t is the arithmetic mean of the stocks' prices at t."""
+    return np.mean(np.exp(panel.log_prices), axis=0)
 
 
 def _ticker(i: int, n_stocks: int) -> str:
@@ -154,8 +138,6 @@ def to_aligned_panel(panel: SimPanel, start_date: np.datetime64 = _EPOCH) -> Ali
     """Dress a SimPanel in real-data clothes: consecutive-day calendar,
     tickers S00.., index ticker INDEX.  Downstream analysis then treats
     synthetic and ingested panels identically."""
-    if panel.n_stocks < 2:
-        raise ValidationError("aligned panel needs >= 2 simulated stocks")
     calendar = np.datetime64(start_date, "D") + np.arange(panel.n_steps + 1)
     stocks = [
         PriceSeries(_ticker(i, panel.n_stocks), calendar, np.exp(panel.log_prices[i]))

@@ -67,26 +67,6 @@ def _sha256(path: Path) -> str:
 # ingestion
 
 
-def _raise_first_bad_row(path, price_column, raw_dates, raw_prices, linenos):
-    """Re-check rows in file order and raise for the first that fails, its
-    date checked before its price."""
-    for raw_date, raw_price, lineno in zip(raw_dates, raw_prices, linenos):
-        try:
-            datetime.date.fromisoformat(raw_date)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad date {raw_date!r}") from None
-        if raw_price in ("", "null", "NA", "N/A"):
-            raise DataError(f"{path}:{lineno}: missing {price_column!r} value")
-        try:
-            price = float(raw_price)
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: bad {price_column!r} value {raw_price!r}"
-            ) from None
-        if not math.isfinite(price) or price <= 0.0:
-            raise DataError(f"{path}:{lineno}: non-positive price {raw_price!r}")
-
-
 def _header_columns(reader, path, price_column: str) -> tuple[int, int]:
     """Read the header record; return the ``Date`` and price column indices
     (a repeated name means its last column)."""
@@ -179,13 +159,14 @@ def _ingest_csv_reader(path, price_column: str = "Adj Close",
     raises ``DataError``.
 
     Only the stripped ``Date`` and price fields of each non-blank record
-    are kept (a short row's absent fields are empty).  The columns are then
-    converted whole: dates with ``datetime.date.fromisoformat`` (every ISO
-    form it accepts), prices with ``float``, followed by one
-    finite-and-positive check.  Only when that fails are the rows
-    re-checked in order, so the error names the first bad row by its
-    physical line number.  Rows may arrive in any order: a stable sort by
-    date follows, and duplicate dates are rejected naming both lines.
+    are kept (a short row's absent fields are empty), and every record is
+    read before any is converted, so a read error wins over a bad row.  The
+    rows are then converted in file order, each date with
+    ``datetime.date.fromisoformat`` (every ISO form it accepts) before its
+    price with ``float``, and the first that fails, or whose price is not
+    finite and positive, raises naming its physical line number.  Rows may
+    arrive in any order: a stable sort by date follows, and duplicate dates
+    are rejected naming both lines.
     """
     path = Path(path)
     if not path.is_file():
@@ -209,25 +190,31 @@ def _ingest_csv_reader(path, price_column: str = "Adj Close",
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:  # decoded in chunks, so no line number
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    n = len(linenos)
-    try:
-        ordinals = np.fromiter(
-            map(datetime.date.toordinal, map(datetime.date.fromisoformat, raw_dates)),
-            np.int64, n)
-        closes = np.fromiter(map(float, raw_prices), np.float64, n)
-    except ValueError:
-        closes = None
-    if closes is None or not np.all(np.isfinite(closes) & (closes > 0.0)):
-        _raise_first_bad_row(path, price_column, raw_dates, raw_prices, linenos)
-    if n == 0:
+    ordinals, closes = [], []
+    for raw_date, raw_price, lineno in zip(raw_dates, raw_prices, linenos):
+        try:
+            ordinals.append(datetime.date.fromisoformat(raw_date).toordinal())
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad date {raw_date!r}") from None
+        if raw_price in ("", "null", "NA", "N/A"):
+            raise DataError(f"{path}:{lineno}: missing {price_column!r} value")
+        try:
+            price = float(raw_price)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: bad {price_column!r} value {raw_price!r}") from None
+        if not (math.isfinite(price) and price > 0.0):
+            raise DataError(f"{path}:{lineno}: non-positive price {raw_price!r}")
+        closes.append(price)
+    if not linenos:
         raise DataError(f"{path}: no data rows")
     order, dates, repeats = _date_order(
-        (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
+        (np.array(ordinals) - _EPOCH_ORDINAL).astype("datetime64[D]"))
     if len(repeats):
         k = repeats[0]
         raise DataError(f"{path}: duplicate date {dates[k]} "
                         f"(lines {linenos[order[k]]} and {linenos[order[k + 1]]})")
-    return PriceSeries(name, dates, closes[order])
+    return PriceSeries(name, dates, np.array(closes)[order])
 
 
 @dataclass(frozen=True)
@@ -330,20 +317,16 @@ def _clip_dates(series: PriceSeries, date_range) -> PriceSeries:
     return PriceSeries(series.ticker, series.dates[mask], series.closes[mask])
 
 
+def _load_series(manifest: DatasetManifest, ticker: str, rel: str) -> PriceSeries:
+    """One manifest file, ingested and clipped to the manifest's date range."""
+    series = ingest_csv(manifest.resolve(rel), manifest.price_column, ticker=ticker)
+    return _clip_dates(series, manifest.date_range)
+
+
 def load_panel(manifest: DatasetManifest, min_days: int = 2) -> AlignedPanel:
     """Ingest every file in the manifest and align onto the common calendar."""
-    index = _clip_dates(
-        ingest_csv(manifest.resolve(manifest.index_file), manifest.price_column,
-                   ticker="INDEX"),
-        manifest.date_range,
-    )
-    stocks = [
-        _clip_dates(
-            ingest_csv(manifest.resolve(p), manifest.price_column, ticker=t),
-            manifest.date_range,
-        )
-        for t, p in manifest.stock_files
-    ]
+    index = _load_series(manifest, "INDEX", manifest.index_file)
+    stocks = [_load_series(manifest, t, p) for t, p in manifest.stock_files]
     return align_panel(stocks, index, min_days=min_days)
 
 
@@ -365,7 +348,8 @@ class RunConfig:
     detrending off for the inverse-statistics path.  Each scalar field must
     hold its type (an int field an integer, a float field an integer or a
     float, a str field a string; a bool is never a number), and every level
-    a finite number; a mismatch raises ValidationError naming the field.
+    a finite number, not a bool; a mismatch raises ValidationError naming
+    the field.
     """
 
     delta_t: int = 1
@@ -404,6 +388,8 @@ class RunConfig:
                 raise ValidationError(f"{key}: expected a list of numbers, got {levels!r}")
             for level in levels:
                 try:
+                    if isinstance(level, bool):
+                        raise TypeError
                     finite = math.isfinite(level)
                 except TypeError:
                     raise ValidationError(f"{key}: {level!r} is not a number") from None
@@ -456,6 +442,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 def _level(key: str, value) -> float:
     """One level as a finite float; the ValidationError names ``key``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         level = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{key}: {value!r} is not a number") from None
@@ -469,8 +457,6 @@ def _config_dict(config) -> dict:
     for k, v in out.items():
         if isinstance(v, tuple):
             out[k] = list(v)
-        elif isinstance(v, Path):
-            out[k] = str(v)
     return out
 
 
@@ -607,6 +593,13 @@ def _input_hashes(manifest: DatasetManifest) -> dict:
     return {t: _sha256(p) for t, p in sorted(files.items())}
 
 
+def _rank_test(plus: np.ndarray, minus: np.ndarray, seed: int) -> RankSumResult | None:
+    """Rank-sum test of ``plus`` against ``minus`` after trimming the larger
+    side to the smaller's size; None below 2 values a side."""
+    plus, minus = equalize_sizes(plus, minus, seed)
+    return wilcoxon_rank_sum(plus, minus) if len(plus) >= 2 else None
+
+
 def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir,
                  panel: AlignedPanel | None = None) -> dict:
     """Full conditional-correlation pipeline -> TSV reports + summary.json.
@@ -642,13 +635,14 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
         tag = fmt(level)
         write_chi_tsv(out / f"chi_{tag}.tsv", report)
         write_pair_conditionals_tsv(out / f"pairs_{tag}.tsv", report)
-        plus = np.array([p.c_plus for p in report.pairs if p.c_plus is not None])
-        minus = np.array([p.c_minus for p in report.pairs if p.c_minus is not None])
-        plus, minus = equalize_sizes(plus, minus, config.seed)
-        if len(plus) >= 2 and len(plus) + len(minus) >= 4:
-            pair_tests.append((level, wilcoxon_rank_sum(plus, minus)))
-        else:
+        test = _rank_test(
+            np.array([p.c_plus for p in report.pairs if p.c_plus is not None]),
+            np.array([p.c_minus for p in report.pairs if p.c_minus is not None]),
+            config.seed)
+        if test is None:
             skipped_pair_tests.append(level)
+        else:
+            pair_tests.append((level, test))
     write_wilcoxon_tsv(out / "wilcoxon_pairs.tsv", pair_tests)
 
     ct_plus = analysis.time_resolved[ct_levels[0]]
@@ -657,10 +651,8 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
                             ct_plus, panel.calendar)
     write_time_resolved_tsv(out / f"ct_minus_{fmt(config.ct_level)}.tsv",
                             ct_minus, panel.calendar)
-    ct_tests: list[tuple[float, RankSumResult]] = []
-    plus, minus = equalize_sizes(ct_plus.values, ct_minus.values, config.seed)
-    if len(plus) >= 2 and len(plus) + len(minus) >= 4:
-        ct_tests.append((config.ct_level, wilcoxon_rank_sum(plus, minus)))
+    ct_test = _rank_test(ct_plus.values, ct_minus.values, config.seed)
+    ct_tests = [] if ct_test is None else [(config.ct_level, ct_test)]
     write_wilcoxon_tsv(out / "wilcoxon_time.tsv", ct_tests)
 
     summary = {
@@ -721,11 +713,7 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
 
     inputs = {}
     if isinstance(source, DatasetManifest):
-        series = _clip_dates(
-            ingest_csv(source.resolve(source.index_file), source.price_column,
-                       ticker="INDEX"),
-            source.date_range,
-        )
+        series = _load_series(source, "INDEX", source.index_file)
         inputs["INDEX"] = _sha256(source.resolve(source.index_file))
     elif isinstance(source, PriceSeries):
         series = source

@@ -78,12 +78,6 @@ class PriceSeries:
     def log_closes(self) -> np.ndarray:
         return _frozen(np.log(self.closes))
 
-    def restrict(self, calendar: np.ndarray) -> "PriceSeries":
-        """Return a copy restricted to the dates present in ``calendar``,
-        which holds each date once."""
-        mask = np.isin(self.dates, calendar, assume_unique=True)
-        return PriceSeries(self.ticker, self.dates[mask], self.closes[mask])
-
 
 @dataclass(frozen=True)
 class DetrendedLogPrice:
@@ -92,8 +86,6 @@ class DetrendedLogPrice:
     ticker: str
     dates: np.ndarray
     values: np.ndarray
-    drift_window: int
-    mode: str = "centered"
 
     def __post_init__(self):
         object.__setattr__(self, "dates", _frozen(_as_dates(self.dates)))
@@ -125,7 +117,6 @@ class AlignedPanel:
         for s in (*self.stocks, self.index_series):
             if len(s) != len(self.calendar) or not np.array_equal(s.dates, self.calendar):
                 raise ValidationError(f"{s.ticker}: dates differ from panel calendar")
-        self._ticker_index = {t: i for i, t in enumerate(tickers)}
 
     @property
     def tickers(self) -> tuple[str, ...]:
@@ -139,20 +130,10 @@ class AlignedPanel:
     def n_days(self) -> int:
         return len(self.calendar)
 
-    def stock_index(self, ticker: str) -> int:
-        try:
-            return self._ticker_index[ticker]
-        except KeyError:
-            raise ValidationError(f"unknown ticker {ticker!r}") from None
-
     @cached_property
     def log_close_matrix(self) -> np.ndarray:
         """Stacked log closes, shape (n_stocks, n_days)."""
         return _frozen(np.vstack([s.log_closes for s in self.stocks]))
-
-    @cached_property
-    def index_log_closes(self) -> np.ndarray:
-        return self.index_series.log_closes
 
 
 def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
@@ -186,7 +167,7 @@ def detrend_log_price(series: PriceSeries, drift_window: int = 251,
     else:
         covered = slice(w - 1, len(series))
     values = logp[covered] - ma
-    return DetrendedLogPrice(series.ticker, series.dates[covered], values, w, mode)
+    return DetrendedLogPrice(series.ticker, series.dates[covered], values)
 
 
 def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries,
@@ -215,6 +196,9 @@ def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries,
             f"common calendar has {len(calendar)} days, below minimum {min_days}"
         )
     def fit(s: PriceSeries) -> PriceSeries:
-        return s if len(s) == len(calendar) else s.restrict(calendar)
+        if len(s) == len(calendar):
+            return s
+        mask = np.isin(s.dates, calendar, assume_unique=True)
+        return PriceSeries(s.ticker, s.dates[mask], s.closes[mask])
 
     return AlignedPanel(calendar, [fit(s) for s in stocks], fit(index))

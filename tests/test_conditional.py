@@ -500,7 +500,7 @@ def assert_pairs_match_reference(p, analysis, window_range, horizon=1):
     idx = p.index_series.closes.tolist()
     for level_abs, report in analysis.chi.items():
         for pc in report.pairs:
-            x, y = (p.stock_index(t) for t in pc.pair)
+            x, y = (p.tickers.index(t) for t in pc.pair)
             for c, count, level in ((pc.c_minus, pc.count_minus, -level_abs),
                                     (pc.c_plus, pc.count_plus, level_abs)):
                 want, want_n = reference.pair_conditional(rows, idx, x, y, level,

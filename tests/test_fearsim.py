@@ -168,20 +168,9 @@ class TestIndex:
 
     def test_fear_step_moves_index_by_delta(self):
         panel = run(n_stocks=10, n_steps=2000, p=0.1, delta=0.01, seed=21)
-        idx_returns = np.diff(panel.index_log_price)
+        idx_returns = np.diff(np.log(build_index(panel)))
         np.testing.assert_allclose(idx_returns[panel.fear_step_flags], -0.01,
                                    atol=1e-12)
-
-    def test_aligned_panel_index_matches(self):
-        sim = run(n_stocks=4, n_steps=30, seed=2)
-        aligned = to_aligned_panel(sim)
-        series = build_index(aligned)
-        assert series.ticker == "INDEX"
-        np.testing.assert_allclose(series.closes, build_index(sim), rtol=1e-12)
-
-    def test_unknown_input_rejected(self):
-        with pytest.raises(ValidationError):
-            build_index(np.zeros((2, 3)))
 
 
 class TestToAlignedPanel:
@@ -215,5 +204,5 @@ class TestToAlignedPanel:
         sim = run(n_stocks=2, n_steps=15, seed=8)
         direct = to_aligned_panel(sim)
         rebuilt = make_panel([np.exp(lp) for lp in sim.log_prices])
-        np.testing.assert_allclose(rebuilt.index_log_closes,
-                                   direct.index_log_closes, atol=1e-12)
+        np.testing.assert_allclose(rebuilt.index_series.log_closes,
+                                   direct.index_series.log_closes, atol=1e-12)

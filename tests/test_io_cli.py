@@ -247,6 +247,14 @@ class TestIngest:
         assert main(["ingest-check", str(path)]) == 3
         assert re.fullmatch(r"error: \S+F\.csv" + message, capsys.readouterr().err.strip())
 
+    def test_read_error_wins_over_an_earlier_bad_row(self, tmp_path):
+        # every record is read before any is converted: line 2's bad date
+        # loses to the oversized field on line 4
+        path = tmp_path / "F.csv"
+        path.write_bytes(b"Date,Adj Close\nJan 3,1\n2000-01-04,1\n" + b"2" * 200_000 + b",1\n")
+        with pytest.raises(DataError, match=r"F\.csv:4: field larger than field limit \(131072\)$"):
+            ingest_csv(path)
+
 
 def ingest_outcome(ingest, path):
     """What one ingest gives: its dates and closes bytes, or its error."""
@@ -555,6 +563,7 @@ class TestRunConfig:
         ("rho_grid", (math.inf,), "inf is not finite"),
         ("chi_levels", (math.nan,), "nan is not finite"),
         ("rho_grid", (0.05, "0.1"), "'0.1' is not a number"),
+        ("rho_grid", (True, 0.05), "True is not a number"),
         ("chi_levels", 0.05, "expected a list of numbers, got 0.05"),
     ])
     def test_direct_construction_checks_levels(self, field, levels, message):
@@ -562,6 +571,13 @@ class TestRunConfig:
         as it is from JSON, where NaN would otherwise pass every sign check."""
         with pytest.raises(ValidationError, match=f"^{field}: {message}$"):
             RunConfig(**{field: levels})
+
+    def test_json_bool_level_rejected(self, tmp_path):
+        """JSON true is a bool, never the level 1.0."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"rho_grid": [true, -0.05, 0.05]}')
+        with pytest.raises(ValidationError, match="^rho_grid: True is not a number$"):
+            load_run_config(cfg_file)
 
     def test_precedence_defaults_file_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -615,8 +631,8 @@ class TestSimulateRoundTrip:
         assert panel.tickers == sim.tickers
         np.testing.assert_allclose(panel.log_close_matrix, sim.log_close_matrix,
                                    atol=1e-10)
-        np.testing.assert_allclose(panel.index_log_closes, sim.index_log_closes,
-                                   atol=1e-10)
+        np.testing.assert_allclose(panel.index_series.log_closes,
+                                   sim.index_series.log_closes, atol=1e-10)
 
     def test_same_seed_byte_identical(self, tmp_path):
         assert_same_files(simulated_dataset(tmp_path / "a"),

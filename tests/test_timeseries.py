@@ -142,11 +142,8 @@ class TestAlignPanel:
         idx = PriceSeries("IDX", d, np.full(5, 3.0))
         panel = align_panel([a, b], idx)
         assert panel.n_stocks == 2 and panel.n_days == 5
-        assert panel.stock_index("B") == 1
-        with pytest.raises(ValidationError):
-            panel.stock_index("Z")
         np.testing.assert_allclose(panel.log_close_matrix[0], np.arange(5.0))
-        np.testing.assert_allclose(panel.index_log_closes, math.log(3.0))
+        np.testing.assert_allclose(panel.index_series.log_closes, math.log(3.0))
 
     def test_one_misaligned_member_gives_the_intersection(self):
         d = calendar(12)
@@ -161,7 +158,7 @@ class TestAlignPanel:
         np.testing.assert_array_equal(panel.calendar, common)
         expected = np.vstack([s.log_closes[np.isin(s.dates, common)] for s in stocks])
         np.testing.assert_array_equal(panel.log_close_matrix, expected)
-        np.testing.assert_array_equal(panel.index_log_closes,
+        np.testing.assert_array_equal(panel.index_series.log_closes,
                                       idx.log_closes[np.isin(idx.dates, common)])
 
     def test_aligned_members_are_kept(self):
