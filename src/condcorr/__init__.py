@@ -59,7 +59,6 @@ from .io import (
 from .ranktests import RankSumResult, wilcoxon_rank_sum
 from .timeseries import (
     AlignedPanel,
-    DetrendedLogPrice,
     PriceSeries,
     align_panel,
     detrend_log_price,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +37,14 @@ from .timeseries import DETREND_MODES
 _CONFIG_FIELDS = [f.name for f in fields(io.RunConfig)]
 
 
+def _number_list(text: str) -> tuple[float, ...]:
+    """A ``--rho-grid`` or ``--chi-levels`` value: comma-separated numbers."""
+    try:
+        return tuple(map(float, text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_config_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group(
         "analysis configuration",
@@ -45,11 +54,11 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     group.add_argument("--delta-t", type=int, help="return horizon Δt in days")
     group.add_argument("--dt1", type=int, help="smallest correlation window span")
     group.add_argument("--dt2", type=int, help="largest correlation window span")
-    group.add_argument("--rho-grid", metavar="R1,R2,...",
+    group.add_argument("--rho-grid", metavar="R1,R2,...", type=_number_list,
                        help="signed return levels for the curve; use the "
                             "--rho-grid=-0.05,... form when the list starts "
                             "with a negative number")
-    group.add_argument("--chi-levels", metavar="L1,L2,...",
+    group.add_argument("--chi-levels", metavar="L1,L2,...", type=_number_list,
                        help="|rho| magnitudes for per-pair analyses")
     group.add_argument("--ct-level", type=float,
                        help="|rho| magnitude for the time-resolved analysis")
@@ -66,26 +75,12 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def _build_config(args: argparse.Namespace) -> io.RunConfig:
-    overrides = {}
-    for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name in ("rho_grid", "chi_levels"):
-            value = str(value).split(",")
-        overrides[name] = value
-    return io.load_run_config(getattr(args, "config", None), overrides)
+    return io.load_run_config(args.config,
+                              {name: getattr(args, name) for name in _CONFIG_FIELDS})
 
 
 def _cmd_simulate(args) -> int:
-    config = SimConfig(
-        n_stocks=args.n_stocks,
-        n_steps=args.n_steps,
-        fear_probability=args.fear_probability,
-        step_size=args.step_size,
-        seed=args.seed,
-        initial_log_price=args.initial_log_price,
-    )
+    config = SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)})
     summary = io.run_simulate(config, args.out)
     print(f"wrote {len(summary['outputs']['files'])} CSV files and "
           f"manifest.json to {args.out}")
@@ -164,9 +159,12 @@ def _read_values(path) -> np.ndarray:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise DataError(f"{p}:{lineno}: not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{p}:{lineno}: not finite: {text!r}")
+            values.append(value)
     if not values:
         raise DataError(f"{p}: no values")
     return np.asarray(values)

@@ -356,8 +356,11 @@ def check_epsilon(epsilon: float):
 def relative_difference_chi(c_minus: float, c_plus: float,
                             epsilon: float = DEFAULT_EPSILON) -> float | None:
     """χ_ρ = (C(−|ρ|) − C(+|ρ|)) / |C(+|ρ|)|; None when the denominator is
-    within ``epsilon`` of zero (excluded sample)."""
+    within ``epsilon`` of zero (excluded sample).  A C value that is not
+    finite raises ValidationError."""
     check_epsilon(epsilon)
+    if not (math.isfinite(c_minus) and math.isfinite(c_plus)):
+        raise ValidationError(f"C values must be finite, got {c_minus} and {c_plus}")
     if abs(c_plus) <= epsilon:
         return None
     return (c_minus - c_plus) / abs(c_plus)

@@ -134,11 +134,11 @@ def _ticker(i: int, n_stocks: int) -> str:
     return f"S{i:0{width}d}"
 
 
-def to_aligned_panel(panel: SimPanel, start_date: np.datetime64 = _EPOCH) -> AlignedPanel:
-    """Dress a SimPanel in real-data clothes: consecutive-day calendar,
-    tickers S00.., index ticker INDEX.  Downstream analysis then treats
-    synthetic and ingested panels identically."""
-    calendar = np.datetime64(start_date, "D") + np.arange(panel.n_steps + 1)
+def to_aligned_panel(panel: SimPanel) -> AlignedPanel:
+    """Dress a SimPanel in real-data clothes: consecutive-day calendar from
+    2000-01-03, tickers S00.., index ticker INDEX.  Downstream analysis then
+    treats synthetic and ingested panels identically."""
+    calendar = _EPOCH + np.arange(panel.n_steps + 1)
     stocks = [
         PriceSeries(_ticker(i, panel.n_stocks), calendar, np.exp(panel.log_prices[i]))
         for i in range(panel.n_stocks)

@@ -28,16 +28,8 @@ sign's tables before the next build.  The descent writes every start's
 waiting time, 0 where it is censored (no crossing waits 0), and the report
 histograms each magnitude from one ``np.bincount`` of its row.
 
-The block descent is split in two.  One lookup of the maximum over the
-2^G blocks after the one holding t0 + 1 tells whether the crossing lies
-among them (near); if so, levels G−1..0 alone find its block.  Only the
-far rest, compacted, descends over every block level, from the block after
-those 2^G.  So each (magnitude, start) pays G block levels, and only the
-far share pays the full log₂(n/B) more.  The split is exact.  A far
-element's 2^G blocks all stay below its threshold, so their maximum is
-finite: they lie inside the series, and its search resumes at most at the
-+inf block past the last.  A near element's block lies within 2^G − 1 of
-where it starts, a distance no level at or above G can move.
+The block descent is split into a near and a far search; the docstring
+of ``_first_passage_up`` says how, and why the split is exact.
 """
 
 from __future__ import annotations
@@ -49,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, ValidationError
-from .timeseries import DetrendedLogPrice, PriceSeries
 
 __all__ = [
     "WaitingTimeHistogram",
@@ -85,17 +76,16 @@ _FINE_LEVELS = _BLOCK.bit_length() - 1
 _NEAR_LEVELS = 4
 
 
-def _log_price_values(series) -> np.ndarray:
-    if isinstance(series, PriceSeries):
-        arr = series.log_closes
-    elif isinstance(series, DetrendedLogPrice):
-        arr = series.values
-    else:
-        arr = np.asarray(series, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValidationError("log-price series must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("log-price series contains non-finite values")
+def _log_price_values(log_prices) -> np.ndarray:
+    try:
+        arr = np.asarray(log_prices, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("log-price series must be an array of numbers, got "
+                              f"{type(log_prices).__name__}") from None
+    if arr.ndim != 1:
+        raise ValidationError("log-price series must be one-dimensional")
+    if not np.all(np.isfinite(arr)):
+        raise DataError("log-price series contains non-finite values")
     if len(arr) < 2:
         raise ValidationError(f"series of length {len(arr)} has no starts")
     return arr
@@ -276,22 +266,21 @@ class TailFit:
     n_bins: int
 
 
-def default_fit_range(hist: WaitingTimeHistogram,
-                      min_count: int = 5) -> tuple[float, float]:
+def default_fit_range(hist: WaitingTimeHistogram) -> tuple[float, float]:
     """Fit window from 3x the mode (past the pre-peak rise) to the last bin
-    still holding ``min_count`` samples (before counting noise takes over).
+    still holding 5 samples (before counting noise takes over).
 
-    Raises InsufficientDataError when no bin holds ``min_count`` samples or
-    when the last such bin lies at or below 3x the mode (no tail to fit).
+    Raises InsufficientDataError when no bin holds 5 samples or when the
+    last such bin lies at or below 3x the mode (no tail to fit).
     """
-    well_filled = np.nonzero(hist.counts >= min_count)[0]
+    well_filled = np.nonzero(hist.counts >= 5)[0]
     if len(well_filled) == 0:
-        raise InsufficientDataError(f"no bin holds {min_count} samples")
+        raise InsufficientDataError("no bin holds 5 samples")
     tau_min = 3.0 * hist.mode
     tau_max = float(hist.bin_centers[well_filled[-1]])
     if not tau_min < tau_max:
         raise InsufficientDataError(
-            f"no bin past 3x the mode ({tau_min:g}) holds {min_count} samples; "
+            f"no bin past 3x the mode ({tau_min:g}) holds 5 samples; "
             f"the last one is centered at {tau_max:g}"
         )
     return tau_min, tau_max
@@ -357,16 +346,19 @@ class GainLossReport:
         raise ValidationError(f"no entry for level {level_abs}")
 
 
-def gain_loss_report(series, levels, binning: str = "log",
+def gain_loss_report(log_prices, levels, binning: str = "log",
                      ratio: float = DEFAULT_LOG_BIN_RATIO) -> GainLossReport:
     """Waiting-time histograms at ±|ρ| for each magnitude in ``levels``.
 
-    A positive asymmetry (mode(+) above mode(−)) means the series reaches
-    losses sooner than equal-sized gains.  Every magnitude is checked before
-    the first scan, and so are the histogram parameters; each sign runs one
-    descent over every magnitude.
+    ``log_prices`` is a one-dimensional array of at least two finite log
+    prices, such as ``PriceSeries.log_closes`` or the output of
+    ``detrend_log_price``; anything that is not an array of numbers raises
+    ValidationError.  A positive asymmetry (mode(+) above mode(−)) means the
+    series reaches losses sooner than equal-sized gains.  Every magnitude is
+    checked before the first scan, and so are the histogram parameters; each
+    sign runs one descent over every magnitude.
     """
-    values = _log_price_values(series)
+    values = _log_price_values(log_prices)
     magnitudes = [abs(float(level)) for level in levels]
     for magnitude in magnitudes:
         if magnitude == 0.0 or not np.isfinite(magnitude):

@@ -126,7 +126,7 @@ def ingest_csv(path, price_column: str = "Adj Close",
     except Exception:
         parsed = None
     if parsed is None:
-        return _ingest_csv_reader(path, price_column, ticker)
+        parsed = _ingest_csv_reader(path, price_column)
     return PriceSeries(ticker if ticker is not None else Path(path).stem, *parsed)
 
 
@@ -153,10 +153,9 @@ def _parse_fast(path, price_column: str):
     return dates, closes
 
 
-def _ingest_csv_reader(path, price_column: str = "Adj Close",
-                       ticker: str | None = None) -> PriceSeries:
-    """The ``csv.reader`` path of ``ingest_csv``, and the only one that
-    raises ``DataError``.
+def _ingest_csv_reader(path, price_column: str = "Adj Close"):
+    """The ``csv.reader`` path of ``ingest_csv``: the sorted dates and
+    their prices.  It alone raises ``DataError``.
 
     Only the stripped ``Date`` and price fields of each non-blank record
     are kept (a short row's absent fields are empty), and every record is
@@ -171,7 +170,6 @@ def _ingest_csv_reader(path, price_column: str = "Adj Close",
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such file")
-    name = ticker if ticker is not None else path.stem
     raw_dates, raw_prices, linenos = [], [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -214,7 +212,7 @@ def _ingest_csv_reader(path, price_column: str = "Adj Close",
         k = repeats[0]
         raise DataError(f"{path}: duplicate date {dates[k]} "
                         f"(lines {linenos[order[k]]} and {linenos[order[k + 1]]})")
-    return PriceSeries(name, dates, np.array(closes)[order])
+    return dates, np.array(closes)[order]
 
 
 @dataclass(frozen=True)
@@ -323,11 +321,11 @@ def _load_series(manifest: DatasetManifest, ticker: str, rel: str) -> PriceSerie
     return _clip_dates(series, manifest.date_range)
 
 
-def load_panel(manifest: DatasetManifest, min_days: int = 2) -> AlignedPanel:
+def load_panel(manifest: DatasetManifest) -> AlignedPanel:
     """Ingest every file in the manifest and align onto the common calendar."""
     index = _load_series(manifest, "INDEX", manifest.index_file)
     stocks = [_load_series(manifest, t, p) for t, p in manifest.stock_files]
-    return align_panel(stocks, index, min_days=min_days)
+    return align_panel(stocks, index)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +346,9 @@ class RunConfig:
     detrending off for the inverse-statistics path.  Each scalar field must
     hold its type (an int field an integer, a float field an integer or a
     float, a str field a string; a bool is never a number), and every level
-    a finite number, not a bool; a mismatch raises ValidationError naming
-    the field.
+    a finite number, not a bool or a string; a mismatch raises
+    ValidationError naming the field.  Each level list is kept as a tuple of
+    floats.
     """
 
     delta_t: int = 1
@@ -395,6 +394,7 @@ class RunConfig:
                     raise ValidationError(f"{key}: {level!r} is not a number") from None
                 if not finite:
                     raise ValidationError(f"{key}: {level!r} is not finite")
+            object.__setattr__(self, key, tuple(map(float, levels)))
         if len(self.rho_grid) == 0:
             raise ValidationError("rho_grid must not be empty")
         if any(level <= 0 for level in self.chi_levels):
@@ -417,11 +417,8 @@ class RunConfig:
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional flat JSON file plus overrides.
-
-    The level lists are coerced to float tuples here; ``RunConfig`` checks
-    the type of every key.
-    """
+    """Build a RunConfig from an optional flat JSON file plus overrides; a
+    None override is not given.  ``RunConfig`` checks every value."""
     values: dict = {}
     if path is not None:
         path = Path(path)
@@ -433,31 +430,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         values.update(raw)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("rho_grid", "chi_levels"):
-        if isinstance(values.get(key), (list, tuple)):
-            values[key] = tuple(_level(key, v) for v in values[key])
     return RunConfig(**values)
-
-
-def _level(key: str, value) -> float:
-    """One level as a finite float; the ValidationError names ``key``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        level = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key}: {value!r} is not a number") from None
-    if not np.isfinite(level):
-        raise ValidationError(f"{key}: {value!r} is not finite")
-    return level
-
-
-def _config_dict(config) -> dict:
-    out = asdict(config)
-    for k, v in out.items():
-        if isinstance(v, tuple):
-            out[k] = list(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +544,7 @@ def run_simulate(sim_config: SimConfig, output_dir) -> dict:
         fh.write("\n")
     summary = {
         "command": "simulate",
-        "config": _config_dict(sim_config),
+        "config": asdict(sim_config),
         "outputs": {
             "manifest": "manifest.json",
             "files": [f for _, f in stock_files] + ["INDEX.csv"],
@@ -657,7 +630,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
 
     summary = {
         "command": "condcorr",
-        "config": _config_dict(config),
+        "config": asdict(config),
         "inputs": _input_hashes(manifest) if manifest is not None else {},
         "panel": {
             "n_stocks": panel.n_stocks,
@@ -722,16 +695,16 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
         inputs[series.ticker] = _sha256(Path(source))
 
     if config.detrend_window:
-        analyzed = detrend_log_price(series, config.detrend_window,
-                                     config.detrend_mode)
+        log_prices = detrend_log_price(series, config.detrend_window,
+                                       config.detrend_mode)
     else:
-        analyzed = series
+        log_prices = series.log_closes
 
     levels = sorted({abs(r) for r in config.rho_grid})
-    report = inverse_stats.gain_loss_report(analyzed, levels,
+    report = inverse_stats.gain_loss_report(log_prices, levels,
                                             binning=config.binning,
                                             ratio=config.bin_ratio)
-    starts = len(analyzed) - 1  # every start is scanned at every level
+    starts = len(log_prices) - 1  # every start is scanned at every level
     level_summaries = {}
     for entry in report.entries:
         tag = fmt(entry.level_abs)
@@ -763,7 +736,7 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
 
     summary = {
         "command": "invstats",
-        "config": _config_dict(config),
+        "config": asdict(config),
         "inputs": inputs,
         "series": {
             "ticker": series.ticker,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import DataError, ValidationError
 
 __all__ = [
     "PriceSeries",
-    "DetrendedLogPrice",
     "AlignedPanel",
     "detrend_log_price",
     "align_panel",
@@ -35,15 +34,8 @@ __all__ = [
 DETREND_MODES = ("centered", "trailing")
 
 
-def _as_dates(dates: Iterable) -> np.ndarray:
-    arr = np.asarray(dates)
-    if arr.dtype.kind != "M":
-        arr = np.array([np.datetime64(d, "D") for d in np.ravel(arr)])
-    return arr.astype("datetime64[D]")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
+def _frozen(arr, dtype=None) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -57,9 +49,8 @@ class PriceSeries:
     closes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", _frozen(_as_dates(self.dates)))
-        closes = np.asarray(self.closes, dtype=np.float64)
-        object.__setattr__(self, "closes", _frozen(closes))
+        object.__setattr__(self, "dates", _frozen(self.dates, "datetime64[D]"))
+        object.__setattr__(self, "closes", _frozen(self.closes, np.float64))
         if self.dates.ndim != 1 or self.closes.ndim != 1:
             raise ValidationError("dates and closes must be one-dimensional")
         if len(self.dates) != len(self.closes):
@@ -79,24 +70,6 @@ class PriceSeries:
         return _frozen(np.log(self.closes))
 
 
-@dataclass(frozen=True)
-class DetrendedLogPrice:
-    """Log price minus a moving average of itself, on the covered dates."""
-
-    ticker: str
-    dates: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", _frozen(_as_dates(self.dates)))
-        object.__setattr__(
-            self, "values", _frozen(np.asarray(self.values, dtype=np.float64))
-        )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 class AlignedPanel:
     """N >= 2 stocks plus a market index on one common trading calendar.
 
@@ -106,7 +79,7 @@ class AlignedPanel:
 
     def __init__(self, calendar: np.ndarray, stocks: Sequence[PriceSeries],
                  index_series: PriceSeries):
-        self.calendar = _frozen(_as_dates(calendar))
+        self.calendar = _frozen(calendar, "datetime64[D]")
         self.stocks = tuple(stocks)
         self.index_series = index_series
         if len(self.stocks) < 2:
@@ -142,13 +115,15 @@ def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def detrend_log_price(series: PriceSeries, drift_window: int = 251,
-                      mode: str = "centered") -> DetrendedLogPrice:
+                      mode: str = "centered") -> np.ndarray:
     """Remove slow drift: log price minus its moving average over ``drift_window``.
 
     ``mode="centered"`` subtracts the symmetric average around each day (the
     window width must be odd); ``mode="trailing"`` subtracts the average of
-    the window ending at each day.  Either way the output keeps only the
-    ``len(series) - drift_window + 1`` fully covered days.
+    the window ending at each day.  Either way the returned array holds only
+    the ``len(series) - drift_window + 1`` fully covered days: entry k is
+    day ``k + (drift_window - 1) // 2`` of the series when centered, day
+    ``k + drift_window - 1`` when trailing.
     """
     w = drift_window
     if mode not in DETREND_MODES:
@@ -166,19 +141,17 @@ def detrend_log_price(series: PriceSeries, drift_window: int = 251,
         covered = slice(half, len(series) - half)
     else:
         covered = slice(w - 1, len(series))
-    values = logp[covered] - ma
-    return DetrendedLogPrice(series.ticker, series.dates[covered], values)
+    return logp[covered] - ma
 
 
-def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries,
-                min_days: int = 2) -> AlignedPanel:
+def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries) -> AlignedPanel:
     """Intersect all calendars and restrict every series to the common dates.
 
     A member whose dates already equal the running calendar is not
     intersected, and one as long as the common calendar is kept as it is:
     it holds every common date and no other.  Raises if fewer than two
     stocks are given, tickers repeat, or the common calendar ends up
-    shorter than ``min_days``.
+    shorter than two days.
     """
     if len(stocks) < 2:
         raise ValidationError("need at least 2 stocks to build a panel")
@@ -191,10 +164,8 @@ def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries,
             calendar = np.intersect1d(calendar, s.dates, assume_unique=True)
     if len(calendar) == 0:
         raise DataError("no common trading dates across panel members")
-    if len(calendar) < min_days:
-        raise DataError(
-            f"common calendar has {len(calendar)} days, below minimum {min_days}"
-        )
+    if len(calendar) < 2:
+        raise DataError(f"common calendar has {len(calendar)} days, below minimum 2")
     def fit(s: PriceSeries) -> PriceSeries:
         if len(s) == len(calendar):
             return s

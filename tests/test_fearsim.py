@@ -195,11 +195,6 @@ class TestToAlignedPanel:
         with pytest.raises(ValidationError):
             to_aligned_panel(sim)
 
-    def test_custom_start_date(self):
-        sim = run(n_stocks=2, n_steps=5, seed=4)
-        panel = to_aligned_panel(sim, start_date=np.datetime64("1991-01-02"))
-        assert panel.calendar[0] == np.datetime64("1991-01-02")
-
     def test_round_trip_through_make_panel_helper(self):
         sim = run(n_stocks=2, n_steps=15, seed=8)
         direct = to_aligned_panel(sim)

@@ -74,24 +74,6 @@ class TestFirstPassage:
         values = np.array([0.0, -0.02, -0.06])
         np.testing.assert_array_equal(descent(values, -1.0, [0.05]), [[2, 0]])
 
-    def test_price_series_uses_log_closes(self):
-        s = PriceSeries("X", calendar(5), np.array([100.0, 101.0, 99.0, 103.0, 98.0]))
-        via_series = gain_loss_report(s, [0.02]).entry(0.02)
-        via_values = gain_loss_report(s.log_closes, [0.02]).entry(0.02)
-        assert via_series.plus is not None and via_series.minus is not None
-        assert_same_histogram(via_series.plus, via_values.plus)
-        assert_same_histogram(via_series.minus, via_values.minus)
-
-    def test_detrended_series_uses_values(self):
-        rng = np.random.default_rng(2)
-        s = PriceSeries("X", calendar(60), np.exp(np.cumsum(rng.normal(0, 0.02, 60))))
-        d = detrend_log_price(s, drift_window=11)
-        via_obj = gain_loss_report(d, [0.01]).entry(0.01)
-        via_values = gain_loss_report(d.values, [0.01]).entry(0.01)
-        assert via_obj.plus is not None and via_obj.minus is not None
-        assert_same_histogram(via_obj.plus, via_values.plus)
-        assert_same_histogram(via_obj.minus, via_values.minus)
-
     def test_validation(self, no_scan):
         """A bad level or series raises before any table is built."""
         for level in (0.0, math.nan):
@@ -104,8 +86,10 @@ class TestFirstPassage:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(DataError):
                 gain_loss_report(np.array([0.0, bad, 1.0]), [0.05])
-        with pytest.raises(ValidationError):
-            gain_loss_report(PriceSeries("X", calendar(1), np.array([100.0])), [0.05])
+        # a series object is not an array of log prices
+        series = PriceSeries("X", calendar(3), np.array([100.0, 101.0, 99.0]))
+        with pytest.raises(ValidationError, match="array of numbers, got PriceSeries"):
+            gain_loss_report(series, [0.05])
 
     def test_matches_brute_force_exactly(self, rng):
         """Two-scale table scan must agree bit-for-bit with a plain loop.
@@ -262,7 +246,7 @@ class TestTailFit:
     def test_default_range_semantics(self):
         taus = [2] * 40 + [3] * 25 + [5] * 18 + [9] * 11 + [15] * 7 + [30] * 3
         h = histogram_of(taus, binning="log", ratio=1.4)
-        lo, hi = default_fit_range(h, min_count=5)
+        lo, hi = default_fit_range(h)
         assert lo == pytest.approx(3.0 * h.mode, rel=1e-12)
         filled = np.nonzero(h.counts >= 5)[0]
         assert hi == pytest.approx(float(h.bin_centers[filled[-1]]), rel=1e-12)
@@ -270,7 +254,7 @@ class TestTailFit:
     def test_default_range_needs_a_filled_bin(self):
         h = histogram_of([1, 4, 9])
         with pytest.raises(InsufficientDataError):
-            default_fit_range(h, min_count=5)
+            default_fit_range(h)
 
     def test_fit_needs_four_nonzero_bins(self):
         h = power_law_histogram(1.5, n_bins=6)

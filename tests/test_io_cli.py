@@ -259,10 +259,12 @@ class TestIngest:
 def ingest_outcome(ingest, path):
     """What one ingest gives: its dates and closes bytes, or its error."""
     try:
-        s = ingest(path)
+        result = ingest(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return s.ticker, s.dates.tobytes(), s.closes.tobytes()
+    if isinstance(result, PriceSeries):
+        result = result.dates, result.closes
+    return tuple(a.tobytes() for a in result)
 
 
 _VALID_DATES = [f"2000-01-{d:02d}" for d in range(3, 13)]
@@ -362,12 +364,12 @@ class TestIngestPaths:
         s = PriceSeries("T", dates, np.exp(np.sin(np.arange(len(dates), dtype=float))))
         path = tmp_path / "T.csv"
         write_price_csv(path, s)
-        expected = cc_io._ingest_csv_reader(path)
-        np.testing.assert_array_equal(expected.dates, dates)
+        expected_dates, expected_closes = cc_io._ingest_csv_reader(path)
+        np.testing.assert_array_equal(expected_dates, dates)
         monkeypatch.setattr(cc_io, "_ingest_csv_reader", refuse_csv_reader)
         back = ingest_csv(path)
-        np.testing.assert_array_equal(back.dates, expected.dates)
-        assert back.closes.tobytes() == expected.closes.tobytes()
+        np.testing.assert_array_equal(back.dates, expected_dates)
+        assert back.closes.tobytes() == expected_closes.tobytes()
 
     def test_simulated_panel_takes_fast_path(self, tmp_path, monkeypatch):
         data = simulated_dataset(tmp_path, n_stocks=30, n_steps=60)
@@ -538,8 +540,8 @@ class TestRunConfig:
             RunConfig(binning="cubic")
         with pytest.raises(ValidationError, match="detrend_mode"):
             RunConfig(detrend_mode="sideways")
-        # level lists are coerced in one place, which names the bad key
-        with pytest.raises(ValidationError, match="rho_grid"):
+        # RunConfig alone checks the levels, and names the bad key
+        with pytest.raises(ValidationError, match="^rho_grid: '-0.05' is not a number$"):
             load_run_config(None, {"rho_grid": ["-0.05", "x"]})
         with pytest.raises(ValidationError, match="ct_level"):
             load_run_config(None, {"ct_level": "nan"})
@@ -595,6 +597,10 @@ class TestRunConfig:
         c = load_run_config(cfg_file)
         assert c.rho_grid == (-1.0, 1.0)
         assert c.chi_levels == (1.0,)
+        # RunConfig itself keeps each level list as a tuple of floats
+        c = RunConfig(rho_grid=[1, -1], chi_levels=[np.float64(0.5)])
+        assert c.rho_grid == (1.0, -1.0) and c.chi_levels == (0.5,)
+        assert all(type(level) is float for level in c.rho_grid + c.chi_levels)
 
     def test_unknown_keys_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -978,9 +984,9 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
     @pytest.mark.parametrize("config", [
         {"dt1": "3"}, {"bin_ratio": "1.5"}, {"seed": 1.5}, {"binning": 2},
-        {"dt2": True},
+        {"dt2": True}, {"rho_grid": ["0.05", "-0.05"]},
     ], ids=["int-as-string", "float-as-string", "int-as-float", "str-as-int",
-            "int-as-bool"])
+            "int-as-bool", "level-as-string"])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, config):
         """A scalar of the wrong JSON type is named and exits 2 before the
         manifest is read."""
@@ -991,6 +997,15 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and next(iter(config)) in err
+
+    @pytest.mark.parametrize("flag", ["--rho-grid=-0.05,x", "--chi-levels=0.05,"])
+    def test_bad_level_flag_exits_2(self, tmp_path, capsys, flag):
+        """argparse refuses a level list that does not parse, naming the flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["invstats", "--manifest", str(tmp_path / "absent.json"),
+                  "--out", str(tmp_path / "out"), flag])
+        assert exit_info.value.code == 2
+        assert f"argument {flag.split('=')[0]}: could not convert" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main([
@@ -1008,6 +1023,15 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert main(["chi", "0.3", "0.0"]) == 4
         out = json.loads(capsys.readouterr().out)
         assert out["excluded"] is True and out["chi"] is None
+
+    @pytest.mark.parametrize("c_values", [["nan", "0.5"], ["0.3", "inf"], ["0.3", "nan"]],
+                             ids=["nan-minus", "inf-plus", "nan-plus"])
+    def test_chi_rejects_non_finite_c(self, capsys, c_values):
+        """A non-finite C exits 2 instead of printing NaN, which is not JSON."""
+        assert main(["chi", *c_values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: C values must be finite")
 
     @pytest.mark.parametrize("epsilon", ["-1", "nan"])
     def test_chi_rejects_bad_epsilon(self, capsys, epsilon):
@@ -1043,6 +1067,15 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         b.write_text("1\n2\n3\n")
         assert main(["wilcoxon", str(a), str(b)]) == 3
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_wilcoxon_non_finite_value_names_line(self, tmp_path, capsys, value):
+        a = tmp_path / "a.txt"
+        a.write_text(f"1.0\n{value}\n")
+        b = tmp_path / "b.txt"
+        b.write_text("1\n2\n3\n")
+        assert main(["wilcoxon", str(a), str(b)]) == 3
+        assert f"a.txt:2: not finite: '{value}'" in capsys.readouterr().err
 
     def test_ingest_check_csv_and_manifest(self, tmp_path, capsys):
         data = simulated_dataset(tmp_path, n_stocks=2, n_steps=30)

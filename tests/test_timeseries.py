@@ -40,6 +40,11 @@ class TestPriceSeriesValidation:
         with pytest.raises(DataError):
             PriceSeries(ticker="X", dates=dates, closes=np.array([1.0, 2.0, 3.0]))
 
+    def test_rejects_two_dimensional_dates(self):
+        dates = [["2000-01-03", "2000-01-04", "2000-01-05"]]
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            PriceSeries(ticker="X", dates=dates, closes=np.array([1.0, 2.0, 3.0]))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             PriceSeries(ticker="X", dates=calendar(3), closes=np.array([1.0, 2.0]))
@@ -55,31 +60,35 @@ class TestDetrend:
         # symmetric average of a linear ramp equals the center value
         closes = np.exp(0.001 * np.arange(40.0))
         d = detrend_log_price(series(closes), drift_window=7, mode="centered")
-        np.testing.assert_allclose(d.values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(d, 0.0, atol=1e-14)
 
     def test_constant_price_detrends_to_zero(self):
         for mode in ("centered", "trailing"):
             d = detrend_log_price(series([5.0] * 20), drift_window=5, mode=mode)
-            np.testing.assert_allclose(d.values, 0.0, atol=1e-14)
+            np.testing.assert_allclose(d, 0.0, atol=1e-14)
 
     def test_centered_spike(self):
         # ln p = [0, 0, 1, 0, 0]: centered width-3 average at the spike is 1/3
         closes = np.exp([0.0, 0.0, 1.0, 0.0, 0.0])
         d = detrend_log_price(series(closes), drift_window=3, mode="centered")
-        assert d.values.shape == (3,)
-        assert d.values[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert d.shape == (3,)
+        assert d[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_centered_keeps_covered_days(self):
-        s = series(np.exp(np.linspace(0.0, 0.1, 30)))
+        """Entry k is day k + 5 less the mean of days k..k + 10."""
+        s = series(np.exp(np.random.default_rng(3).normal(0.0, 0.1, 30)))
         d = detrend_log_price(s, drift_window=11, mode="centered")
-        assert len(d) == 20
-        np.testing.assert_array_equal(d.dates, s.dates[5:25])
+        logp = s.log_closes
+        expected = [logp[k + 5] - logp[k:k + 11].mean() for k in range(20)]
+        np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)
 
     def test_trailing_keeps_covered_days(self):
-        s = series(np.exp(np.linspace(0.0, 0.1, 30)))
+        """Entry k is day k + 10 less the mean of days k..k + 10."""
+        s = series(np.exp(np.random.default_rng(4).normal(0.0, 0.1, 30)))
         d = detrend_log_price(s, drift_window=11, mode="trailing")
-        assert len(d) == 20
-        np.testing.assert_array_equal(d.dates, s.dates[10:])
+        logp = s.log_closes
+        expected = [logp[k + 10] - logp[k:k + 11].mean() for k in range(20)]
+        np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)
 
     def test_centered_window_must_be_odd(self):
         with pytest.raises(ValidationError):
@@ -122,7 +131,7 @@ class TestAlignPanel:
         b = PriceSeries("B", d[1:3], np.array([4.0, 5.0]))
         idx = PriceSeries("IDX", d, np.ones(4))
         with pytest.raises(DataError):
-            align_panel([a, b], idx, min_days=2)
+            align_panel([a, b], idx)
 
     def test_needs_two_stocks(self):
         a = PriceSeries("A", calendar(3), np.ones(3))
