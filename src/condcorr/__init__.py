@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .conditional import (
     ChiReport,
-    ChiSample,
     CorrelationCurve,
     CurvePoint,
     PairConditional,

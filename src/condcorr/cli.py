@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,11 @@ from .ranktests import equalize_sizes, wilcoxon_rank_sum
 from .timeseries import DETREND_MODES
 
 _CONFIG_FIELDS = [f.name for f in fields(io.RunConfig)]
+
+
+def _print_json(obj):
+    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    print()
 
 
 def _number_list(text: str) -> tuple[float, ...]:
@@ -112,8 +117,7 @@ def _cmd_ingest_check(args) -> int:
                 "price_min": float(np.min(series.closes)),
                 "price_max": float(np.max(series.closes)),
             }
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _print_json(report)
     return 0
 
 
@@ -175,32 +179,18 @@ def _cmd_wilcoxon(args) -> int:
     b = _read_values(args.sample_b)
     if args.equalize:
         a, b = equalize_sizes(a, b, args.seed)
-    result = wilcoxon_rank_sum(a, b)
-    json.dump(
-        {
-            "z": result.z,
-            "p_two_sided": result.p_two_sided,
-            "log10_p": result.log10_p,
-            "n_a": result.n_a,
-            "n_b": result.n_b,
-            "tie_groups": result.tie_groups,
-        },
-        sys.stdout, indent=2, sort_keys=True,
-    )
-    print()
+    _print_json(asdict(wilcoxon_rank_sum(a, b)))
     return 0
 
 
 def _cmd_chi(args) -> int:
     chi = relative_difference_chi(args.c_minus, args.c_plus, args.epsilon)
     if chi is None:
-        json.dump({"chi": None, "excluded": True,
-                   "reason": f"|C(+)| <= epsilon ({args.epsilon:g})"},
-                  sys.stdout, indent=2, sort_keys=True)
-        print()
+        reason = (f"|C(+)| <= epsilon ({args.epsilon:g})" if abs(args.c_plus) <= args.epsilon
+                  else "(C(-) - C(+))/|C(+)| overflows")
+        _print_json({"chi": None, "excluded": True, "reason": reason})
         return 4
-    json.dump({"chi": chi, "excluded": False}, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _print_json({"chi": chi, "excluded": False})
     return 0
 
 

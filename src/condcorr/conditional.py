@@ -54,7 +54,6 @@ from .timeseries import AlignedPanel
 __all__ = [
     "CurvePoint",
     "CorrelationCurve",
-    "ChiSample",
     "PairConditional",
     "ChiReport",
     "TimeResolvedCorrelation",
@@ -110,28 +109,21 @@ class CorrelationCurve:
 
 
 @dataclass(frozen=True)
-class ChiSample:
-    """Per-pair relative conditional-correlation difference χ_ρ."""
-
-    pair: tuple[str, str]
-    chi: float
-
-
-@dataclass(frozen=True)
 class PairConditional:
-    """One pair's C_(x,y) at −|ρ| and +|ρ| with the member counts behind them."""
+    """One pair's C_(x,y) at −|ρ| and +|ρ| with the member counts behind them,
+    and its χ_ρ: None when a side has no members or the guard excludes it."""
 
     pair: tuple[str, str]
     c_minus: float | None
     c_plus: float | None
     count_minus: int
     count_plus: int
+    chi: float | None
 
 
 @dataclass(frozen=True)
 class ChiReport:
     pairs: tuple[PairConditional, ...]
-    samples: tuple[ChiSample, ...]
     excluded_denominator: int
     excluded_missing: int
 
@@ -326,9 +318,10 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
                       time_num, time_den)
 
 
-def _span_average(sums: _SweepSums, i: int):
-    """(mean over δt of the member means, member total, δt without members,
-    standard error) for level i of a sweep; None when no δt has members."""
+def _curve_point(sums: _SweepSums, i: int, rho: float,
+                 min_samples: int) -> CurvePoint | None:
+    """C(ρ) of level i of a sweep, the mean over δt of the member means;
+    None when no δt has members."""
     counts, level_sums = sums.counts[:, i], sums.sums[:, i]
     have, ok = counts > 0, counts > 1
     if not np.any(have):
@@ -338,8 +331,11 @@ def _span_average(sums: _SweepSums, i: int):
     # adjacent member windows share span of their span+1 days, so the mean's
     # variance shrinks roughly like var×(span+1)/count, not var/count
     se2 = var * (sums.spans[ok] + 1) / (counts[ok] - 1)
-    return (float(np.mean(level_sums[have] / counts[have])), int(counts.sum()),
-            int(np.sum(~have)), float(np.sqrt(np.mean(se2))) if np.any(ok) else None)
+    total = int(counts.sum())
+    return CurvePoint(rho=rho, value=float(np.mean(level_sums[have] / counts[have])),
+                      sample_count=total, excluded_windows=int(np.sum(~have)),
+                      stderr=float(np.sqrt(np.mean(se2))) if np.any(ok) else None,
+                      flagged=total < min_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +352,15 @@ def check_epsilon(epsilon: float):
 def relative_difference_chi(c_minus: float, c_plus: float,
                             epsilon: float = DEFAULT_EPSILON) -> float | None:
     """χ_ρ = (C(−|ρ|) − C(+|ρ|)) / |C(+|ρ|)|; None when the denominator is
-    within ``epsilon`` of zero (excluded sample).  A C value that is not
-    finite raises ValidationError."""
+    within ``epsilon`` of zero, or too small for the quotient to be finite
+    (excluded sample).  A C value that is not finite raises ValidationError."""
     check_epsilon(epsilon)
     if not (math.isfinite(c_minus) and math.isfinite(c_plus)):
         raise ValidationError(f"C values must be finite, got {c_minus} and {c_plus}")
     if abs(c_plus) <= epsilon:
         return None
-    return (c_minus - c_plus) / abs(c_plus)
+    chi = (c_minus - c_plus) / abs(c_plus)
+    return chi if math.isfinite(chi) else None
 
 
 def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
@@ -375,26 +372,21 @@ def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
         a[[[minus], [plus]], iu, ju].tolist()
         for a in (sums.pair_den, sums.pair_num, sums.pair_members))
     pairs = []
-    samples = []
     small_denom = 0
     missing = 0
     for i, j, dm, dp, sm, sp, cm, cp in zip(iu.tolist(), ju.tolist(), den_m, den_p,
                                             num_m, num_p, n_m, n_p):
         c_minus = sm / dm if dm else None
         c_plus = sp / dp if dp else None
-        pc = PairConditional(pair=(tickers[i], tickers[j]), c_minus=c_minus,
-                             c_plus=c_plus, count_minus=cm, count_plus=cp)
-        pairs.append(pc)
+        chi = None
         if c_minus is None or c_plus is None:
             missing += 1
-            continue
-        chi = relative_difference_chi(c_minus, c_plus, epsilon)
-        if chi is None:
-            small_denom += 1
         else:
-            samples.append(ChiSample(pc.pair, chi))
-    return ChiReport(pairs=tuple(pairs), samples=tuple(samples),
-                     excluded_denominator=small_denom, excluded_missing=missing)
+            chi = relative_difference_chi(c_minus, c_plus, epsilon)
+            small_denom += chi is None
+        pairs.append(PairConditional((tickers[i], tickers[j]), c_minus, c_plus, cm, cp, chi))
+    return ChiReport(pairs=tuple(pairs), excluded_denominator=small_denom,
+                     excluded_missing=missing)
 
 
 def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
@@ -431,15 +423,8 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
 
     sums = _sweep(panel, horizon, window_range, levels, pair_levels, ct_levels)
 
-    points = []
-    for lev in curve_levels:
-        average = _span_average(sums, levels.index(lev))
-        if average is not None:
-            value, total, excluded, stderr = average
-            points.append(CurvePoint(rho=lev, value=value, sample_count=total,
-                                     excluded_windows=excluded, stderr=stderr,
-                                     flagged=total < min_samples))
-    curve = CorrelationCurve(points=tuple(points))
+    points = (_curve_point(sums, levels.index(lev), lev, min_samples) for lev in curve_levels)
+    curve = CorrelationCurve(points=tuple(p for p in points if p is not None))
 
     chi = {lev: _chi_report(panel, sums, 2 * k, 2 * k + 1, epsilon)
            for k, lev in enumerate(chi_levels)}

@@ -35,7 +35,6 @@ of ``_first_passage_up`` says how, and why the split is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -97,7 +96,8 @@ class _PassageTables(NamedTuple):
     ``fine[k][i]`` is the maximum of the padded series over [i, i + 2**k)
     for k < log2(_BLOCK), ``suffix[i]`` its maximum from i to the end of i's
     block, and ``coarse[k][b]`` the maximum over blocks [b, b + 2**k), with
-    one +inf block past the last.  A window that runs past the end is +inf.
+    one +inf block past the last and at least two levels.  A window that
+    runs past the end is +inf.
     """
 
     n: int
@@ -130,7 +130,7 @@ def _first_passage_tables(s: np.ndarray) -> _PassageTables:
                           out=suffix.reshape(-1, _BLOCK)[:, ::-1])
     block_max = np.append(suffix[::_BLOCK], np.inf)
     return _PassageTables(n, _doubling_maxima(padded, _FINE_LEVELS), suffix,
-                          _doubling_maxima(block_max, len(blocks).bit_length()))
+                          _doubling_maxima(block_max, max(2, len(blocks).bit_length())))
 
 
 def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
@@ -142,9 +142,9 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
 
     The block search starts at b0, the block after the one holding t0 + 1.
     A (rho, start) element is near when its threshold is reached within
-    the 2**G blocks from b0 (G = _NEAR_LEVELS, capped below the number of
-    block levels): levels G-1..0 find its block, and no higher level could
-    move it.  The far rest, compacted, resume at b0 + 2**G over every block
+    the 2**G blocks from b0 (G = _NEAR_LEVELS >= 1, capped below the number
+    of block levels, which is at least 2): levels G-1..0 find its block,
+    and no higher level could move it.  The far rest, compacted, resume at b0 + 2**G over every block
     level; their 2**G blocks have a finite maximum, so they lie inside the
     series and b0 + 2**G is at most the +inf block.  Each element pays G
     block levels, and only the far share the full descent as well.
@@ -162,11 +162,8 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
         # the first block from b0 whose maximum reaches the threshold: the
         # levels below near_levels find it for a near element, every level
         # from b0 + 2**near_levels for a far one
-        if near_levels:
-            k = near_levels - 1
-            block = b0 + ((coarse[k][b0] < thresholds) << k)
-        else:
-            block = np.tile(b0, (len(rhos), 1))
+        k = near_levels - 1
+        block = b0 + ((coarse[k][b0] < thresholds) << k)
         for k in range(near_levels - 2, -1, -1):
             block += (coarse[k][block] < thresholds) << k
         far = np.flatnonzero(coarse[near_levels][b0] < thresholds)
@@ -216,20 +213,12 @@ def _log_edges(tau_max: float, ratio: float) -> np.ndarray:
 class WaitingTimeHistogram:
     """Normalized waiting-time density at one level (censored starts excluded)."""
 
-    level: float
     bin_edges: np.ndarray
+    bin_centers: np.ndarray
     densities: np.ndarray
     counts: np.ndarray
     total_samples: int
     censored_count: int
-    binning: str
-
-    @cached_property
-    def bin_centers(self) -> np.ndarray:
-        lo, hi = self.bin_edges[:-1], self.bin_edges[1:]
-        if self.binning == "log":
-            return np.sqrt(lo * hi)
-        return (lo + hi) / 2.0
 
     @property
     def mode(self) -> float:
@@ -237,23 +226,24 @@ class WaitingTimeHistogram:
         return float(self.bin_centers[int(np.argmax(self.densities))])
 
 
-def _histogram(level: float, counts: np.ndarray, binning: str,
-               ratio: float) -> WaitingTimeHistogram:
+def _histogram(counts: np.ndarray, binning: str, ratio: float) -> WaitingTimeHistogram:
     # counts[τ] starts waited τ and counts[0] were censored; at least one
     # start crossed, and counts ends at the longest wait (np.bincount's)
     tau_max = float(len(counts) - 1)
     if binning == "log":
         edges = _log_edges(tau_max, ratio)
+        centers = np.sqrt(edges[:-1] * edges[1:])
     else:
         edges = np.arange(0.5, tau_max + 1.5, 1.0)  # unit bins centered on each τ
+        centers = (edges[:-1] + edges[1:]) / 2.0
 
     # waiting times are integers, so #{τ < edge} = #{τ ≤ ceil(edge) − 1}
     at_most = np.cumsum(counts)
     binned = np.diff(at_most[np.minimum(np.ceil(edges) - 1, tau_max).astype(np.int64)])
     total = int(at_most[-1] - counts[0])
     densities = binned / (total * np.diff(edges))
-    return WaitingTimeHistogram(level, edges, densities, binned, total_samples=total,
-                                censored_count=int(counts[0]), binning=binning)
+    return WaitingTimeHistogram(edges, centers, densities, binned, total_samples=total,
+                                censored_count=int(counts[0]))
 
 
 @dataclass(frozen=True)
@@ -370,8 +360,8 @@ def gain_loss_report(log_prices, levels, binning: str = "log",
         # at del, so one sign's arrays are alive at a time
         taus = _first_passage_up(_first_passage_tables(sign * values), magnitudes)
         hists[sign] = [  # a side no start crosses counts only censored starts
-            _histogram(sign * magnitude, counts, binning, ratio) if len(counts) > 1 else None
-            for magnitude, counts in zip(magnitudes, map(np.bincount, taus))
+            _histogram(counts, binning, ratio) if len(counts) > 1 else None
+            for counts in map(np.bincount, taus)
         ]
         del taus
     return GainLossReport(tuple(

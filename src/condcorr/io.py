@@ -296,13 +296,7 @@ def load_manifest(path) -> DatasetManifest:
         raise ValidationError(f"{path}: unknown manifest keys {sorted(unknown)}")
     if "index_file" not in raw or "stock_files" not in raw:
         raise ValidationError(f"{path}: manifest needs index_file and stock_files")
-    return DatasetManifest(
-        index_file=raw["index_file"],
-        stock_files=raw["stock_files"],
-        date_range=raw.get("date_range"),
-        price_column=raw.get("price_column", "Adj Close"),
-        base_dir=path.parent,
-    )
+    return DatasetManifest(**raw, base_dir=path.parent)
 
 
 def _clip_dates(series: PriceSeries, date_range) -> PriceSeries:
@@ -453,8 +447,8 @@ def write_curve_tsv(path, curve: conditional.CorrelationCurve):
 
 def write_chi_tsv(path, report: conditional.ChiReport):
     rows = (
-        [s.pair[0], s.pair[1], fmt(s.chi)]
-        for s in report.samples
+        [p.pair[0], p.pair[1], fmt(p.chi)]
+        for p in report.pairs if p.chi is not None
     )
     _write_tsv(Path(path), ["x", "y", "chi"], rows)
 
@@ -573,6 +567,12 @@ def _rank_test(plus: np.ndarray, minus: np.ndarray, seed: int) -> RankSumResult 
     return wilcoxon_rank_sum(plus, minus) if len(plus) >= 2 else None
 
 
+def _rank_tests_summary(tests: list[tuple[float, RankSumResult]]) -> dict:
+    """The summary.json block of one Wilcoxon table: z, log10(p), n per level."""
+    return {fmt(level): {"z": r.z, "log10_p": r.log10_p, "n": min(r.n_a, r.n_b)}
+            for level, r in tests}
+
+
 def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir,
                  panel: AlignedPanel | None = None) -> dict:
     """Full conditional-correlation pipeline -> TSV reports + summary.json.
@@ -650,21 +650,15 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
         },
         "chi": {
             fmt(level): {
-                "n_samples": len(analysis.chi[level].samples),
+                "n_samples": sum(p.chi is not None for p in analysis.chi[level].pairs),
                 "excluded_small_denominator": analysis.chi[level].excluded_denominator,
                 "excluded_missing_data": analysis.chi[level].excluded_missing,
             }
             for level in config.chi_levels
         },
-        "wilcoxon_pairs": {
-            fmt(level): {"z": r.z, "log10_p": r.log10_p, "n": min(r.n_a, r.n_b)}
-            for level, r in pair_tests
-        },
+        "wilcoxon_pairs": _rank_tests_summary(pair_tests),
         "wilcoxon_pairs_skipped": [fmt(l) for l in skipped_pair_tests],
-        "wilcoxon_time": {
-            fmt(level): {"z": r.z, "log10_p": r.log10_p, "n": min(r.n_a, r.n_b)}
-            for level, r in ct_tests
-        },
+        "wilcoxon_time": _rank_tests_summary(ct_tests),
         "version": _package_version(),
     }
     _write_summary(out, summary)
@@ -691,7 +685,7 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
     elif isinstance(source, PriceSeries):
         series = source
     else:
-        series = ingest_csv(source, "Adj Close")
+        series = ingest_csv(source)
         inputs[series.ticker] = _sha256(Path(source))
 
     if config.detrend_window:
@@ -708,31 +702,27 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
     level_summaries = {}
     for entry in report.entries:
         tag = fmt(entry.level_abs)
-        fits, crossed, censored = {}, {}, {}
+        fits = {}
+        level_summaries[tag] = row = {
+            "mode_plus": entry.mode_plus,
+            "mode_minus": entry.mode_minus,
+            "asymmetry": entry.asymmetry,
+            "tail_fit": fits,
+        }
         for side, hist in (("plus", entry.plus), ("minus", entry.minus)):
             if hist is None:
                 fits[side] = {"error": f"no crossings to histogram (all {starts} "
                                        "starts censored)"}
-                crossed[side], censored[side] = 0, starts
+                row[f"n_{side}"], row[f"censored_{side}"] = 0, starts
                 continue
             write_histogram_tsv(out / f"hist_{side}_{tag}.tsv", hist)
-            crossed[side], censored[side] = hist.total_samples, hist.censored_count
+            row[f"n_{side}"], row[f"censored_{side}"] = hist.total_samples, hist.censored_count
             try:
                 fit = inverse_stats.fit_tail_exponent(hist)
                 fits[side] = {"exponent": fit.exponent, "stderr": fit.stderr,
                               "fit_range": list(fit.fit_range), "n_bins": fit.n_bins}
             except InsufficientDataError as exc:
                 fits[side] = {"error": str(exc)}
-        level_summaries[tag] = {
-            "mode_plus": entry.mode_plus,
-            "mode_minus": entry.mode_minus,
-            "asymmetry": entry.asymmetry,
-            "n_plus": crossed["plus"],
-            "n_minus": crossed["minus"],
-            "censored_plus": censored["plus"],
-            "censored_minus": censored["minus"],
-            "tail_fit": fits,
-        }
 
     summary = {
         "command": "invstats",

@@ -34,10 +34,11 @@ __all__ = [
 DETREND_MODES = ("centered", "trailing")
 
 
-def _frozen(arr, dtype=None) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.flags.writeable = False
-    return out
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only; the constructors pass it a copy of
+    what the caller handed them, the cached properties their fresh result."""
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class PriceSeries:
     closes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", _frozen(self.dates, "datetime64[D]"))
-        object.__setattr__(self, "closes", _frozen(self.closes, np.float64))
+        object.__setattr__(self, "dates", _read_only(np.array(self.dates, "datetime64[D]")))
+        object.__setattr__(self, "closes", _read_only(np.array(self.closes, np.float64)))
         if self.dates.ndim != 1 or self.closes.ndim != 1:
             raise ValidationError("dates and closes must be one-dimensional")
         if len(self.dates) != len(self.closes):
@@ -67,7 +68,7 @@ class PriceSeries:
 
     @cached_property
     def log_closes(self) -> np.ndarray:
-        return _frozen(np.log(self.closes))
+        return _read_only(np.log(self.closes))
 
 
 class AlignedPanel:
@@ -79,7 +80,7 @@ class AlignedPanel:
 
     def __init__(self, calendar: np.ndarray, stocks: Sequence[PriceSeries],
                  index_series: PriceSeries):
-        self.calendar = _frozen(calendar, "datetime64[D]")
+        self.calendar = _read_only(np.array(calendar, "datetime64[D]"))
         self.stocks = tuple(stocks)
         self.index_series = index_series
         if len(self.stocks) < 2:
@@ -106,7 +107,7 @@ class AlignedPanel:
     @cached_property
     def log_close_matrix(self) -> np.ndarray:
         """Stacked log closes, shape (n_stocks, n_days)."""
-        return _frozen(np.vstack([s.log_closes for s in self.stocks]))
+        return _read_only(np.vstack([s.log_closes for s in self.stocks]))
 
 
 def _moving_average(values: np.ndarray, width: int) -> np.ndarray:

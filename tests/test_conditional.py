@@ -465,23 +465,47 @@ class TestChi:
         assert relative_difference_chi(0.3, 5e-7, epsilon=1e-6) is None
         assert relative_difference_chi(0.3, 2e-6, epsilon=1e-6) is not None
 
+    def test_overflowing_chi_excluded(self):
+        # a quotient beyond the float range is excluded like a small denominator
+        assert relative_difference_chi(1e308, 0.5) is None
+        assert relative_difference_chi(1e308, 1e-300, epsilon=0.0) is None
+        assert relative_difference_chi(1e300, 0.5) == pytest.approx(2e300, rel=1e-12)
+
     def test_distribution_report(self, rng):
-        p = random_oracle_panel(rng)
-        report = analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
-                               chi_levels=(0.004,)).chi[0.004]
-        n_pairs = p.n_stocks * (p.n_stocks - 1) // 2
-        assert len(report.pairs) == n_pairs
-        assert (
-            len(report.samples) + report.excluded_denominator + report.excluded_missing
-            == n_pairs
-        )
-        for pc, sample in zip(
-            [p_ for p_ in report.pairs if p_.c_minus is not None and p_.c_plus is not None],
-            report.samples,
-        ):
-            expected = reference.chi(pc.c_minus, pc.c_plus)
-            if expected is not None:
-                assert sample.chi == pytest.approx(expected, abs=1e-12)
+        """Each pair's χ is the reference χ of its own C values, None where a
+        side has no members or the guard excludes it.  The guard sits at the
+        lower median of the panel's |C(+)|, so it excludes some pairs and
+        keeps others."""
+        reached = set()
+        for _ in range(10):
+            p = random_oracle_panel(rng)
+
+            def report_at(epsilon):
+                return analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
+                                     chi_levels=(0.004,), epsilon=epsilon).chi[0.004]
+
+            c_plus = sorted(abs(pc.c_plus) for pc in report_at(0.0).pairs
+                            if pc.c_minus is not None and pc.c_plus is not None)
+            epsilon = c_plus[(len(c_plus) - 1) // 2] if c_plus else 0.0
+            report = report_at(epsilon)
+            n_pairs = p.n_stocks * (p.n_stocks - 1) // 2
+            assert len(report.pairs) == n_pairs
+            outcomes = []
+            for pc in report.pairs:
+                if pc.c_minus is None or pc.c_plus is None:
+                    outcomes.append("missing")
+                    assert pc.chi is None
+                    continue
+                expected = reference.chi(pc.c_minus, pc.c_plus, epsilon)
+                outcomes.append("excluded" if expected is None else "chi")
+                if expected is None:
+                    assert pc.chi is None
+                else:
+                    assert pc.chi == pytest.approx(expected, abs=1e-12)
+            assert report.excluded_denominator == outcomes.count("excluded")
+            assert report.excluded_missing == outcomes.count("missing")
+            reached.update(outcomes)
+        assert {"excluded", "chi"} <= reached
 
     def test_level_must_be_positive(self, rng):
         # a χ level is a magnitude: its sign is dropped, and ±0 has none
@@ -638,9 +662,9 @@ class TestChunkedSweep:
         analysis = self.analyze(p, chi_levels=(1.0,), ct_levels=(-1.0, 1.0))
         report = analysis.chi[1.0]
         assert report.excluded_missing == len(report.pairs) == 3
-        assert all((pc.c_minus, pc.c_plus, pc.count_minus, pc.count_plus)
-                   == (None, None, 0, 0) for pc in report.pairs)
-        assert report.samples == () and report.excluded_denominator == 0
+        assert all((pc.c_minus, pc.c_plus, pc.count_minus, pc.count_plus, pc.chi)
+                   == (None, None, 0, 0, None) for pc in report.pairs)
+        assert report.excluded_denominator == 0
         assert all(len(tr) == 0 for tr in analysis.time_resolved.values())
         assert analysis.curve == self.analyze(p, chi_levels=(), ct_levels=()).curve
 
@@ -663,9 +687,9 @@ class TestAnalyzePanel:
                 assert got.value == pytest.approx(single.value, abs=1e-12)
         chi_direct = analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
                                    chi_levels=(0.004,)).chi[0.004]
-        assert len(analysis.chi[0.004].samples) == len(chi_direct.samples)
-        for a, b in zip(analysis.chi[0.004].samples, chi_direct.samples):
-            assert a.chi == pytest.approx(b.chi, abs=1e-12)
+        for a, b in zip(analysis.chi[0.004].pairs, chi_direct.pairs, strict=True):
+            assert (a.chi is None) == (b.chi is None)
+            assert a.chi is None or a.chi == pytest.approx(b.chi, abs=1e-12)
         tr_direct = analyze_panel(p, (), window_range=(2, 4),
                                   ct_levels=(0.0,)).time_resolved[0.0]
         np.testing.assert_array_equal(analysis.time_resolved[0.0].times, tr_direct.times)

@@ -27,11 +27,10 @@ from condcorr import (
 from conftest import brute_force_waits, calendar, descent
 
 
-def histogram_of(taus, binning="log", ratio=inverse_stats.DEFAULT_LOG_BIN_RATIO,
-                 level=0.05):
+def histogram_of(taus, binning="log", ratio=inverse_stats.DEFAULT_LOG_BIN_RATIO):
     """The histogram ``gain_loss_report`` bins from these waiting times,
     none censored."""
-    return inverse_stats._histogram(level, np.bincount(np.asarray(taus, dtype=np.int64)),
+    return inverse_stats._histogram(np.bincount(np.asarray(taus, dtype=np.int64)),
                                     binning, ratio)
 
 
@@ -40,11 +39,11 @@ def assert_same_histogram(got, want):
     assert (got is None) == (want is None)
     if got is None:
         return
-    for name in ("bin_edges", "densities", "counts"):
+    for name in ("bin_edges", "bin_centers", "densities", "counts"):
         assert getattr(got, name).dtype == getattr(want, name).dtype
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert (got.level, got.binning, got.total_samples, got.censored_count) == (
-        want.level, want.binning, want.total_samples, want.censored_count)
+    assert (got.total_samples, got.censored_count) == (
+        want.total_samples, want.censored_count)
 
 
 @pytest.fixture
@@ -159,6 +158,7 @@ class TestWaitingTimeHistogram:
     def test_two_level_split(self):
         h = histogram_of([1, 1, 3, 3], binning="linear")
         np.testing.assert_allclose(h.bin_edges, [0.5, 1.5, 2.5, 3.5], atol=1e-12)
+        np.testing.assert_array_equal(h.bin_centers, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(h.densities, [0.5, 0.0, 0.5], atol=1e-12)
         np.testing.assert_array_equal(h.counts, [2, 0, 2])
 
@@ -189,7 +189,7 @@ class TestWaitingTimeHistogram:
     def test_normalization_both_binnings(self, rng):
         taus = np.clip(rng.geometric(0.1, size=400), 1, None)
         for binning in ("log", "linear"):
-            h = histogram_of(taus, binning=binning, level=-0.02)
+            h = histogram_of(taus, binning=binning)
             integral = float(np.sum(h.densities * np.diff(h.bin_edges)))
             assert integral == pytest.approx(1.0, abs=1e-9)
             assert h.counts.sum() == 400
@@ -228,9 +228,9 @@ def power_law_histogram(exponent, n_bins=14):
     centers = np.sqrt(edges[:-1] * edges[1:])
     densities = centers ** (-exponent)
     return WaitingTimeHistogram(
-        level=0.05, bin_edges=edges, densities=densities,
+        bin_edges=edges, bin_centers=centers, densities=densities,
         counts=np.full(len(centers), 50), total_samples=50 * len(centers),
-        censored_count=0, binning="log",
+        censored_count=0,
     )
 
 
@@ -304,7 +304,8 @@ class TestGainLoss:
         values = np.cumsum(rng.normal(0.0005, 0.01, size=5000))
         e = gain_loss_report(values, [0.02]).entry(0.02)
         assert e.asymmetry == e.mode_plus - e.mode_minus
-        assert e.plus.level == 0.02 and e.minus.level == -0.02
+        assert e.level_abs == 0.02
+        assert (e.mode_plus, e.mode_minus) == (e.plus.mode, e.minus.mode)
 
     def test_rejects_zero_level(self, rng):
         values = np.cumsum(rng.normal(0.0, 0.01, size=100))
@@ -325,7 +326,7 @@ class TestGainLoss:
                 for hist, sign in ((e.plus, 1.0), (e.minus, -1.0)):
                     counts = np.bincount(descent(values, sign, [e.level_abs])[0])
                     alone = None if len(counts) == 1 else inverse_stats._histogram(
-                        sign * e.level_abs, counts, binning, ratio)
+                        counts, binning, ratio)
                     assert_same_histogram(hist, alone)
             never = rep.entry(100.0)
             assert never.plus is None and never.minus is None
@@ -351,7 +352,7 @@ class TestGainLoss:
 
     def test_split_descent_matches_brute_force(self, rng, monkeypatch):
         """Near and far block searches against the plain loop, at splits of
-        0, 1 and the default G block levels.
+        1, 2 and the default G block levels (G is at least 1).
 
         A lattice walk around an oscillation that widens by one step every
         block puts most crossings a few blocks out.  A staircase that rises
@@ -359,7 +360,7 @@ class TestGainLoss:
         blocks past b0 from most starts, so k = 2**G + 1 lands exactly on
         the first far block; starts near the apex and on the far slope are
         censored in both branches.  Walks of 2 to 70 days have tables of
-        one or two coarse levels, fewer than the default G.  At every split
+        two coarse levels, fewer than the default G.  At every split
         each sign reaches crossed and censored starts in both branches.
         """
         step = 2.0 ** -7
@@ -379,7 +380,7 @@ class TestGainLoss:
         expected = {(i, sign): brute_force_waits(values, sign, magnitudes)
                     for i, (values, magnitudes) in enumerate(cases)
                     for sign in (1.0, -1.0)}
-        for near_levels in (0, 1, split):
+        for near_levels in (1, 2, split):
             monkeypatch.setattr(inverse_stats, "_NEAR_LEVELS", near_levels)
             reached = set()  # (sign, far, censored) the cases reach
             for (i, sign), want in expected.items():

@@ -1024,6 +1024,20 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         out = json.loads(capsys.readouterr().out)
         assert out["excluded"] is True and out["chi"] is None
 
+    @pytest.mark.parametrize("argv", [["1e308", "0.5"], ["1e308", "1e-300", "--epsilon", "0"]],
+                             ids=["big-numerator", "tiny-denominator"])
+    def test_chi_overflow_is_excluded(self, capsys, argv):
+        """A χ too large for a float exits 4 like the guard's exclusion, and
+        prints strict JSON: no Infinity."""
+        assert main(["chi", *argv]) == 4
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert out == {"chi": None, "excluded": True,
+                       "reason": "(C(-) - C(+))/|C(+)| overflows"}
+
     @pytest.mark.parametrize("c_values", [["nan", "0.5"], ["0.3", "inf"], ["0.3", "nan"]],
                              ids=["nan-minus", "inf-plus", "nan-plus"])
     def test_chi_rejects_non_finite_c(self, capsys, c_values):

@@ -1,6 +1,7 @@
 """Price-series primitives: validation, detrending, alignment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,3 +182,41 @@ class TestAlignPanel:
         assert panel.index_series is idx
         np.testing.assert_array_equal(panel.log_close_matrix,
                                       np.vstack([s.log_closes for s in stocks]))
+
+
+def traced_peak(compute):
+    """compute() and the tracemalloc peak of the allocations it made."""
+    tracemalloc.start()
+    try:
+        result = compute()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestFrozenArrays:
+    def test_inputs_are_copied_and_read_only(self):
+        dates, closes = calendar(4), np.array([1.0, 2.0, 3.0, 4.0])
+        s = PriceSeries("X", dates, closes)
+        closes[0] = 9.0
+        dates[0] = dates[0] - 1
+        assert s.closes[0] == 1.0 and s.dates[0] == calendar(4)[0]
+        for arr in (s.dates, s.closes, s.log_closes):
+            assert not arr.flags.writeable
+
+    def test_log_arrays_are_frozen_in_place(self):
+        """``log_closes`` and ``log_close_matrix`` freeze their fresh result
+        instead of copying it: with the stocks' log closes built, the traced
+        peak of the matrix is the matrix itself."""
+        d = calendar(5000)
+        rng = np.random.default_rng(8)
+        stocks = [PriceSeries(f"S{i}", d, rng.uniform(1.0, 2.0, 5000)) for i in range(10)]
+        panel = align_panel(stocks, PriceSeries("IDX", d, np.full(5000, 3.0)))
+        log_closes, peak = traced_peak(lambda: stocks[0].log_closes)
+        assert peak <= 1.1 * log_closes.nbytes
+        for s in stocks[1:]:
+            s.log_closes
+        matrix, peak = traced_peak(lambda: panel.log_close_matrix)
+        assert matrix.shape == (10, 5000) and not matrix.flags.writeable
+        assert peak <= 1.1 * matrix.nbytes
