@@ -30,9 +30,7 @@ from . import io
 from .conditional import relative_difference_chi
 from .errors import CondCorrError, DataError, ValidationError
 from .fearsim import SimConfig
-from .inverse_stats import BINNINGS
 from .ranktests import equalize_sizes, wilcoxon_rank_sum
-from .timeseries import DETREND_MODES
 
 _CONFIG_FIELDS = [f.name for f in fields(io.RunConfig)]
 
@@ -68,9 +66,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     group.add_argument("--ct-level", type=float,
                        help="|rho| magnitude for the time-resolved analysis")
     group.add_argument("--detrend-window", type=int,
-                       help="moving-average width in days; 0 disables detrending")
-    group.add_argument("--detrend-mode", choices=DETREND_MODES)
-    group.add_argument("--binning", choices=BINNINGS)
+                       help="centred moving-average width in days (odd); "
+                            "0 disables detrending")
     group.add_argument("--bin-ratio", type=float,
                        help="edge ratio for logarithmic waiting-time bins")
     group.add_argument("--seed", type=int, help="subsampling seed")
@@ -210,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-size", type=float, default=0.01,
                    help="log-price increment per step")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--initial-log-price", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 

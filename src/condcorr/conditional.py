@@ -410,6 +410,7 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
         raise ValidationError("horizon must be >= 1 trading day")
     if panel.n_days <= horizon:
         raise ValidationError(f"panel of {panel.n_days} days too short for horizon {horizon}")
+    check_epsilon(epsilon)
 
     chi_levels = tuple(abs(float(l)) for l in chi_levels)
     if any(lev <= 0 for lev in chi_levels):

@@ -46,7 +46,6 @@ class SimConfig:
     fear_probability: float
     step_size: float
     seed: int
-    initial_log_price: float = 0.0
 
     def __post_init__(self):
         if self.n_stocks < 1:
@@ -67,7 +66,7 @@ class SimPanel:
     """Result of one run: log prices, per-step fear flags, derived index."""
 
     config: SimConfig
-    log_prices: np.ndarray        # (n_stocks, n_steps + 1)
+    log_prices: np.ndarray        # (n_stocks, n_steps + 1), starting at 0 (price 1)
     fear_step_flags: np.ndarray   # (n_steps,) bool
 
     def __post_init__(self):
@@ -116,10 +115,8 @@ def simulate_market(config: SimConfig) -> SimPanel:
     increments = np.where(move_u < q, delta, -delta)
     increments[fear, :] = -delta
 
-    log_prices = np.empty((n, t + 1))
-    log_prices[:, 0] = config.initial_log_price
+    log_prices = np.zeros((n, t + 1))
     np.cumsum(increments.T, axis=1, out=log_prices[:, 1:])
-    log_prices[:, 1:] += config.initial_log_price
     return SimPanel(config, log_prices, fear)
 
 

@@ -46,15 +46,13 @@ __all__ = [
     "TailFit",
     "GainLossEntry",
     "GainLossReport",
-    "BINNINGS",
-    "check_binning",
+    "check_bin_ratio",
     "default_fit_range",
     "fit_tail_exponent",
     "gain_loss_report",
 ]
 
 DEFAULT_LOG_BIN_RATIO = 1.25
-BINNINGS = ("log", "linear")
 # (magnitude, start) elements one descent step handles: a chunk's positions,
 # thresholds and gathered maxima stay in cache across all the table levels
 _DESCENT_CHUNK = 1 << 15
@@ -188,14 +186,9 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
     return out
 
 
-def check_binning(binning: str, ratio: float = DEFAULT_LOG_BIN_RATIO):
-    """Raise ValidationError unless the histogram parameters are usable.
-
-    The binning is "log" or "linear" and the log bin ratio finite and above
-    1; a NaN ratio fails the test.
-    """
-    if binning not in BINNINGS:
-        raise ValidationError(f"unknown binning {binning!r}")
+def check_bin_ratio(ratio: float):
+    """Raise ValidationError unless the log bin ratio is finite and above 1;
+    a NaN ratio fails the test."""
     if not (ratio > 1.0 and np.isfinite(ratio)):
         raise ValidationError(f"log bin ratio must be finite and exceed 1, got {ratio}")
 
@@ -211,7 +204,8 @@ def _log_edges(tau_max: float, ratio: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaitingTimeHistogram:
-    """Normalized waiting-time density at one level (censored starts excluded)."""
+    """Normalized waiting-time density at one level over logarithmic bins
+    with geometric centres (censored starts excluded)."""
 
     bin_edges: np.ndarray
     bin_centers: np.ndarray
@@ -226,24 +220,18 @@ class WaitingTimeHistogram:
         return float(self.bin_centers[int(np.argmax(self.densities))])
 
 
-def _histogram(counts: np.ndarray, binning: str, ratio: float) -> WaitingTimeHistogram:
+def _histogram(counts: np.ndarray, ratio: float) -> WaitingTimeHistogram:
     # counts[τ] starts waited τ and counts[0] were censored; at least one
     # start crossed, and counts ends at the longest wait (np.bincount's)
     tau_max = float(len(counts) - 1)
-    if binning == "log":
-        edges = _log_edges(tau_max, ratio)
-        centers = np.sqrt(edges[:-1] * edges[1:])
-    else:
-        edges = np.arange(0.5, tau_max + 1.5, 1.0)  # unit bins centered on each τ
-        centers = (edges[:-1] + edges[1:]) / 2.0
-
+    edges = _log_edges(tau_max, ratio)
     # waiting times are integers, so #{τ < edge} = #{τ ≤ ceil(edge) − 1}
     at_most = np.cumsum(counts)
     binned = np.diff(at_most[np.minimum(np.ceil(edges) - 1, tau_max).astype(np.int64)])
     total = int(at_most[-1] - counts[0])
     densities = binned / (total * np.diff(edges))
-    return WaitingTimeHistogram(edges, centers, densities, binned, total_samples=total,
-                                censored_count=int(counts[0]))
+    return WaitingTimeHistogram(edges, np.sqrt(edges[:-1] * edges[1:]), densities, binned,
+                                total_samples=total, censored_count=int(counts[0]))
 
 
 @dataclass(frozen=True)
@@ -336,31 +324,32 @@ class GainLossReport:
         raise ValidationError(f"no entry for level {level_abs}")
 
 
-def gain_loss_report(log_prices, levels, binning: str = "log",
+def gain_loss_report(log_prices, levels,
                      ratio: float = DEFAULT_LOG_BIN_RATIO) -> GainLossReport:
-    """Waiting-time histograms at ±|ρ| for each magnitude in ``levels``.
+    """Waiting-time histograms at ±|ρ| for each magnitude in ``levels``,
+    binned logarithmically with edges ``ratio`` apart.
 
     ``log_prices`` is a one-dimensional array of at least two finite log
     prices, such as ``PriceSeries.log_closes`` or the output of
     ``detrend_log_price``; anything that is not an array of numbers raises
     ValidationError.  A positive asymmetry (mode(+) above mode(−)) means the
     series reaches losses sooner than equal-sized gains.  Every magnitude is
-    checked before the first scan, and so are the histogram parameters; each
-    sign runs one descent over every magnitude.
+    checked before the first scan, and so is the bin ratio; each sign runs
+    one descent over every magnitude.
     """
     values = _log_price_values(log_prices)
     magnitudes = [abs(float(level)) for level in levels]
     for magnitude in magnitudes:
         if magnitude == 0.0 or not np.isfinite(magnitude):
             raise ValidationError("level must be nonzero and finite")
-    check_binning(binning, ratio)
+    check_bin_ratio(ratio)
     hists = {}
     for sign in (1.0, -1.0):
         # the tables are freed as the descent returns and the waiting times
         # at del, so one sign's arrays are alive at a time
         taus = _first_passage_up(_first_passage_tables(sign * values), magnitudes)
         hists[sign] = [  # a side no start crosses counts only censored starts
-            _histogram(counts, binning, ratio) if len(counts) > 1 else None
+            _histogram(counts, ratio) if len(counts) > 1 else None
             for counts in map(np.bincount, taus)
         ]
         del taus

@@ -25,8 +25,7 @@ from . import conditional, inverse_stats
 from .errors import DataError, InsufficientDataError, ValidationError
 from .fearsim import SimConfig, simulate_market, to_aligned_panel
 from .ranktests import RankSumResult, equalize_sizes, wilcoxon_rank_sum
-from .timeseries import (DETREND_MODES, AlignedPanel, PriceSeries, align_panel,
-                         detrend_log_price)
+from .timeseries import AlignedPanel, PriceSeries, align_panel, detrend_log_price
 
 __all__ = [
     "CSV_HEADER",
@@ -327,8 +326,7 @@ def load_panel(manifest: DatasetManifest) -> AlignedPanel:
 
 
 # the values each scalar RunConfig field takes; a bool is never a number
-_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                 "str": ((str,), "a string")}
+_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
 
 
 @dataclass(frozen=True)
@@ -336,11 +334,12 @@ class RunConfig:
     """Analysis parameters, all overridable from the command line.
 
     rho_grid holds signed levels; chi_levels and ct_level are positive
-    magnitudes (each expands to a ± pair).  detrend_window = 0 turns
-    detrending off for the inverse-statistics path.  Each scalar field must
-    hold its type (an int field an integer, a float field an integer or a
-    float, a str field a string; a bool is never a number), and every level
-    a finite number, not a bool or a string; a mismatch raises
+    magnitudes (each expands to a ± pair).  The inverse-statistics path
+    subtracts a centred moving average over detrend_window days (0 turns
+    detrending off) and bins waiting times logarithmically, edges bin_ratio
+    apart.  Each scalar field must hold its type (an int field an integer,
+    a float field an integer or a float; a bool is never a number), and
+    every level a finite number, not a bool or a string; a mismatch raises
     ValidationError naming the field.  Each level list is kept as a tuple of
     floats.
     """
@@ -355,8 +354,6 @@ class RunConfig:
     chi_levels: tuple[float, ...] = (0.03, 0.05, 0.10)
     ct_level: float = 0.05
     detrend_window: int = 251
-    detrend_mode: str = "centered"
-    binning: str = "log"
     bin_ratio: float = 1.25
     seed: int = 0
     min_samples: int = 10
@@ -400,9 +397,7 @@ class RunConfig:
             raise ValidationError("detrend_window must be >= 0 (0 disables)")
         if self.min_samples < 1:
             raise ValidationError("min_samples must be >= 1")
-        if self.detrend_mode not in DETREND_MODES:
-            raise ValidationError(f"unknown detrend_mode {self.detrend_mode!r}")
-        inverse_stats.check_binning(self.binning, self.bin_ratio)
+        inverse_stats.check_bin_ratio(self.bin_ratio)
         conditional.check_epsilon(self.epsilon)
 
     @property
@@ -689,15 +684,12 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
         inputs[series.ticker] = _sha256(Path(source))
 
     if config.detrend_window:
-        log_prices = detrend_log_price(series, config.detrend_window,
-                                       config.detrend_mode)
+        log_prices = detrend_log_price(series, config.detrend_window)
     else:
         log_prices = series.log_closes
 
     levels = sorted({abs(r) for r in config.rho_grid})
-    report = inverse_stats.gain_loss_report(log_prices, levels,
-                                            binning=config.binning,
-                                            ratio=config.bin_ratio)
+    report = inverse_stats.gain_loss_report(log_prices, levels, config.bin_ratio)
     starts = len(log_prices) - 1  # every start is scanned at every level
     level_summaries = {}
     for entry in report.entries:

@@ -28,10 +28,7 @@ __all__ = [
     "AlignedPanel",
     "detrend_log_price",
     "align_panel",
-    "DETREND_MODES",
 ]
-
-DETREND_MODES = ("centered", "trailing")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -115,34 +112,24 @@ def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
     return (csum[width:] - csum[:-width]) / width
 
 
-def detrend_log_price(series: PriceSeries, drift_window: int = 251,
-                      mode: str = "centered") -> np.ndarray:
-    """Remove slow drift: log price minus its moving average over ``drift_window``.
+def detrend_log_price(series: PriceSeries, drift_window: int = 251) -> np.ndarray:
+    """Remove slow drift: log price minus its centred moving average over
+    ``drift_window`` days, which must be odd.
 
-    ``mode="centered"`` subtracts the symmetric average around each day (the
-    window width must be odd); ``mode="trailing"`` subtracts the average of
-    the window ending at each day.  Either way the returned array holds only
-    the ``len(series) - drift_window + 1`` fully covered days: entry k is
-    day ``k + (drift_window - 1) // 2`` of the series when centered, day
-    ``k + drift_window - 1`` when trailing.
+    The returned array holds only the ``len(series) - drift_window + 1``
+    fully covered days: entry k is day ``k + (drift_window - 1) // 2`` of
+    the series.
     """
     w = drift_window
-    if mode not in DETREND_MODES:
-        raise ValidationError(f"unknown detrend mode {mode!r}")
     if w < 3 or w > len(series):
         raise ValidationError(
             f"drift window {w} outside [3, {len(series)}] for {series.ticker}"
         )
-    if mode == "centered" and w % 2 == 0:
+    if w % 2 == 0:
         raise ValidationError("centered drift window must be odd")
+    half = (w - 1) // 2
     logp = series.log_closes
-    ma = _moving_average(logp, w)
-    if mode == "centered":
-        half = (w - 1) // 2
-        covered = slice(half, len(series) - half)
-    else:
-        covered = slice(w - 1, len(series))
-    return logp[covered] - ma
+    return logp[half:len(series) - half] - _moving_average(logp, w)
 
 
 def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries) -> AlignedPanel:

@@ -62,6 +62,31 @@ def random_oracle_panel(rng):
     return make_panel(rows, index_closes)
 
 
+def symmetric_market(n_stocks, n_steps, step_size, p_sync, seed):
+    """A correlated market whose true directional asymmetry is exactly zero.
+
+    Each step, with probability ``p_sync`` every stock moves by the same
+    ±``step_size``, up or down with probability 1/2; otherwise each stock
+    moves ±``step_size`` on its own, up or down with probability 1/2.  The
+    PCG64 draws are one sync uniform per step, one direction uniform per
+    step, then an (n_steps, n_stocks) block.  The index is exp(mean log
+    price), so flipping the sign of every step gives an equally likely
+    market with C(+ρ) and C(−ρ) swapped.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sync = rng.random(n_steps) < p_sync
+    sync_steps = np.where(rng.random(n_steps) < 0.5, step_size, -step_size)
+    steps = np.where(rng.random((n_steps, n_stocks)) < 0.5, step_size, -step_size)
+    steps[sync] = sync_steps[sync, None]
+    log_prices = np.zeros((n_steps + 1, n_stocks))
+    np.cumsum(steps, axis=0, out=log_prices[1:])
+    dates = calendar(n_steps + 1)
+    stocks = [PriceSeries(f"S{i:02d}", dates, np.exp(log_prices[:, i]))
+              for i in range(n_stocks)]
+    index = PriceSeries("INDEX", dates, np.exp(log_prices.mean(axis=1)))
+    return AlignedPanel(dates, stocks, index)
+
+
 def window_probe(panel, span, horizon=1, columns=None, starts=None):
     """S_0 and the defined-pair count of one span at every valid window start
     (or at ``starts``), straight from the kernel that ``analyze_panel``

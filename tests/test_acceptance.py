@@ -2,10 +2,10 @@
 
 One test per release criterion, in order: definition-oracle equivalence,
 exact rank-sum enumeration, the synthetic fear-market positive control, the
-deep-level index gain/loss check, the null-market control, the fair-walk
-tail exponent, a randomized invariant battery, and the (data-dependent)
-historical reproduction.  Each test asserts the published tolerance and
-runtime budget and prints what it measured.
+deep-level index gain/loss check, the null-market control, the correlated
+symmetric null, the fair-walk tail exponent, a randomized invariant battery,
+and the (data-dependent) historical reproduction.  Each test asserts the
+published tolerance and runtime budget and prints what it measured.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from conftest import (
     descent,
     make_panel,
     random_oracle_panel,
+    symmetric_market,
     window_probe,
 )
 
@@ -256,6 +257,33 @@ def test_null_market_shows_no_directional_asymmetry():
     assert not overlap_violations, overlap_violations
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="6 of 20 seeds are quiet: every pair's C comes from the same "
+    "conditioned windows, so a chance excess of synchronized steps on one "
+    "side moves all 435 pairs the same way, while the rank-sum counts the "
+    "pairs as independent samples",
+)
+def test_symmetric_null_shows_no_directional_asymmetry():
+    """Correlated market with zero asymmetry: the null loop's quiet rule.
+
+    30 stocks, 20000 steps of 0.01, all stocks moving together on 5% of the
+    steps, up as often as down.  At least 18 of seeds 1-20 must keep every
+    per-pair rank-sum |z| < 3.
+    """
+    started = time.perf_counter()
+    quiet_runs = 0
+    for seed in range(1, 21):
+        analysis = control_analysis(symmetric_market(30, 20_000, 0.01, 0.05, seed))
+        zs = [pair_rank_sum_z(analysis.chi[mag]) for mag in CONTROL_MAGNITUDES]
+        zs = [z for z in zs if z is not None]
+        if zs and all(abs(z) < 3.0 for z in zs):
+            quiet_runs += 1
+    elapsed = time.perf_counter() - started
+    print(f"{quiet_runs}/20 runs quiet, {elapsed:.0f}s")
+    assert quiet_runs >= 18
+
+
 def test_fair_walk_waiting_time_tail_exponent():
     """tau^(-alpha) tail of a fair 1e6-step walk at a 30-step-deep level."""
     started = time.perf_counter()
@@ -305,12 +333,11 @@ def test_randomized_invariant_battery():
             np.testing.assert_array_equal(descent(series, sign, [0.008]),
                                           brute_force_waits(series, sign, [0.008]))
 
-    # histograms: unit normalization under both binnings
+    # histograms: unit normalization
     values = np.cumsum(rng.normal(0, 0.01, 5000))
-    for binning in ("log", "linear"):
-        hist = gain_loss_report(values, [0.02], binning).entry(0.02).plus
-        integral = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
-        assert integral == pytest.approx(1.0, abs=1e-9)
+    hist = gain_loss_report(values, [0.02]).entry(0.02).plus
+    integral = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
+    assert integral == pytest.approx(1.0, abs=1e-9)
 
     # simulator: symmetric marginal, determinism, synchronized drops
     cfg = SimConfig(n_stocks=1, n_steps=1_000_000, fear_probability=0.05,

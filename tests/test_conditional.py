@@ -716,6 +716,15 @@ class TestAnalyzePanel:
         with pytest.raises(ValidationError):
             analyze_panel(p, [-0.01, 0.01], window_range=(0, 4))
 
+    @pytest.mark.parametrize("chi_levels, epsilon", [((), math.nan), ((100.0,), -1.0)],
+                             ids=["no-chi-level", "unreached-chi-level"])
+    def test_epsilon_validated_before_the_sweep(self, rng, chi_levels, epsilon):
+        """A bad χ guard raises even when no pair reaches the χ quotient."""
+        p = random_oracle_panel(rng)
+        with pytest.raises(ValidationError, match="epsilon"):
+            analyze_panel(p, (0.004,), window_range=(2, 4), chi_levels=chi_levels,
+                          epsilon=epsilon)
+
 
 class TestOracleSpotCheck:
     """Light cross-check against the plain-loop reference (the full sweep

@@ -18,10 +18,9 @@ from condcorr import (
 from conftest import make_panel
 
 
-def run(n_stocks=2, n_steps=1000, p=0.05, delta=0.01, seed=0, x0=0.0):
+def run(n_stocks=2, n_steps=1000, p=0.05, delta=0.01, seed=0):
     return simulate_market(SimConfig(n_stocks=n_stocks, n_steps=n_steps,
-                                     fear_probability=p, step_size=delta,
-                                     seed=seed, initial_log_price=x0))
+                                     fear_probability=p, step_size=delta, seed=seed))
 
 
 class TestUpProbability:
@@ -60,6 +59,7 @@ class TestConfigValidation:
 class TestIncrements:
     def test_steps_are_exactly_plus_minus_delta(self):
         panel = run(n_stocks=3, n_steps=500, p=0.1, delta=0.01)
+        assert np.all(panel.log_prices[:, 0] == 0.0)  # every stock starts at price 1
         steps = np.diff(panel.log_prices, axis=1)
         assert set(np.unique(np.round(steps, 15))) <= {-0.01, 0.01}
 
@@ -74,13 +74,6 @@ class TestIncrements:
     def test_no_fear_flags_when_p_zero(self):
         panel = run(p=0.0, n_steps=5000)
         assert not panel.fear_step_flags.any()
-
-    def test_initial_log_price_offset(self):
-        panel = run(n_steps=10, x0=2.5)
-        assert np.all(panel.log_prices[:, 0] == 2.5)
-        direct = run(n_steps=10, x0=0.0)
-        np.testing.assert_allclose(panel.log_prices, direct.log_prices + 2.5,
-                                   atol=1e-12)
 
     def test_flagged_fraction_tracks_rate(self):
         n = 100_000

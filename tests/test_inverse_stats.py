@@ -27,11 +27,10 @@ from condcorr import (
 from conftest import brute_force_waits, calendar, descent
 
 
-def histogram_of(taus, binning="log", ratio=inverse_stats.DEFAULT_LOG_BIN_RATIO):
+def histogram_of(taus, ratio=inverse_stats.DEFAULT_LOG_BIN_RATIO):
     """The histogram ``gain_loss_report`` bins from these waiting times,
     none censored."""
-    return inverse_stats._histogram(np.bincount(np.asarray(taus, dtype=np.int64)),
-                                    binning, ratio)
+    return inverse_stats._histogram(np.bincount(np.asarray(taus, dtype=np.int64)), ratio)
 
 
 def assert_same_histogram(got, want):
@@ -148,7 +147,8 @@ class TestFirstPassage:
 
 class TestWaitingTimeHistogram:
     def test_repeated_value_has_unit_density(self):
-        h = histogram_of([5] * 5, binning="linear")
+        # at ratio 1.2 the edges stay one apart up to 5.5
+        h = histogram_of([5] * 5, ratio=1.2)
         assert h.total_samples == 5
         widths = np.diff(h.bin_edges)
         in_bin = (h.bin_edges[:-1] < 5) & (5 <= h.bin_edges[1:])
@@ -156,14 +156,14 @@ class TestWaitingTimeHistogram:
         assert float(np.sum(h.densities * widths)) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_level_split(self):
-        h = histogram_of([1, 1, 3, 3], binning="linear")
+        h = histogram_of([1, 1, 3, 3])
         np.testing.assert_allclose(h.bin_edges, [0.5, 1.5, 2.5, 3.5], atol=1e-12)
-        np.testing.assert_array_equal(h.bin_centers, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(h.bin_centers, np.sqrt([0.75, 3.75, 8.75]))
         np.testing.assert_allclose(h.densities, [0.5, 0.0, 0.5], atol=1e-12)
         np.testing.assert_array_equal(h.counts, [2, 0, 2])
 
     def test_log_edges_floor_at_unit_width(self):
-        h = histogram_of([1, 2, 5, 17, 60, 200], binning="log", ratio=1.25)
+        h = histogram_of([1, 2, 5, 17, 60, 200], ratio=1.25)
         edges = h.bin_edges
         assert edges[0] == 0.5
         widths = np.diff(edges)
@@ -174,29 +174,27 @@ class TestWaitingTimeHistogram:
         np.testing.assert_allclose(ratios, 1.25, rtol=1e-12)
         assert edges[-1] > 200
 
-    @pytest.mark.parametrize("binning, params", [
-        ("log", {"ratio": 1.25}), ("log", {"ratio": 2.0}), ("linear", {}),
-    ])
-    def test_counts_match_numpy_histogram(self, rng, binning, params):
+    @pytest.mark.parametrize("ratio", [1.25, 2.0], ids=["log-params0", "log-params1"])
+    def test_counts_match_numpy_histogram(self, rng, ratio):
         """Counts from the integer cumulative counts equal np.histogram's,
         also where edges land exactly on integers (ratio 2.0)."""
         taus = rng.geometric(0.05, size=3000)
-        h = histogram_of(taus, binning, **params)
+        h = histogram_of(taus, ratio)
         on_integers = h.bin_edges == np.round(h.bin_edges)
-        assert on_integers.any() == (params == {"ratio": 2.0})
+        assert on_integers.any() == (ratio == 2.0)
         np.testing.assert_array_equal(h.counts, np.histogram(taus, bins=h.bin_edges)[0])
 
     def test_normalization_both_binnings(self, rng):
         taus = np.clip(rng.geometric(0.1, size=400), 1, None)
-        for binning in ("log", "linear"):
-            h = histogram_of(taus, binning=binning)
+        for ratio in (1.25, 2.0):
+            h = histogram_of(taus, ratio)
             integral = float(np.sum(h.densities * np.diff(h.bin_edges)))
             assert integral == pytest.approx(1.0, abs=1e-9)
             assert h.counts.sum() == 400
 
     def test_mode_is_geometric_center_of_peak_bin(self):
         taus = [1] * 3 + [7] * 10 + [8] * 2 + [40] * 1
-        h = histogram_of(taus, binning="log", ratio=2.0)
+        h = histogram_of(taus, ratio=2.0)
         peak = int(np.argmax(h.densities))
         assert h.mode == pytest.approx(
             math.sqrt(h.bin_edges[peak] * h.bin_edges[peak + 1]), rel=1e-12
@@ -214,9 +212,7 @@ class TestWaitingTimeHistogram:
         values = np.array([0.0, 0.03, 0.06])
         for ratio in (1.0, math.nan, math.inf):
             with pytest.raises(ValidationError):
-                gain_loss_report(values, [0.05], binning="log", ratio=ratio)
-        with pytest.raises(ValidationError):
-            gain_loss_report(values, [0.05], binning="cubic")
+                gain_loss_report(values, [0.05], ratio=ratio)
 
 
 def power_law_histogram(exponent, n_bins=14):
@@ -245,7 +241,7 @@ class TestTailFit:
 
     def test_default_range_semantics(self):
         taus = [2] * 40 + [3] * 25 + [5] * 18 + [9] * 11 + [15] * 7 + [30] * 3
-        h = histogram_of(taus, binning="log", ratio=1.4)
+        h = histogram_of(taus, ratio=1.4)
         lo, hi = default_fit_range(h)
         assert lo == pytest.approx(3.0 * h.mode, rel=1e-12)
         filled = np.nonzero(h.counts >= 5)[0]
@@ -315,18 +311,18 @@ class TestGainLoss:
     def test_shared_tables_match_per_level_scans(self, rng):
         """Histograms built from the batched descent's counts equal, byte for
         byte, the ones binned from each level's own one-magnitude descent,
-        in both binnings and at a non-default ratio; a magnitude no start
-        crosses has no sides."""
+        at the default and a non-default ratio; a magnitude no start crosses
+        has no sides."""
         values = np.cumsum(rng.normal(0.0, 0.01, size=4000))
         levels = [0.03, -0.005, 0.05, 0.01, 100.0]
-        for binning, ratio in (("log", 1.25), ("log", 1.6), ("linear", 1.25)):
-            rep = gain_loss_report(values, levels, binning, ratio)
+        for ratio in (1.25, 1.6):
+            rep = gain_loss_report(values, levels, ratio)
             assert [e.level_abs for e in rep.entries] == [0.03, 0.005, 0.05, 0.01, 100.0]
             for e in rep.entries:
                 for hist, sign in ((e.plus, 1.0), (e.minus, -1.0)):
                     counts = np.bincount(descent(values, sign, [e.level_abs])[0])
                     alone = None if len(counts) == 1 else inverse_stats._histogram(
-                        counts, binning, ratio)
+                        counts, ratio)
                     assert_same_histogram(hist, alone)
             never = rep.entry(100.0)
             assert never.plus is None and never.minus is None
@@ -396,15 +392,13 @@ class TestGainLoss:
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_bad_level_raises_before_any_scan(self, rng, no_scan, bad):
-        """A bad level, log bin ratio or binning raises before any table is
-        built; each value of ``bad`` is also a bad ratio."""
+        """A bad level or log bin ratio raises before any table is built;
+        each value of ``bad`` is also a bad ratio."""
         values = np.cumsum(rng.normal(0.0, 0.01, size=100))
         with pytest.raises(ValidationError):
             gain_loss_report(values, [0.02, 0.01, bad])
         with pytest.raises(ValidationError):
             gain_loss_report(values, [0.02, 0.01], ratio=bad)
-        with pytest.raises(ValidationError):
-            gain_loss_report(values, [0.02, 0.01], binning="cubic")
 
     def test_table_memory_is_linear(self, rng):
         """Traced peak of a report on a 2**18-day walk at the 8 default

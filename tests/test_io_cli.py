@@ -1,5 +1,7 @@
 """Ingestion, manifests, run configuration, report writers, and the CLI."""
 
+import argparse
+import dataclasses
 import importlib
 import json
 import math
@@ -33,7 +35,7 @@ from condcorr import (
     simulate_market,
     to_aligned_panel,
 )
-from condcorr.cli import main
+from condcorr.cli import build_parser, main
 from condcorr.io import fmt, write_price_csv
 
 from conftest import calendar
@@ -536,10 +538,6 @@ class TestRunConfig:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="epsilon"):
                 RunConfig(epsilon=bad)
-        with pytest.raises(ValidationError, match="binning"):
-            RunConfig(binning="cubic")
-        with pytest.raises(ValidationError, match="detrend_mode"):
-            RunConfig(detrend_mode="sideways")
         # RunConfig alone checks the levels, and names the bad key
         with pytest.raises(ValidationError, match="^rho_grid: '-0.05' is not a number$"):
             load_run_config(None, {"rho_grid": ["-0.05", "x"]})
@@ -551,8 +549,7 @@ class TestRunConfig:
             load_run_config(cfg_file)
 
     @pytest.mark.parametrize("field, value", [
-        ("dt1", "3"), ("bin_ratio", True), ("detrend_mode", 1), ("seed", 1.5),
-        ("ct_level", "0.05"),
+        ("dt1", "3"), ("bin_ratio", True), ("seed", 1.5), ("ct_level", "0.05"),
     ])
     def test_direct_construction_checks_types(self, field, value):
         """Built from Python, a mistyped scalar is a ValidationError naming
@@ -960,19 +957,20 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert "chi_levels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["condcorr", "invstats"])
-    @pytest.mark.parametrize("flags, config", [
-        (["--bin-ratio", "nan"], None),
-        ([], {"bin_ratio": math.nan}),
-        (["--epsilon", "-1"], None),
-        ([], {"epsilon": -1.0}),
-        ([], {"binning": "cubic"}),
-        ([], {"detrend_mode": "sideways"}),
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--bin-ratio", "nan"], None, "ratio"),
+        ([], {"bin_ratio": math.nan}, "ratio"),
+        (["--epsilon", "-1"], None, "epsilon"),
+        ([], {"epsilon": -1.0}, "epsilon"),
+        ([], {"binning": "log"}, "unknown config keys ['binning']"),
+        ([], {"detrend_mode": "centered"}, "unknown config keys ['detrend_mode']"),
     ], ids=["ratio-flag", "ratio-json", "epsilon-flag", "epsilon-json",
             "binning-json", "detrend-mode-json"])
     def test_bad_config_exits_2_before_ingest(self, tmp_path, capsys, command,
-                                              flags, config):
-        """A bad parameter exits 2 with a message, not a traceback, and before
-        the manifest is read: an absent manifest would exit 3."""
+                                              flags, config, message):
+        """A bad parameter, or a key that is not a ``RunConfig`` field, exits
+        2 with a message naming it, not a traceback, and before the manifest
+        is read: an absent manifest would exit 3."""
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))  # NaN is written as NaN
@@ -980,13 +978,14 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         code = main([command, "--manifest", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out"), *flags])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("config", [
-        {"dt1": "3"}, {"bin_ratio": "1.5"}, {"seed": 1.5}, {"binning": 2},
-        {"dt2": True}, {"rho_grid": ["0.05", "-0.05"]},
-    ], ids=["int-as-string", "float-as-string", "int-as-float", "str-as-int",
-            "int-as-bool", "level-as-string"])
+        {"dt1": "3"}, {"bin_ratio": "1.5"}, {"seed": 1.5}, {"dt2": True},
+        {"rho_grid": ["0.05", "-0.05"]},
+    ], ids=["int-as-string", "float-as-string", "int-as-float", "int-as-bool",
+            "level-as-string"])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, config):
         """A scalar of the wrong JSON type is named and exits 2 before the
         manifest is read."""
@@ -1006,6 +1005,38 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
                   "--out", str(tmp_path / "out"), flag])
         assert exit_info.value.code == 2
         assert f"argument {flag.split('=')[0]}: could not convert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("condcorr", "--binning", "log"), ("invstats", "--binning", "log"),
+        ("condcorr", "--detrend-mode", "centered"),
+        ("invstats", "--detrend-mode", "centered"),
+        ("simulate", "--initial-log-price", "0"),
+    ])
+    def test_unknown_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        """Detrending is always centred, bins always logarithmic and simulated
+        prices always start at 1, so no flag selects them."""
+        required = {"simulate": ["--n-stocks", "2", "--n-steps", "10",
+                                 "--fear-probability", "0", "--seed", "0"],
+                    "condcorr": ["--manifest", str(tmp_path / "absent.json")],
+                    "invstats": ["--manifest", str(tmp_path / "absent.json")]}
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *required[command], "--out", str(tmp_path / "out"), flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["condcorr", "invstats"])
+    def test_config_flags_are_the_run_config_fields(self, command):
+        """Every analysis flag sets the ``RunConfig`` field of its name and
+        every field has a flag: a flag without a field would be parsed and
+        then ignored."""
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        group = next(g for g in commands[command]._action_groups
+                     if g.title == "analysis configuration")
+        flags = {s for a in group._group_actions for s in a.option_strings}
+        names = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig)}
+        assert flags == names | {"--config"}
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main([

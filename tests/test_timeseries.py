@@ -60,50 +60,37 @@ class TestDetrend:
     def test_log_linear_price_detrends_to_zero(self):
         # symmetric average of a linear ramp equals the center value
         closes = np.exp(0.001 * np.arange(40.0))
-        d = detrend_log_price(series(closes), drift_window=7, mode="centered")
+        d = detrend_log_price(series(closes), drift_window=7)
         np.testing.assert_allclose(d, 0.0, atol=1e-14)
 
     def test_constant_price_detrends_to_zero(self):
-        for mode in ("centered", "trailing"):
-            d = detrend_log_price(series([5.0] * 20), drift_window=5, mode=mode)
-            np.testing.assert_allclose(d, 0.0, atol=1e-14)
+        d = detrend_log_price(series([5.0] * 20), drift_window=5)
+        np.testing.assert_allclose(d, 0.0, atol=1e-14)
 
     def test_centered_spike(self):
         # ln p = [0, 0, 1, 0, 0]: centered width-3 average at the spike is 1/3
         closes = np.exp([0.0, 0.0, 1.0, 0.0, 0.0])
-        d = detrend_log_price(series(closes), drift_window=3, mode="centered")
+        d = detrend_log_price(series(closes), drift_window=3)
         assert d.shape == (3,)
         assert d[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_centered_keeps_covered_days(self):
         """Entry k is day k + 5 less the mean of days k..k + 10."""
         s = series(np.exp(np.random.default_rng(3).normal(0.0, 0.1, 30)))
-        d = detrend_log_price(s, drift_window=11, mode="centered")
+        d = detrend_log_price(s, drift_window=11)
         logp = s.log_closes
         expected = [logp[k + 5] - logp[k:k + 11].mean() for k in range(20)]
         np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)
 
-    def test_trailing_keeps_covered_days(self):
-        """Entry k is day k + 10 less the mean of days k..k + 10."""
-        s = series(np.exp(np.random.default_rng(4).normal(0.0, 0.1, 30)))
-        d = detrend_log_price(s, drift_window=11, mode="trailing")
-        logp = s.log_closes
-        expected = [logp[k + 10] - logp[k:k + 11].mean() for k in range(20)]
-        np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)
-
     def test_centered_window_must_be_odd(self):
         with pytest.raises(ValidationError):
-            detrend_log_price(series([1.0] * 20), drift_window=4, mode="centered")
+            detrend_log_price(series([1.0] * 20), drift_window=4)
 
     def test_window_must_fit_series(self):
         with pytest.raises(ValidationError):
             detrend_log_price(series([1.0] * 5), drift_window=7)
         with pytest.raises(ValidationError):
             detrend_log_price(series([1.0] * 5), drift_window=1)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            detrend_log_price(series([1.0] * 20), drift_window=5, mode="middle")
 
 
 class TestAlignPanel:
