@@ -5,6 +5,8 @@ configuration (2), malformed or inconsistent input data (3), and inputs that
 are structurally fine but too thin to support the requested statistic (4).
 """
 
+from dataclasses import fields
+
 
 class CondCorrError(Exception):
     """Base class for all package errors."""
@@ -26,3 +28,18 @@ class InsufficientDataError(CondCorrError, RuntimeError):
     """Valid inputs, but not enough usable samples for the statistic."""
 
     exit_code = 4
+
+
+_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
+
+def check_scalar_fields(config) -> None:
+    """Raise ValidationError naming a field of dataclass ``config`` that does
+    not hold its type: an ``int`` field an integer, a ``float`` field an
+    integer or a float; a bool is never a number."""
+    for f in fields(config):
+        if f.type in _SCALAR_TYPES:
+            allowed, noun = _SCALAR_TYPES[f.type]
+            value = getattr(config, f.name)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValidationError(f"{f.name}: expected {noun}, got {value!r}")

@@ -11,9 +11,12 @@ three constraints: symmetric single-stock marginals, uncorrelated increments,
 and synchronized all-stock down moves.  Binary ±δ steps keep the symmetry
 constraint exactly solvable.
 
-Draw order is part of the reproducibility contract: one uniform per step for
-the fear flag (a length n_steps vector), then an (n_steps, n_stocks) block of
-move uniforms — identical seeds give bit-identical panels.
+Draw order is part of the reproducibility contract: one PCG64 uniform per
+step for the fear flag (a length n_steps vector), then an (n_steps,
+n_stocks) row-major block of move uniforms, drawn ``_BLOCK`` steps at a time,
+which continues one stream — identical seeds give bit-identical panels.
+Each block's ±δ steps are summed in place into the log-price rows, the same
+running sum as one cumsum; the peak is 1.07 log-price matrices at 10 × 500,000.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_scalar_fields
 from .timeseries import AlignedPanel, PriceSeries
 
 __all__ = [
@@ -35,11 +38,14 @@ __all__ = [
 ]
 
 _EPOCH = np.datetime64("2000-01-03", "D")
+# steps per block of simulate_market and build_index: small temporaries
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one simulated market run."""
+    """Parameters of one simulated market run; a value of the wrong type or
+    out of range raises ValidationError naming the field."""
 
     n_stocks: int
     n_steps: int
@@ -48,6 +54,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        check_scalar_fields(self)
         if self.n_stocks < 1:
             raise ValidationError("n_stocks must be >= 1")
         if self.n_steps < 1:
@@ -57,8 +64,10 @@ class SimConfig:
                 f"fear_probability {self.fear_probability} outside [0, 0.5): "
                 "at 0.5 the compensating up-probability reaches 1"
             )
-        if not self.step_size > 0.0:
-            raise ValidationError("step_size must be > 0")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValidationError(f"step_size must be finite and > 0, got {self.step_size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -108,22 +117,33 @@ def simulate_market(config: SimConfig) -> SimPanel:
     n, t = config.n_stocks, config.n_steps
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    fear_u = rng.random(t)
-    move_u = rng.random((t, n))
-
-    fear = fear_u < p
-    increments = np.where(move_u < q, delta, -delta)
-    increments[fear, :] = -delta
-
+    fear = rng.random(t) < p
     log_prices = np.zeros((n, t + 1))
-    np.cumsum(increments.T, axis=1, out=log_prices[:, 1:])
+    for a in range(0, t, _BLOCK):
+        b = min(a + _BLOCK, t)
+        up = rng.random((b - a, n)) < q
+        up &= ~fear[a:b, None]
+        block = log_prices[:, a + 1:b + 1]
+        block[...] = np.where(up.T, delta, -delta)
+        block[:, 0] += log_prices[:, a]
+        np.cumsum(block, axis=1, out=block)
     return SimPanel(config, log_prices, fear)
 
 
 def build_index(panel: SimPanel) -> np.ndarray:
     """Equal-weight price-average index of a simulated market: the index
-    price at step t is the arithmetic mean of the stocks' prices at t."""
-    return np.mean(np.exp(panel.log_prices), axis=0)
+    price at step t is the arithmetic mean of the stocks' prices at t.
+
+    Built in blocks that overlap by a column, so none is one column wide
+    (numpy sums a lone column pairwise): each column adds the stocks in row
+    order, byte for byte as ``np.mean(np.exp(log_prices), axis=0)`` does.
+    """
+    log_prices = panel.log_prices
+    index = np.empty(log_prices.shape[1])
+    for a in range(0, len(index) - 1, _BLOCK):
+        cols = slice(a, a + _BLOCK + 1)
+        np.mean(np.exp(log_prices[:, cols]), axis=0, out=index[cols])
+    return index
 
 
 def _ticker(i: int, n_stocks: int) -> str:
@@ -136,9 +156,8 @@ def to_aligned_panel(panel: SimPanel) -> AlignedPanel:
     2000-01-03, tickers S00.., index ticker INDEX.  Downstream analysis then
     treats synthetic and ingested panels identically."""
     calendar = _EPOCH + np.arange(panel.n_steps + 1)
-    stocks = [
-        PriceSeries(_ticker(i, panel.n_stocks), calendar, np.exp(panel.log_prices[i]))
-        for i in range(panel.n_stocks)
-    ]
-    index = PriceSeries("INDEX", calendar, build_index(panel))
+    stocks = [PriceSeries(_ticker(i, panel.n_stocks), calendar, np.exp(log_prices))
+              for i, log_prices in enumerate(panel.log_prices)]
+    # build_index's bytes from the stocks' prices: their sum in row order
+    index = PriceSeries("INDEX", calendar, sum(s.closes for s in stocks) / len(stocks))
     return AlignedPanel(calendar, stocks, index)

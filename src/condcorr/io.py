@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conditional, inverse_stats
-from .errors import DataError, InsufficientDataError, ValidationError
+from .errors import DataError, InsufficientDataError, ValidationError, check_scalar_fields
 from .fearsim import SimConfig, simulate_market, to_aligned_panel
 from .ranktests import RankSumResult, equalize_sizes, wilcoxon_rank_sum
 from .timeseries import AlignedPanel, PriceSeries, align_panel, detrend_log_price
@@ -325,10 +325,6 @@ def load_panel(manifest: DatasetManifest) -> AlignedPanel:
 # run configuration
 
 
-# the values each scalar RunConfig field takes; a bool is never a number
-_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Analysis parameters, all overridable from the command line.
@@ -341,7 +337,7 @@ class RunConfig:
     a float field an integer or a float; a bool is never a number), and
     every level a finite number, not a bool or a string; a mismatch raises
     ValidationError naming the field.  Each level list is kept as a tuple of
-    floats.
+    floats.  seed, which seeds each rank test's subsampling, must be >= 0.
     """
 
     delta_t: int = 1
@@ -360,12 +356,7 @@ class RunConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type in _SCALAR_TYPES:
-                allowed, noun = _SCALAR_TYPES[f.type]
-                value = getattr(self, f.name)
-                if isinstance(value, bool) or not isinstance(value, allowed):
-                    raise ValidationError(f"{f.name}: expected {noun}, got {value!r}")
+        check_scalar_fields(self)
         if self.delta_t < 1:
             raise ValidationError("delta_t must be >= 1")
         if not 1 <= self.dt1 < self.dt2:
@@ -397,6 +388,8 @@ class RunConfig:
             raise ValidationError("detrend_window must be >= 0 (0 disables)")
         if self.min_samples < 1:
             raise ValidationError("min_samples must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         inverse_stats.check_bin_ratio(self.bin_ratio)
         conditional.check_epsilon(self.epsilon)
 

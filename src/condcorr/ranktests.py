@@ -112,8 +112,10 @@ def equalize_sizes(sample_a, sample_b, seed: int):
     The kept subset is uniform without replacement and keeps the original
     element order, so the two collections compare on equal footing without
     altering the larger one's normalized distribution.  It is deterministic
-    for a fixed seed; the PRNG is PCG64 (the numpy default stream).
+    for a fixed seed (>= 0); the PRNG is PCG64 (the numpy default stream).
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if len(sample_a) == len(sample_b):
         return sample_a, sample_b
     small, large = sorted((sample_a, sample_b), key=len)

@@ -1,10 +1,12 @@
 """Synthetic fear-factor market: marginals, synchronization, reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from condcorr import fearsim
 from condcorr import (
     SimConfig,
     SimPanel,
@@ -21,6 +23,24 @@ from conftest import make_panel
 def run(n_stocks=2, n_steps=1000, p=0.05, delta=0.01, seed=0):
     return simulate_market(SimConfig(n_stocks=n_stocks, n_steps=n_steps,
                                      fear_probability=p, step_size=delta, seed=seed))
+
+
+def one_shot(cfg):
+    """The simulator as one pass over all steps: the fear uniforms, then the
+    whole (T, N) block of move uniforms, ±δ by ``np.where``, the fear
+    override, and one cumsum along the steps."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    fear = rng.random(cfg.n_steps) < cfg.fear_probability
+    move_u = rng.random((cfg.n_steps, cfg.n_stocks))
+    q = derive_up_probability(cfg.fear_probability)
+    increments = np.where(move_u < q, cfg.step_size, -cfg.step_size)
+    increments[fear, :] = -cfg.step_size
+    log_prices = np.zeros((cfg.n_stocks, cfg.n_steps + 1))
+    np.cumsum(increments.T, axis=1, out=log_prices[:, 1:])
+    return log_prices, fear
+
+
+B = fearsim._BLOCK
 
 
 class TestUpProbability:
@@ -47,6 +67,25 @@ class TestConfigValidation:
             SimConfig(n_stocks=2, n_steps=10, fear_probability=0.6, step_size=0.01, seed=0)
         with pytest.raises(ValidationError):
             SimConfig(n_stocks=2, n_steps=10, fear_probability=0.0, step_size=0.0, seed=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_stocks", 2.5, "expected an integer"),
+        ("n_stocks", True, "expected an integer"),
+        ("n_steps", "10", "expected an integer"),
+        ("seed", 1.5, "expected an integer"),
+        ("fear_probability", "0.1", "expected a number"),
+        ("step_size", None, "expected a number"),
+        ("seed", -1, "must be >= 0"),
+        ("step_size", math.inf, "must be finite"),
+        ("step_size", math.nan, "must be finite"),
+    ])
+    def test_rejects_bad_values_naming_the_field(self, field, value, message):
+        """A mistyped, negative or non-finite value is a ValidationError
+        naming the field, not a TypeError or ValueError from numpy."""
+        values = {"n_stocks": 2, "n_steps": 10, "fear_probability": 0.1,
+                  "step_size": 0.01, "seed": 0, field: value}
+        with pytest.raises(ValidationError, match=f"^{field}.*{message}"):
+            SimConfig(**values)
 
     def test_result_arrays_are_immutable(self):
         panel = run()
@@ -119,7 +158,8 @@ class TestReproducibility:
         assert not np.array_equal(run(seed=1).log_prices, run(seed=2).log_prices)
 
     def test_draw_order_contract(self):
-        """Fear uniforms first (length T), then the (T, N) move block."""
+        """Fear uniforms first (length T), then the (T, N) move block; the log
+        prices are the running sum of the steps, exactly."""
         cfg = SimConfig(n_stocks=3, n_steps=50, fear_probability=0.2,
                         step_size=0.01, seed=99)
         panel = simulate_market(cfg)
@@ -130,9 +170,71 @@ class TestReproducibility:
         inc = np.where(move_u < q, 0.01, -0.01)
         inc[fear_u < 0.2, :] = -0.01
         np.testing.assert_array_equal(panel.fear_step_flags, fear_u < 0.2)
-        np.testing.assert_allclose(
-            np.diff(panel.log_prices, axis=1), inc.T, atol=1e-15
-        )
+        assert panel.log_prices[:, 0].tobytes() == np.zeros(3).tobytes()
+        assert panel.log_prices[:, 1:].tobytes() == np.cumsum(inc.T, axis=1).tobytes()
+
+
+class TestBlockedSimulation:
+    """``simulate_market`` and ``build_index`` work ``_BLOCK`` steps at a
+    time; their bytes must be the one-shot generator's at every block
+    boundary."""
+
+    @staticmethod
+    def assert_matches_one_shot(cfg):
+        sim = simulate_market(cfg)
+        log_prices, fear = one_shot(cfg)
+        assert sim.log_prices.tobytes() == log_prices.tobytes()
+        assert sim.fear_step_flags.tobytes() == fear.tobytes()
+        expected = np.mean(np.exp(log_prices), axis=0)
+        assert build_index(sim).tobytes() == expected.tobytes()
+        return sim
+
+    @pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_matches_one_shot_generator(self, n_steps):
+        self.assert_matches_one_shot(SimConfig(
+            n_stocks=12, n_steps=n_steps, fear_probability=0.05,
+            step_size=0.01, seed=n_steps))
+
+    def test_multi_block_fear_market(self):
+        cfg = SimConfig(n_stocks=30, n_steps=2 * B + 3, fear_probability=0.4,
+                        step_size=0.003, seed=23)
+        sim = self.assert_matches_one_shot(cfg)
+        # fear steps fall in every block, the first and the last included
+        flags = sim.fear_step_flags
+        assert flags[:B].any() and flags[B:2 * B].any() and flags[2 * B:].any()
+
+    @pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 2 * B])
+    def test_index_adds_stocks_in_row_order(self, n_steps):
+        """One stock at price 1 and 31 at 1e-17: added in row order the tiny
+        prices never move the sum off 1, while a pairwise sum (what numpy
+        does to a lone column of 9 or more rows) gathers them into a change
+        of 1 ulp."""
+        cfg = SimConfig(n_stocks=32, n_steps=n_steps, fear_probability=0.0,
+                        step_size=0.01, seed=0)
+        log_prices = np.full((32, n_steps + 1), math.log(1e-17))
+        log_prices[0] = 0.0
+        index = build_index(SimPanel(cfg, log_prices, np.zeros(n_steps, bool)))
+        assert np.all(index == 1.0 / 32)
+
+    def test_peak_memory_is_about_one_log_price_matrix(self):
+        """Traced peaks at 10 × 200,000: the one-shot generator held about
+        3.1 log-price matrices, the blocked one about 1.1; build_index
+        holds the index (a tenth) and one block beyond its input."""
+        cfg = SimConfig(n_stocks=10, n_steps=200_000, fear_probability=0.05,
+                        step_size=0.01, seed=1)
+        tracemalloc.start()
+        try:
+            sim = simulate_market(cfg)
+            simulate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            build_index(sim)
+            index_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        matrix = sim.log_prices.nbytes
+        assert simulate_peak <= 1.25 * matrix
+        assert index_peak <= 0.5 * matrix
 
 
 class TestIndex:
@@ -177,6 +279,15 @@ class TestToAlignedPanel:
         assert np.all(diffs == 1)
         np.testing.assert_allclose(panel.log_close_matrix, sim.log_prices,
                                    atol=1e-12)
+
+    def test_prices_and_index_bytes(self):
+        """Each price is exponentiated once, and the index is the bytes of
+        ``build_index``."""
+        sim = run(n_stocks=12, n_steps=B, p=0.1, seed=6)
+        panel = to_aligned_panel(sim)
+        assert panel.index_series.closes.tobytes() == build_index(sim).tobytes()
+        for stock, log_prices in zip(panel.stocks, sim.log_prices):
+            assert stock.closes.tobytes() == np.exp(log_prices).tobytes()
 
     def test_wide_panels_get_wide_tickers(self):
         sim = run(n_stocks=120, n_steps=5, seed=4)

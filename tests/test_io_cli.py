@@ -557,6 +557,12 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match=rf"^{field}: expected"):
             RunConfig(**{field: value})
 
+    def test_direct_construction_rejects_negative_seed(self):
+        """The seed reaches PCG64 only after the whole analysis has run; a
+        negative one is refused up front."""
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            RunConfig(seed=-1)
+
     @pytest.mark.parametrize("field, levels, message", [
         ("rho_grid", (math.nan, 0.1), "nan is not finite"),
         ("rho_grid", (math.inf,), "inf is not finite"),
@@ -1104,6 +1110,37 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert main(["wilcoxon", str(a), str(b), "--equalize", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["n_a"] == 10
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("simulate", ["--seed", "-1"], "seed must be >= 0"),
+        ("simulate", ["--step-size", "inf"], "step_size must be finite"),
+        ("simulate", ["--step-size", "nan"], "step_size must be finite"),
+        ("condcorr", ["--seed", "-1"], "seed must be >= 0"),
+        ("invstats", ["--seed", "-1"], "seed must be >= 0"),
+        ("wilcoxon", ["--equalize", "--seed", "-1"], "seed must be >= 0"),
+    ], ids=["simulate-seed", "simulate-step-inf", "simulate-step-nan",
+            "condcorr-seed", "invstats-seed", "wilcoxon-seed"])
+    def test_bad_seed_or_step_exits_2(self, tmp_path, capsys, command, flags, message):
+        """A negative seed or a non-finite step size exits 2 naming it, not 1
+        with numpy's traceback (nor 3 on a market of infinite prices), and
+        before any input is read: the analysis commands get an absent
+        manifest, which would exit 3."""
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("1\n2\n3\n")
+        b.write_text("4\n5\n")
+        args = {
+            "simulate": ["simulate", "--n-stocks", "2", "--n-steps", "10",
+                         "--fear-probability", "0.1", "--seed", "0"],
+            "condcorr": ["condcorr", "--manifest", str(tmp_path / "absent.json")],
+            "invstats": ["invstats", "--manifest", str(tmp_path / "absent.json")],
+            "wilcoxon": ["wilcoxon", str(a), str(b)],
+        }[command]
+        if command != "wilcoxon":
+            args += ["--out", str(tmp_path / "out")]
+        assert main([*args, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_wilcoxon_bad_value_names_line(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

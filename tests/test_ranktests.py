@@ -208,6 +208,14 @@ class TestEqualSizeSubsample:
         a, b = equalize_sizes(vals, other, seed=0)
         assert a is vals and b is other
 
+    @pytest.mark.parametrize("other", [np.zeros(3), np.zeros(2)],
+                             ids=["equal-sizes", "unequal-sizes"])
+    def test_negative_seed_rejected(self, other):
+        """Refused whether or not a subset is drawn, as a ValidationError
+        naming the seed rather than numpy's ValueError."""
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            equalize_sizes(np.arange(3.0), other, seed=-1)
+
     def test_zero_size_is_empty(self):
         empty = np.array([])
         a, b = equalize_sizes(np.arange(5), empty, seed=0)
