@@ -122,12 +122,10 @@ def _cmd_condcorr(args) -> int:
     config = _build_config(args)
     manifest = io.load_manifest(args.manifest)
     summary = io.run_condcorr(manifest, config, args.out)
-    for level, res in summary["wilcoxon_pairs"].items():
-        print(f"pairs |rho|={level}: z={res['z']:.4f} log10(p)={res['log10_p']:.2f} "
-              f"n={res['n']}")
-    for level, res in summary["wilcoxon_time"].items():
-        print(f"C_t   |rho|={level}: z={res['z']:.4f} log10(p)={res['log10_p']:.2f} "
-              f"n={res['n']}")
+    for name, tests in (("pairs", summary["wilcoxon_pairs"]), ("C_t  ", summary["wilcoxon_time"])):
+        for level, res in tests.items():
+            print(f"{name} |rho|={level}: z={res['z']:.4f} log10(p)={res['log10_p']:.2f} "
+                  f"n={res['n']}")
     print(f"reports written to {args.out}")
     return 0
 
@@ -136,6 +134,7 @@ def _cmd_invstats(args) -> int:
     config = _build_config(args)
     if (args.manifest is None) == (args.csv is None):
         raise ValidationError("give exactly one of --manifest or --csv")
+    config.invstats_levels()  # refuse a 0 level before reading any input
     source = io.load_manifest(args.manifest) if args.manifest else args.csv
     summary = io.run_invstats(source, config, args.out)
     for tag, entry in summary["levels"].items():

@@ -32,12 +32,12 @@ The sweep sorts the windows into bands.  For one sign the level sets are
 nested half-lines in r, so each (t, δt) window falls in one band, b = the
 number of requested levels ≤ r; level i holds the bands b ≤ i when
 ρ_i < 0 and b > i when ρ_i ≥ 0 (which keeps ρ = 0 and exact ties on the
-branches of step 3).  Member counts and the S_0 and C_t sums are bincounts
-over (δt, band), mapped to levels by that 0/1 matrix; χ takes Zᵀ Z and the
-pair counts Dᵀ D (D the definedness flags) per δt and band between χ
-levels.  The cost scales with the starts that hold any member span, not
-with the number of levels; χ products and C_t sums run only in the chunks
-and spans that hold a χ or C_t window.
+branches of step 3).  Chunks of the starts with a member span write S_0
+into a (t, δt) grid, NaN where undefined or not visited, and add χ's Zᵀ Z
+and pair counts Dᵀ D (D the definedness flags) per δt and band between χ
+levels.  Member counts and S_0 sums are then bincounts of the grid over
+(δt, band), mapped to levels by that 0/1 matrix, and C_t(t) is a mean
+over row t: both are sums in start order, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
 # variance at or below mean-square × this is treated as zero volatility
 _REL_VAR_FLOOR = 1e-12
 _CHUNK = 256
+_ROWS = 256  # grid rows (starts) per partial sum of the curve's member sums
 
 DEFAULT_WINDOW_RANGE = (10, 35)
 DEFAULT_EPSILON = 1e-6
@@ -163,22 +164,26 @@ def _condition_returns(panel: AlignedPanel, horizon: int, span: int) -> np.ndarr
     return index_log[span: span + n_t] - index_log[:n_t]
 
 
-def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int):
-    """(block, mean, scale, s0, n_pairs) at ≤ ``_CHUNK`` starts, per span δt in
-    [dt1, dt2] over the window's δt + 1 first block rows.
+def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, work):
+    """(block, mean, scale, s0) at the c starts, per span δt in [dt1, dt2]
+    over the window's δt + 1 first block rows.
 
     block (dt2 + 1, c, N): each start's rows of the time-major ``returns``
     (the last row repeats past the end) minus its first.  mean (S, c, N):
     each stock's mean of those shifted rows; scale (S, c, N): 1/sd where the
-    stock is defined, else 0; s0 (c, S): S_0, NaN where no pair is defined;
-    n_pairs (c, S): the defined pairs.
+    stock is defined, else 0; s0 (c, S): S_0, NaN where no pair is defined.
+    block, mean and scale, and U are consecutive views of the flat ``work``
+    buffer: a sweep reuses it, so its pages fault in once, not once per chunk.
     """
     offsets = np.arange(dt2 + 1)
     sizes = offsets[dt1:] + 1  # δt + 1 rows per span
-    block = returns[np.minimum(starts + offsets[:, None], len(returns) - 1)]
+    c, n, s = len(starts), returns.shape[1], len(sizes)
+    shapes = ((dt2 + 1, c, n), (2, s, c, n), (c, dt2 + 1, s))
+    cuts = np.cumsum([0] + [math.prod(d) for d in shapes])
+    block, (mean, scale), u = (work[a:b].reshape(d) for a, b, d in zip(cuts, cuts[1:], shapes))
+    np.take(returns, starts + offsets[:, None], axis=0, mode="clip", out=block)
     first = block[0].copy()
     block -= first
-    mean, scale = np.empty((2, len(sizes)) + first.shape)
     defined = np.empty(mean.shape, dtype=bool)
     total, total_sq = np.zeros((2,) + first.shape)
     # running sums of the rows and their squares, one row-add per day; each
@@ -195,38 +200,33 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int):
             np.divide(ok, np.sqrt(np.where(ok, var, 1.0)), out=var)
     # per window row, Σ_x z_x = U − ū with U = block·scale and ū = mean·scale,
     # so Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖² = Σ U² − m·ū² − m·d
-    u = np.matmul(block.transpose(1, 0, 2), scale.transpose(1, 2, 0))
+    np.matmul(block.transpose(1, 0, 2), scale.transpose(1, 2, 0), out=u)
     u *= offsets[:, None] < sizes  # keep the rows inside each span's window
     u_bar = np.einsum("scn,scn->cs", mean, scale)
     d = defined.sum(axis=2).T
     n_pairs = d * (d - 1) // 2
     off_diagonal = np.einsum("cms,cms->cs", u, u) - sizes * (u_bar * u_bar + d)
     off_diagonal /= 2.0 * sizes * np.maximum(n_pairs, 1)
-    s0 = np.where(n_pairs > 0, off_diagonal, np.nan)
-    return block, mean, scale, s0, n_pairs
+    return block, mean, scale, np.where(n_pairs > 0, off_diagonal, np.nan)
 
 
 @dataclass(frozen=True)
 class _SweepSums:
     """Member sums of one sweep over the window sizes ``spans``.
 
-    counts, sums and sumsqs are (n_spans, n_levels): the members with a
-    defined S_0, and Σ S_0 and Σ S_0² over them.  pair_num, pair_den and
-    pair_members are (n_pair_levels, N, N): the sum over δt of each pair's
-    member mean, the δt count behind it, and the member windows where the
-    pair is defined.  time_num and time_den are (n_time_levels, n_returns):
-    Σ S_0(t) over the δt where t is a member, and that δt count.
+    stats is (3, n_spans, n_levels): the members with a defined S_0, and
+    Σ S_0 and Σ S_0² over them, summed in start order.  pair_num,
+    pair_den and pair_members are (n_pair_levels, N, N): the sum over δt of
+    each pair's member mean, the δt count behind it, and the member windows
+    where the pair is defined.  time_resolved holds C_t per time level.
     """
 
     spans: np.ndarray
-    counts: np.ndarray
-    sums: np.ndarray
-    sumsqs: np.ndarray
+    stats: np.ndarray
     pair_num: np.ndarray
     pair_den: np.ndarray
     pair_members: np.ndarray
-    time_num: np.ndarray
-    time_den: np.ndarray
+    time_resolved: list[TimeResolvedCorrelation]
 
 
 def _held_bands(edges: np.ndarray, chosen) -> np.ndarray:
@@ -244,11 +244,11 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
     """One pass of the nested-span kernel over every start some level holds.
 
     ``levels`` are sorted and distinct; ``pair_levels`` and ``time_levels``
-    name those that also need per-pair and per-time sums.  The χ products
-    use the coarser bands between the pair levels alone, and the starts are
-    sorted by those bands, so each Zᵀ Z covers many windows of one band.
-    A chunk of starts takes χ products only over its spans holding a χ
-    window, and C_t sums only if some span holds a C_t window.
+    name those that also need per-pair sums and C_t.  Each chunk of starts
+    writes its S_0 into the (start, span) grid and adds its χ products; the
+    χ products use the coarser bands between the pair levels alone, and the
+    starts are sorted by those bands, so each Zᵀ Z covers many windows of
+    one band.  The curve's sums and C_t are then read off the grid.
     """
     returns = _returns(panel, horizon)
     n_returns, n = returns.shape
@@ -271,36 +271,23 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
         r = _condition_returns(panel, horizon, span)
         bands[:len(r), j] = np.searchsorted(levels, r, side="right")
     starts = np.flatnonzero(member.any(axis=1)[bands].any(axis=1))
-    timed = time_member.any(axis=1)[bands].any(axis=1)  # some span in a C_t band
-    if len(pair_levels):
-        starts = starts[np.lexsort(pair_row[bands[starts]].T)]
+    starts = starts[np.lexsort(pair_row[bands[starts]].T)]  # by χ band, if any
 
-    stats = np.zeros((3, len(spans) * n_bands))  # member count, Σ S_0, Σ S_0²
+    s0 = np.full(bands.shape, np.nan)
     products = np.zeros((2, len(spans), len(pair_member), n, n))  # Σ Zᵀ Z, Σ Dᵀ D
-    time_num = np.zeros((len(time_levels), n_returns))
-    time_den = np.zeros(time_num.shape, dtype=np.int64)
+    work = np.empty(_CHUNK * ((dt2 + 1) * n + 2 * len(spans) * n + (dt2 + 1) * len(spans)))
     for lo in range(0, len(starts), _CHUNK):
         t = starts[lo:lo + _CHUNK]
-        block, mean, scale, s0, n_pairs = _window_kernel(returns, t, dt1, dt2)
-        band = bands[t]
-        use = n_pairs > 0
-        vals, flat = s0[use], (band + n_bands * np.arange(len(spans)))[use]  # span, band
-        stats += [np.bincount(flat, w, stats.shape[1]) for w in (None, vals, vals * vals)]
-        if timed[t].any():
-            in_level = time_member[band] & use[:, :, None]
-            time_num[:, t] = np.einsum("csk,cs->kc", in_level, np.where(use, s0, 0.0))
-            time_den[:, t] = in_level.sum(axis=1).T
-        pair_band = pair_row[band]
-        chi_spans = np.flatnonzero((pair_band >= 0).any(axis=0))  # spans with χ rows
-        if len(chi_spans):
-            by_band = np.argsort(pair_band, axis=0, kind="stable")  # -1 (no pair level) first
-        for j, span in zip(chi_spans, spans[chi_spans]):
-            rows = by_band[np.count_nonzero(pair_band[:, j] < 0):, j]
+        block, mean, scale, s0[t] = _window_kernel(returns, t, dt1, dt2, work)
+        pair_band = pair_row[bands[t]]
+        for j in np.flatnonzero((pair_band >= 0).any(axis=0)):  # the spans with χ rows
+            # the χ rows of span j by χ band; -1 (no pair level) sorts first
+            rows = pair_band[:, j].argsort(kind="stable")[np.count_nonzero(pair_band[:, j] < 0):]
             # Zᵀ Z = Σ_w (block_w·a_w)ᵀ (block_w·a_w) − m·(μ_w·a_w)ᵀ (μ_w·a_w)
             a = scale[j, rows]
-            z = block.transpose(1, 0, 2)[rows, :span + 1]
+            z = block.transpose(1, 0, 2)[rows, :spans[j] + 1]
             z *= a[:, None]
-            centre = mean[j, rows] * a * np.sqrt(span + 1)
+            centre = mean[j, rows] * a * np.sqrt(spans[j] + 1)
             flags = (a > 0) * 1.0
             b = pair_band[rows, j]
             firsts = np.flatnonzero(np.diff(b, prepend=-1))
@@ -308,26 +295,41 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
                 zz, cc, ff = z[g0:g1].reshape(-1, n), centre[g0:g1], flags[g0:g1]
                 products[0, j, b[g0]] += zz.T @ zz - cc.T @ cc
                 products[1, j, b[g0]] += ff.T @ ff
-        del block, mean, scale  # free this chunk before the next one is built
-    counts, sums, sumsqs = stats.reshape(3, len(spans), n_bands) @ member
+    del returns  # the reductions below need only the grid: free the returns first
+
+    # the curve sums the grid in start order, in fixed blocks of starts (whose
+    # partial sums round less than one running sum), whatever the chunking
+    defined = ~np.isnan(s0)
+    stats = np.zeros((3, len(spans) * n_bands))  # member count, Σ S_0, Σ S_0² per (span, band)
+    for part in (slice(lo, lo + _ROWS) for lo in range(0, len(s0), _ROWS)):
+        use = defined[part]
+        vals, cell = s0[part][use], (bands[part] + n_bands * np.arange(len(spans)))[use]
+        stats += [np.bincount(cell, w, stats.shape[1]) for w in (None, vals, vals * vals)]
+    time_resolved = []
+    for k in range(len(time_levels)):  # C_t(t): the mean of S_0(t, δt) over level k's δt
+        in_level = time_member[:, k][bands] & defined
+        count = in_level.sum(axis=1)
+        times = np.flatnonzero(count)
+        c_t = np.where(in_level, s0, 0.0).sum(axis=1)[times] / count[times]
+        time_resolved.append(TimeResolvedCorrelation(times, c_t))
     psum, pcnt = np.moveaxis(np.moveaxis(products, 2, -1) @ pair_member, -1, 2)
     psum /= (spans + 1)[:, None, None, None]
     pair_num = (psum / np.maximum(pcnt, 1.0)).sum(axis=0)  # psum is 0 where pcnt is
-    return _SweepSums(spans, counts.astype(np.int64), sums, sumsqs, pair_num,
+    return _SweepSums(spans, stats.reshape(3, len(spans), n_bands) @ member, pair_num,
                       (pcnt > 0).sum(axis=0), pcnt.sum(axis=0).astype(np.int64),
-                      time_num, time_den)
+                      time_resolved)
 
 
 def _curve_point(sums: _SweepSums, i: int, rho: float,
                  min_samples: int) -> CurvePoint | None:
     """C(ρ) of level i of a sweep, the mean over δt of the member means;
     None when no δt has members."""
-    counts, level_sums = sums.counts[:, i], sums.sums[:, i]
+    counts, level_sums, level_sumsqs = sums.stats[:, :, i]
     have, ok = counts > 0, counts > 1
     if not np.any(have):
         return None
     mean = level_sums[ok] / counts[ok]
-    var = np.maximum(sums.sumsqs[ok, i] / counts[ok] - mean * mean, 0.0)
+    var = np.maximum(level_sumsqs[ok] / counts[ok] - mean * mean, 0.0)
     # adjacent member windows share span of their span+1 days, so the mean's
     # variance shrinks roughly like var×(span+1)/count, not var/count
     se2 = var * (sums.spans[ok] + 1) / (counts[ok] - 1)
@@ -430,10 +432,5 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
     chi = {lev: _chi_report(panel, sums, 2 * k, 2 * k + 1, epsilon)
            for k, lev in enumerate(chi_levels)}
 
-    time_resolved = {}
-    for k, lev in enumerate(ct_levels):
-        have = sums.time_den[k] > 0
-        time_resolved[lev] = TimeResolvedCorrelation(
-            np.nonzero(have)[0], sums.time_num[k][have] / sums.time_den[k][have])
-
-    return PanelAnalysis(curve=curve, chi=chi, time_resolved=time_resolved)
+    return PanelAnalysis(curve=curve, chi=chi,
+                         time_resolved=dict(zip(ct_levels, sums.time_resolved)))

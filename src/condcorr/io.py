@@ -331,13 +331,13 @@ class RunConfig:
 
     rho_grid holds signed levels; chi_levels and ct_level are positive
     magnitudes (each expands to a ± pair).  The inverse-statistics path
-    subtracts a centred moving average over detrend_window days (0 turns
-    detrending off) and bins waiting times logarithmically, edges bin_ratio
-    apart.  Each scalar field must hold its type (an int field an integer,
-    a float field an integer or a float; a bool is never a number), and
-    every level a finite number, not a bool or a string; a mismatch raises
-    ValidationError naming the field.  Each level list is kept as a tuple of
-    floats.  seed, which seeds each rank test's subsampling, must be >= 0.
+    subtracts a centred moving average over detrend_window days (odd, >= 3;
+    0 turns detrending off) and bins waiting times logarithmically, edges
+    bin_ratio apart.  Each scalar field must hold its type (an int field an
+    integer, a float field an integer or a float; a bool is never a number),
+    and every level a finite number, not a bool or a string; a mismatch
+    raises ValidationError naming the field.  Each level list is kept as a
+    tuple of floats.  seed, the rank tests' subsampling seed, must be >= 0.
     """
 
     delta_t: int = 1
@@ -384,8 +384,8 @@ class RunConfig:
         if not (math.isfinite(self.ct_level) and self.ct_level > 0):
             raise ValidationError("ct_level must be a finite positive magnitude")
         object.__setattr__(self, "ct_level", float(self.ct_level))
-        if self.detrend_window < 0:
-            raise ValidationError("detrend_window must be >= 0 (0 disables)")
+        if self.detrend_window and (self.detrend_window < 3 or self.detrend_window % 2 == 0):
+            raise ValidationError("detrend_window must be 0 (off) or odd and >= 3")
         if self.min_samples < 1:
             raise ValidationError("min_samples must be >= 1")
         if self.seed < 0:
@@ -396,6 +396,12 @@ class RunConfig:
     @property
     def window_range(self) -> tuple[int, int]:
         return (self.dt1, self.dt2)
+
+    def invstats_levels(self) -> list[float]:
+        """The sorted |ρ| magnitudes invstats scans; a 0 level raises ValidationError."""
+        if 0.0 in self.rho_grid:
+            raise ValidationError("rho_grid for inverse statistics must not contain 0")
+        return sorted({abs(r) for r in self.rho_grid})
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -606,12 +612,9 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
             pair_tests.append((level, test))
     write_wilcoxon_tsv(out / "wilcoxon_pairs.tsv", pair_tests)
 
-    ct_plus = analysis.time_resolved[ct_levels[0]]
-    ct_minus = analysis.time_resolved[ct_levels[1]]
-    write_time_resolved_tsv(out / f"ct_plus_{fmt(config.ct_level)}.tsv",
-                            ct_plus, panel.calendar)
-    write_time_resolved_tsv(out / f"ct_minus_{fmt(config.ct_level)}.tsv",
-                            ct_minus, panel.calendar)
+    ct_plus, ct_minus = (analysis.time_resolved[level] for level in ct_levels)
+    for side, tr in (("plus", ct_plus), ("minus", ct_minus)):
+        write_time_resolved_tsv(out / f"ct_{side}_{fmt(config.ct_level)}.tsv", tr, panel.calendar)
     ct_test = _rank_test(ct_plus.values, ct_minus.values, config.seed)
     ct_tests = [] if ct_test is None else [(config.ct_level, ct_test)]
     write_wilcoxon_tsv(out / "wilcoxon_time.tsv", ct_tests)
@@ -661,10 +664,9 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
     first unless detrend_window is 0.  Levels come from the magnitudes in
     rho_grid; a grid containing 0 is rejected.
     """
+    levels = config.invstats_levels()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if any(rho == 0.0 for rho in config.rho_grid):
-        raise ValidationError("rho_grid for inverse statistics must not contain 0")
 
     inputs = {}
     if isinstance(source, DatasetManifest):
@@ -681,7 +683,6 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
     else:
         log_prices = series.log_closes
 
-    levels = sorted({abs(r) for r in config.rho_grid})
     report = inverse_stats.gain_loss_report(log_prices, levels, config.bin_ratio)
     starts = len(log_prices) - 1  # every start is scanned at every level
     level_summaries = {}

@@ -103,8 +103,9 @@ class AlignedPanel:
 
     @cached_property
     def log_close_matrix(self) -> np.ndarray:
-        """Stacked log closes, shape (n_stocks, n_days)."""
-        return _read_only(np.vstack([s.log_closes for s in self.stocks]))
+        """Stacked log closes, shape (n_stocks, n_days), logged in place."""
+        matrix = np.vstack([s.closes for s in self.stocks])
+        return _read_only(np.log(matrix, out=matrix))
 
 
 def _moving_average(values: np.ndarray, width: int) -> np.ndarray:

@@ -97,8 +97,11 @@ def window_probe(panel, span, horizon=1, columns=None, starts=None):
         returns = np.ascontiguousarray(returns[:, list(columns)])
     if starts is None:
         starts = np.arange(max(len(returns) - span, 0))
-    s0, n_pairs = conditional._window_kernel(returns, np.asarray(starts), span, span)[3:]
-    return s0[:, 0], n_pairs[:, 0]
+    n = returns.shape[1]
+    work = np.empty(len(starts) * ((span + 1) * n + 2 * n + span + 1))
+    _, _, scale, s0 = conditional._window_kernel(returns, np.asarray(starts), span, span, work)
+    defined = np.count_nonzero(scale[0], axis=1)  # a stock is defined where 1/sd > 0
+    return s0[:, 0], defined * (defined - 1) // 2
 
 
 def descent(values, sign, magnitudes):

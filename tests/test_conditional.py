@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from condcorr import ValidationError, analyze_panel, conditional, relative_difference_chi
+from condcorr import (SimConfig, ValidationError, analyze_panel, conditional,
+                      relative_difference_chi, simulate_market, to_aligned_panel)
 
 import reference
 from conftest import make_panel, random_oracle_panel, window_probe
@@ -602,7 +603,7 @@ def level_windows(p, starts, spans, levels):
 
 class TestChunkedSweep:
     """χ and C_t over several ``_CHUNK``s of starts, where some chunks and
-    spans hold no χ or C_t window and the sweep skips their passes."""
+    spans hold no χ or C_t window and the sweep skips their χ passes."""
 
     WINDOW_RANGE = (2, 5)
     GRID = (-0.01, -0.0002, 0.0, 0.01)
@@ -643,10 +644,7 @@ class TestChunkedSweep:
         # chunks of 7 starts split the χ and C_t windows over many chunks
         monkeypatch.setattr(conditional, "_CHUNK", 7)
         small = self.analyze(p)
-        for a, b in zip(analysis.curve.points, small.curve.points, strict=True):
-            assert (a.rho, a.sample_count, a.excluded_windows) == \
-                (b.rho, b.sample_count, b.excluded_windows)
-            assert a.value == pytest.approx(b.value, rel=0, abs=1e-12)
+        assert small.curve == analysis.curve
         for a, b in zip(analysis.chi[self.CHI].pairs, small.chi[self.CHI].pairs, strict=True):
             assert (a.pair, a.count_minus, a.count_plus) == (b.pair, b.count_minus, b.count_plus)
             for x, y in ((a.c_minus, b.c_minus), (a.c_plus, b.c_plus)):
@@ -654,8 +652,28 @@ class TestChunkedSweep:
                 assert x is None or x == pytest.approx(y, rel=0, abs=1e-12)
         for level, tr in analysis.time_resolved.items():
             np.testing.assert_array_equal(small.time_resolved[level].times, tr.times)
-            np.testing.assert_allclose(small.time_resolved[level].values, tr.values,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(small.time_resolved[level].values, tr.values)
+
+    def test_chunks_reuse_the_kernel_buffers(self, monkeypatch):
+        """Every chunk's block, mean and scale are views of one buffer, so a
+        sweep faults its pages in once rather than once per chunk."""
+        outputs, kernel = [], conditional._window_kernel
+
+        def recording_kernel(*args):
+            result = kernel(*args)
+            outputs.extend(result[:3])  # kept alive, so no later array can take its memory
+            return result
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        monkeypatch.setattr(conditional, "_window_kernel", recording_kernel)
+        monkeypatch.setattr(conditional, "_CHUNK", 7)
+        self.analyze(burst_panel())
+        assert len(outputs) >= 9
+        assert len({id(owner(a)) for a in outputs}) == 1
 
     def test_unreached_levels_skip_every_pass(self):
         p = burst_panel()
@@ -677,14 +695,8 @@ class TestAnalyzePanel:
             p, grid, window_range=(2, 4), chi_levels=(0.004,), ct_levels=(0.0,),
             min_samples=1,
         )
-        curve = analyze_panel(p, grid, window_range=(2, 4), min_samples=1).curve
-        for rho in grid:
-            single = curve.point(rho)
-            got = analysis.curve.point(rho)
-            if single is None:
-                assert got is None
-            else:
-                assert got.value == pytest.approx(single.value, abs=1e-12)
+        assert analysis.curve == analyze_panel(p, grid, window_range=(2, 4),
+                                               min_samples=1).curve
         chi_direct = analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
                                    chi_levels=(0.004,)).chi[0.004]
         for a, b in zip(analysis.chi[0.004].pairs, chi_direct.pairs, strict=True):
@@ -693,9 +705,27 @@ class TestAnalyzePanel:
         tr_direct = analyze_panel(p, (), window_range=(2, 4),
                                   ct_levels=(0.0,)).time_resolved[0.0]
         np.testing.assert_array_equal(analysis.time_resolved[0.0].times, tr_direct.times)
-        np.testing.assert_allclose(
-            analysis.time_resolved[0.0].values, tr_direct.values, atol=1e-12
-        )
+        np.testing.assert_array_equal(analysis.time_resolved[0.0].values, tr_direct.values)
+
+    def test_curve_and_ct_ignore_other_levels_and_chunking(self, monkeypatch):
+        """On a 30 × 6000 fear market at the control grid, the curve and C_t
+        are bit for bit the same with or without the χ and C_t levels, and
+        with chunks of 7 starts: both are sums over the S_0 grid in start
+        order, whatever order the chunks visit the starts in."""
+        p = to_aligned_panel(simulate_market(SimConfig(
+            n_stocks=30, n_steps=6000, fear_probability=0.05, step_size=0.01, seed=3)))
+        grid, chi, ct = (-0.10, -0.05, -0.03, 0.03, 0.05, 0.10), (0.03, 0.05, 0.10), (-0.03, 0.03)
+        full = analyze_panel(p, grid, chi_levels=chi, ct_levels=ct)
+        assert full.curve == analyze_panel(p, grid).curve
+        time_only = analyze_panel(p, grid, ct_levels=ct).time_resolved
+        monkeypatch.setattr(conditional, "_CHUNK", 7)
+        small = analyze_panel(p, grid, chi_levels=chi, ct_levels=ct)
+        assert small.curve == full.curve
+        for level, tr in full.time_resolved.items():
+            assert len(tr) > 0
+            for other in (time_only[level], small.time_resolved[level]):
+                np.testing.assert_array_equal(other.times, tr.times)
+                np.testing.assert_array_equal(other.values, tr.values)
 
     def test_rejects_zero_chi_level(self, rng):
         # chi levels are magnitudes: signs are dropped, zero is meaningless

@@ -519,8 +519,10 @@ class TestRunConfig:
             RunConfig(delta_t=0)
         with pytest.raises(ValidationError):
             RunConfig(rho_grid=())
-        with pytest.raises(ValidationError):
-            RunConfig(detrend_window=-1)
+        for window in (-1, 1, 2, 250):
+            with pytest.raises(ValidationError, match="detrend_window"):
+                RunConfig(detrend_window=window)
+        assert RunConfig(detrend_window=3).detrend_window == 3
         with pytest.raises(ValidationError):
             RunConfig(min_samples=0)
         # chi_levels and ct_level are magnitudes: a sign or a zero would
@@ -962,21 +964,29 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert code == 2
         assert "chi_levels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["condcorr", "invstats"])
-    @pytest.mark.parametrize("flags, config, message", [
-        (["--bin-ratio", "nan"], None, "ratio"),
-        ([], {"bin_ratio": math.nan}, "ratio"),
-        (["--epsilon", "-1"], None, "epsilon"),
-        ([], {"epsilon": -1.0}, "epsilon"),
-        ([], {"binning": "log"}, "unknown config keys ['binning']"),
-        ([], {"detrend_mode": "centered"}, "unknown config keys ['detrend_mode']"),
-    ], ids=["ratio-flag", "ratio-json", "epsilon-flag", "epsilon-json",
-            "binning-json", "detrend-mode-json"])
+    @pytest.mark.parametrize("command, flags, config, message", [
+        pytest.param(command, *case[1:], id=f"{case[0]}-{command}")
+        for case in [
+            ("ratio-flag", ["--bin-ratio", "nan"], None, "ratio"),
+            ("ratio-json", [], {"bin_ratio": math.nan}, "ratio"),
+            ("epsilon-flag", ["--epsilon", "-1"], None, "epsilon"),
+            ("epsilon-json", [], {"epsilon": -1.0}, "epsilon"),
+            ("binning-json", [], {"binning": "log"}, "unknown config keys ['binning']"),
+            ("detrend-mode-json", [], {"detrend_mode": "centered"},
+             "unknown config keys ['detrend_mode']"),
+            ("even-detrend-window", ["--detrend-window", "250"], None, "detrend_window"),
+            ("detrend-window-1", ["--detrend-window", "1"], None, "detrend_window"),
+            ("detrend-window-2-json", [], {"detrend_window": 2}, "detrend_window"),
+        ]
+        for command in ("condcorr", "invstats")
+    ] + [pytest.param("invstats", ["--rho-grid=0,0.05"], None, "must not contain 0",
+                      id="zero-level-invstats")])
     def test_bad_config_exits_2_before_ingest(self, tmp_path, capsys, command,
                                               flags, config, message):
         """A bad parameter, or a key that is not a ``RunConfig`` field, exits
         2 with a message naming it, not a traceback, and before the manifest
-        is read: an absent manifest would exit 3."""
+        is read: an absent manifest would exit 3.  A 0 level is bad for
+        ``invstats`` alone."""
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))  # NaN is written as NaN

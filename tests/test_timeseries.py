@@ -171,15 +171,16 @@ class TestAlignPanel:
                                       np.vstack([s.log_closes for s in stocks]))
 
 
-def traced_peak(compute):
-    """compute() and the tracemalloc peak of the allocations it made."""
+def traced(compute):
+    """compute() and the tracemalloc current and peak size of the
+    allocations it made: what it keeps, and the most it held at once."""
     tracemalloc.start()
     try:
         result = compute()
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, kept, peak
 
 
 class TestFrozenArrays:
@@ -193,17 +194,17 @@ class TestFrozenArrays:
             assert not arr.flags.writeable
 
     def test_log_arrays_are_frozen_in_place(self):
-        """``log_closes`` and ``log_close_matrix`` freeze their fresh result
-        instead of copying it: with the stocks' log closes built, the traced
-        peak of the matrix is the matrix itself."""
+        """``log_closes`` freezes its fresh result instead of copying it, and
+        ``log_close_matrix`` takes the log of the stacked closes in place,
+        building no stock's ``log_closes``: the panel keeps one log-price
+        matrix, and building it holds no more."""
         d = calendar(5000)
         rng = np.random.default_rng(8)
         stocks = [PriceSeries(f"S{i}", d, rng.uniform(1.0, 2.0, 5000)) for i in range(10)]
         panel = align_panel(stocks, PriceSeries("IDX", d, np.full(5000, 3.0)))
-        log_closes, peak = traced_peak(lambda: stocks[0].log_closes)
-        assert peak <= 1.1 * log_closes.nbytes
-        for s in stocks[1:]:
-            s.log_closes
-        matrix, peak = traced_peak(lambda: panel.log_close_matrix)
+        matrix, kept, peak = traced(lambda: panel.log_close_matrix)
         assert matrix.shape == (10, 5000) and not matrix.flags.writeable
-        assert peak <= 1.1 * matrix.nbytes
+        assert kept <= 1.1 * matrix.nbytes and peak <= 1.1 * matrix.nbytes
+        log_closes, _, peak = traced(lambda: stocks[0].log_closes)
+        assert peak <= 1.1 * log_closes.nbytes
+        np.testing.assert_array_equal(matrix, np.vstack([s.log_closes for s in stocks]))
