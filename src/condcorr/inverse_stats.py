@@ -24,9 +24,10 @@ That is about (5 + 1)·n floats plus (n/B)·log₂(n/B), where a doubling table
 at every scale would take n·log₂n.  The tables depend only on the series
 and the sign of the level, so ``gain_loss_report`` runs one descent per
 sign over every magnitude at once, chunk by chunk of starts, freeing each
-sign's tables before the next build.  The descent writes every start's
-waiting time, 0 where it is censored (no crossing waits 0), and the report
-histograms each magnitude from one ``np.bincount`` of its row.
+sign's tables before the next build.  The descent yields the waiting times
+chunk by chunk, 0 where a start is censored, and the report bins each chunk
+through a lookup from waiting time to log bin with one ``np.bincount`` into
+(magnitude, bin) counts, so no (magnitude, start) array is ever built.
 
 The block descent is split into a near and a far search; the docstring
 of ``_first_passage_up`` says how, and why the split is exact.
@@ -117,11 +118,11 @@ def _doubling_maxima(base: np.ndarray, levels: int) -> list[np.ndarray]:
     return tables
 
 
-def _first_passage_tables(s: np.ndarray) -> _PassageTables:
-    # at least one +inf pads the series, so every search stops by position n
-    n = len(s)
+def _first_passage_tables(values: np.ndarray, sign: float) -> _PassageTables:
+    # of sign·values; at least one +inf pads them, so every search stops by n
+    n = len(values)
     padded = np.full(-(-(n + 1) // _BLOCK) * _BLOCK, np.inf)
-    padded[:n] = s
+    np.multiply(values, sign, out=padded[:n])
     blocks = padded.reshape(-1, _BLOCK)
     suffix = np.empty_like(padded)
     np.maximum.accumulate(blocks[:, ::-1], axis=1,
@@ -131,12 +132,13 @@ def _first_passage_tables(s: np.ndarray) -> _PassageTables:
                           _doubling_maxima(block_max, max(2, len(blocks).bit_length())))
 
 
-def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
-    """Waiting times to the first s[j] >= s[t0] + rho with j > t0, 0 if none.
+def _first_passage_up(tables: _PassageTables, rhos):
+    """Yield the waiting times to the first s[j] >= s[t0] + rho with j > t0,
+    chunk by chunk of starts t0 in order.
 
-    One row per rho in ``rhos``, one column per start t0, in the smallest
-    type holding n; no crossing waits 0, so 0 marks a censored start.
-    ``tables`` are ``_first_passage_tables(s)``.
+    Each chunk has one row per rho in ``rhos`` and one column per start, in
+    the smallest type holding n; no crossing waits 0, so 0 marks a censored
+    start.  ``tables`` are ``_first_passage_tables`` of s.
 
     The block search starts at b0, the block after the one holding t0 + 1.
     A (rho, start) element is near when its threshold is reached within
@@ -149,7 +151,7 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
     """
     n, fine, suffix, coarse = tables
     rhos = np.asarray(rhos, dtype=np.float64)[:, None]
-    out = np.empty((len(rhos), n - 1), dtype=np.min_scalar_type(n))
+    dtype = np.min_scalar_type(n)
     near_levels = min(_NEAR_LEVELS, len(coarse) - 1)
     step = max(1, _DESCENT_CHUNK // max(len(rhos), 1))
     for a in range(0, n - 1, step):
@@ -176,14 +178,11 @@ def _first_passage_up(tables: _PassageTables, rhos) -> np.ndarray:
         pos = np.where(suffix[first] < thresholds, block * _BLOCK, first)
         for k in range(_FINE_LEVELS - 1, -1, -1):
             pos += (fine[k][pos] < thresholds) << k
-        # a search that found no crossing stopped at n, and n - t0 fits the
-        # output's type, so the positions become waiting times in place
-        waits = out[:, a:b]
-        waits[...] = pos
-        censored = waits == n
-        waits -= np.arange(a, b, dtype=out.dtype)
-        waits[censored] = 0
-    return out
+        # a search that found no crossing stopped at n: that start waits 0
+        censored = pos == n
+        pos -= np.arange(a, b)
+        pos[censored] = 0
+        yield pos.astype(dtype)
 
 
 def check_bin_ratio(ratio: float):
@@ -200,6 +199,14 @@ def _log_edges(tau_max: float, ratio: float) -> np.ndarray:
     while edges[-1] <= tau_max:
         edges.append(max(edges[-1] * ratio, edges[-1] + 1.0))
     return np.asarray(edges)
+
+
+def _bin_lookup(edges: np.ndarray, n: int) -> np.ndarray:
+    # bin_of[τ] for τ in [0, n): 0 at τ = 0 (a censored start), else the i
+    # with edges[i-1] <= τ < edges[i], so integer τ runs up to ceil(edges[i]) - 1
+    ends = np.minimum(np.ceil(edges), n).astype(np.int64)
+    return np.repeat(np.arange(len(edges), dtype=np.min_scalar_type(len(edges) - 1)),
+                     np.diff(ends, prepend=0))
 
 
 @dataclass(frozen=True)
@@ -220,15 +227,13 @@ class WaitingTimeHistogram:
         return float(self.bin_centers[int(np.argmax(self.densities))])
 
 
-def _histogram(counts: np.ndarray, ratio: float) -> WaitingTimeHistogram:
-    # counts[τ] starts waited τ and counts[0] were censored; at least one
-    # start crossed, and counts ends at the longest wait (np.bincount's)
-    tau_max = float(len(counts) - 1)
-    edges = _log_edges(tau_max, ratio)
-    # waiting times are integers, so #{τ < edge} = #{τ ≤ ceil(edge) − 1}
-    at_most = np.cumsum(counts)
-    binned = np.diff(at_most[np.minimum(np.ceil(edges) - 1, tau_max).astype(np.int64)])
-    total = int(at_most[-1] - counts[0])
+def _histogram(counts: np.ndarray, edges: np.ndarray) -> WaitingTimeHistogram:
+    # counts[0] starts were censored and counts[i] waited τ in [edges[i-1],
+    # edges[i]); at least one start crossed.  The edges stop at the first one
+    # past the longest wait, as _log_edges(τ_max) would
+    last = np.flatnonzero(counts)[-1]
+    edges, binned = edges[:last + 1], counts[1:last + 1]
+    total = int(binned.sum())
     densities = binned / (total * np.diff(edges))
     return WaitingTimeHistogram(edges, np.sqrt(edges[:-1] * edges[1:]), densities, binned,
                                 total_samples=total, censored_count=int(counts[0]))
@@ -335,7 +340,8 @@ def gain_loss_report(log_prices, levels,
     ValidationError.  A positive asymmetry (mode(+) above mode(−)) means the
     series reaches losses sooner than equal-sized gains.  Every magnitude is
     checked before the first scan, and so is the bin ratio; each sign runs
-    one descent over every magnitude.
+    one descent over every magnitude and bins its waits chunk by chunk, so
+    memory holds the tables (about 6 floats a day) and a 1–2-byte bin lookup.
     """
     values = _log_price_values(log_prices)
     magnitudes = [abs(float(level)) for level in levels]
@@ -343,16 +349,20 @@ def gain_loss_report(log_prices, levels,
         if magnitude == 0.0 or not np.isfinite(magnitude):
             raise ValidationError("level must be nonzero and finite")
     check_bin_ratio(ratio)
+    edges = _log_edges(len(values), ratio)
+    bin_of = _bin_lookup(edges, len(values))
+    offsets = len(edges) * np.arange(len(magnitudes))[:, None]
     hists = {}
     for sign in (1.0, -1.0):
-        # the tables are freed as the descent returns and the waiting times
-        # at del, so one sign's arrays are alive at a time
-        taus = _first_passage_up(_first_passage_tables(sign * values), magnitudes)
-        hists[sign] = [  # a side no start crosses counts only censored starts
-            _histogram(counts, ratio) if len(counts) > 1 else None
-            for counts in map(np.bincount, taus)
-        ]
-        del taus
+        # the tables are freed as the descent ends, so one sign's are alive at
+        # a time; each chunk's waits are binned into (magnitude, bin) counts
+        counts = np.zeros(len(magnitudes) * len(edges), dtype=np.int64)
+        for waits in _first_passage_up(_first_passage_tables(values, sign), magnitudes):
+            bins = offsets + bin_of.take(waits)
+            counts += np.bincount(bins.ravel(), minlength=len(counts))
+        # a side no start crosses counts only censored starts
+        hists[sign] = [_histogram(row, edges) if row[1:].any() else None
+                       for row in counts.reshape(len(magnitudes), len(edges))]
     return GainLossReport(tuple(
         GainLossEntry(
             level_abs=magnitude,

@@ -106,10 +106,10 @@ def window_probe(panel, span, horizon=1, columns=None, starts=None):
 
 def descent(values, sign, magnitudes):
     """Every start's waiting time to a move of ``sign`` times each magnitude,
-    0 where the start is censored: one row per magnitude, straight from the
-    descent that ``gain_loss_report`` runs per sign."""
-    return inverse_stats._first_passage_up(
-        inverse_stats._first_passage_tables(sign * values), magnitudes)
+    0 where the start is censored: one row per magnitude, the chunks of the
+    descent that ``gain_loss_report`` runs per sign joined."""
+    return np.concatenate(list(inverse_stats._first_passage_up(
+        inverse_stats._first_passage_tables(values, sign), magnitudes)), axis=1)
 
 
 def brute_force_waits(values, sign, magnitudes):

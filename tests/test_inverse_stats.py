@@ -27,10 +27,15 @@ from condcorr import (
 from conftest import brute_force_waits, calendar, descent
 
 
-def histogram_of(taus, ratio=inverse_stats.DEFAULT_LOG_BIN_RATIO):
-    """The histogram ``gain_loss_report`` bins from these waiting times,
-    none censored."""
-    return inverse_stats._histogram(np.bincount(np.asarray(taus, dtype=np.int64)), ratio)
+def histogram_of(waits, ratio=inverse_stats.DEFAULT_LOG_BIN_RATIO, n=None):
+    """The histogram ``gain_loss_report`` bins from these waiting times (0
+    for a censored start) on the edges and lookup of a walk of ``n`` days,
+    by default one past the longest wait; None if every start is censored."""
+    waits = np.asarray(waits, dtype=np.int64)
+    n = int(waits.max()) + 1 if n is None else n
+    edges = inverse_stats._log_edges(n, ratio)
+    counts = np.bincount(inverse_stats._bin_lookup(edges, n)[waits], minlength=len(edges))
+    return inverse_stats._histogram(counts, edges) if counts[1:].any() else None
 
 
 def assert_same_histogram(got, want):
@@ -320,9 +325,8 @@ class TestGainLoss:
             assert [e.level_abs for e in rep.entries] == [0.03, 0.005, 0.05, 0.01, 100.0]
             for e in rep.entries:
                 for hist, sign in ((e.plus, 1.0), (e.minus, -1.0)):
-                    counts = np.bincount(descent(values, sign, [e.level_abs])[0])
-                    alone = None if len(counts) == 1 else inverse_stats._histogram(
-                        counts, ratio)
+                    alone = histogram_of(descent(values, sign, [e.level_abs])[0],
+                                         ratio, len(values))
                     assert_same_histogram(hist, alone)
             never = rep.entry(100.0)
             assert never.plus is None and never.minus is None
@@ -382,7 +386,7 @@ class TestGainLoss:
             for (i, sign), want in expected.items():
                 values, magnitudes = cases[i]
                 np.testing.assert_array_equal(descent(values, sign, magnitudes), want)
-                coarse = inverse_stats._first_passage_tables(sign * values).coarse
+                coarse = inverse_stats._first_passage_tables(values, sign).coarse
                 b0 = np.arange(1, len(values)) // block + 1
                 top = coarse[min(near_levels, len(coarse) - 1)][b0]
                 far = top < sign * values[:-1] + np.asarray(magnitudes)[:, None]
@@ -402,8 +406,9 @@ class TestGainLoss:
 
     def test_table_memory_is_linear(self, rng):
         """Traced peak of a report on a 2**18-day walk at the 8 default
-        magnitudes: about 91 bytes a day with the two-scale tables, where a
-        doubling table at every scale made it about 188."""
+        magnitudes: about 61 bytes a day with the two-scale tables and the
+        waits binned chunk by chunk.  Keeping every start's waits made it
+        about 91, and a doubling table at every scale about 188."""
         n = 1 << 18
         values = np.cumsum(rng.normal(0.0, 0.01, size=n))
         levels = sorted({abs(rho) for rho in RunConfig().rho_grid})
@@ -414,7 +419,40 @@ class TestGainLoss:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 120
+        assert peak / n < 70
+
+    @pytest.mark.parametrize("ratio", [1.25, 1.6, 1.001])
+    def test_chunked_bins_match_full_waits(self, rng, ratio):
+        """Each side's histogram is np.histogram of every start's waiting
+        time, censored starts left out, over the edges _log_edges builds to
+        the longest wait: walks of 2 and 33 days and one of more than two
+        descent chunks at the 8 default magnitudes, plus one no start
+        crosses.  At ratio 1.001 the long walk takes more than 255 bins."""
+        magnitudes = sorted({abs(rho) for rho in RunConfig().rho_grid}) + [100.0]
+        widest = 0
+        for n in (2, 33, 2 * inverse_stats._DESCENT_CHUNK + 1000):
+            values = np.cumsum(rng.normal(0.0, 0.01, size=n))
+            assert gain_loss_report(values, [], ratio).entries == ()
+            rep = gain_loss_report(values, magnitudes, ratio)
+            for sign in (1.0, -1.0):
+                waits = descent(values, sign, magnitudes)
+                for e, row in zip(rep.entries, waits):
+                    hist = e.plus if sign > 0 else e.minus
+                    crossed = row[row > 0]
+                    if len(crossed) == 0:
+                        assert hist is None
+                        continue
+                    edges = inverse_stats._log_edges(crossed.max(), ratio)
+                    counts = np.histogram(crossed, bins=edges)[0]
+                    assert hist.bin_edges.tobytes() == edges.tobytes()
+                    np.testing.assert_array_equal(hist.counts, counts)
+                    assert hist.densities.tobytes() == (
+                        counts / (len(crossed) * np.diff(edges))).tobytes()
+                    assert (hist.total_samples, hist.censored_count) == (
+                        len(crossed), n - 1 - len(crossed))
+                    widest = max(widest, len(edges) - 1)
+            assert rep.entry(100.0).plus is None and rep.entry(100.0).minus is None
+        assert (widest > 255) == (ratio == 1.001)
 
     def test_unknown_entry_rejected(self, rng):
         values = np.cumsum(rng.normal(0.0, 0.01, size=1000))
