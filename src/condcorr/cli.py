@@ -10,9 +10,11 @@ Subcommands are independently runnable stages of the same pipeline:
 * ``wilcoxon``     — standalone rank-sum z-test of two value files
 * ``chi``          — the relative-difference calculator for two C values
 
-Analysis parameters come from an optional flat JSON config; every field can
-be overridden by a flag of the same name in kebab-case.  Exit codes: 0
-success, 2 validation error, 3 data error, 4 insufficient statistics.
+Analysis parameters come from an optional flat JSON config, which may hold
+any ``RunConfig`` field and is checked whole; ``condcorr`` and ``invstats``
+each take a flag, the field's name in kebab-case, for every field they read
+(``io.COMMAND_FIELDS``).  Exit codes: 0 success, 2 validation error, 3 data
+error, 4 insufficient statistics.
 """
 
 from __future__ import annotations
@@ -27,12 +29,28 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .conditional import relative_difference_chi
+from .conditional import DEFAULT_EPSILON, relative_difference_chi
 from .errors import CondCorrError, DataError, ValidationError
 from .fearsim import SimConfig
 from .ranktests import equalize_sizes, wilcoxon_rank_sum
 
-_CONFIG_FIELDS = [f.name for f in fields(io.RunConfig)]
+# each RunConfig field's flag help; the level lists also get a metavar
+_FLAG_HELP = {
+    "delta_t": "return horizon Δt in days",
+    "dt1": "smallest correlation window span",
+    "dt2": "largest correlation window span",
+    "rho_grid": "signed return levels for the curve; use the --rho-grid=-0.05,... form "
+                "when the list starts with a negative number",
+    "chi_levels": "|rho| magnitudes for per-pair analyses",
+    "ct_level": "|rho| magnitude for the time-resolved analysis",
+    "detrend_window": "centred moving-average width in days (odd); 0 disables detrending",
+    "bin_ratio": "edge ratio for logarithmic waiting-time bins",
+    "seed": "subsampling seed",
+    "min_samples": "conditional-set size below which points are flagged",
+    "epsilon": "χ denominator guard",
+}
+_FLAG_METAVARS = {"rho_grid": "R1,R2,...", "chi_levels": "L1,L2,..."}
+_FLAG_TYPES = {"int": int, "float": float}
 
 
 def _print_json(obj):
@@ -48,37 +66,21 @@ def _number_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
-    group = parser.add_argument_group(
-        "analysis configuration",
-        "defaults < --config JSON < these flags",
-    )
+def _add_config_flags(parser: argparse.ArgumentParser, names):
+    """``--config``, then a flag typed by its field for each field in ``names``."""
+    group = parser.add_argument_group("analysis configuration",
+                                      "defaults < --config JSON < these flags")
     group.add_argument("--config", metavar="JSON", help="flat JSON config file")
-    group.add_argument("--delta-t", type=int, help="return horizon Δt in days")
-    group.add_argument("--dt1", type=int, help="smallest correlation window span")
-    group.add_argument("--dt2", type=int, help="largest correlation window span")
-    group.add_argument("--rho-grid", metavar="R1,R2,...", type=_number_list,
-                       help="signed return levels for the curve; use the "
-                            "--rho-grid=-0.05,... form when the list starts "
-                            "with a negative number")
-    group.add_argument("--chi-levels", metavar="L1,L2,...", type=_number_list,
-                       help="|rho| magnitudes for per-pair analyses")
-    group.add_argument("--ct-level", type=float,
-                       help="|rho| magnitude for the time-resolved analysis")
-    group.add_argument("--detrend-window", type=int,
-                       help="centred moving-average width in days (odd); "
-                            "0 disables detrending")
-    group.add_argument("--bin-ratio", type=float,
-                       help="edge ratio for logarithmic waiting-time bins")
-    group.add_argument("--seed", type=int, help="subsampling seed")
-    group.add_argument("--min-samples", type=int,
-                       help="conditional-set size below which points are flagged")
-    group.add_argument("--epsilon", type=float, help="χ denominator guard")
+    for f in fields(io.RunConfig):
+        if f.name in names:
+            group.add_argument("--" + f.name.replace("_", "-"),
+                               type=_FLAG_TYPES.get(f.type, _number_list),
+                               metavar=_FLAG_METAVARS.get(f.name), help=_FLAG_HELP[f.name])
 
 
 def _build_config(args: argparse.Namespace) -> io.RunConfig:
-    return io.load_run_config(args.config,
-                              {name: getattr(args, name) for name in _CONFIG_FIELDS})
+    return io.load_run_config(
+        args.config, {name: getattr(args, name) for name in io.COMMAND_FIELDS[args.command]})
 
 
 def _cmd_simulate(args) -> int:
@@ -212,20 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest-check",
                        help="validate CSV files or a manifest (.json)")
     p.add_argument("paths", nargs="+", metavar="PATH")
-    p.add_argument("--price-column", default="Adj Close")
+    p.add_argument("--price-column", default=io.DEFAULT_PRICE_COLUMN)
     p.set_defaults(func=_cmd_ingest_check)
 
     p = sub.add_parser("condcorr", help="run the conditional correlation pipeline")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, io.COMMAND_FIELDS["condcorr"])
     p.set_defaults(func=_cmd_condcorr)
 
     p = sub.add_parser("invstats", help="run inverse statistics on one series")
     p.add_argument("--manifest", help="analyze the manifest's index series")
     p.add_argument("--csv", help="analyze a single CSV file")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, io.COMMAND_FIELDS["invstats"])
     p.set_defaults(func=_cmd_invstats)
 
     p = sub.add_parser("wilcoxon",
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="relative difference (C(-)-C(+))/|C(+)|")
     p.add_argument("c_minus", type=float)
     p.add_argument("c_plus", type=float)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=_cmd_chi)
 
     return parser

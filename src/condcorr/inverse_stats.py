@@ -136,9 +136,9 @@ def _first_passage_up(tables: _PassageTables, rhos):
     """Yield the waiting times to the first s[j] >= s[t0] + rho with j > t0,
     chunk by chunk of starts t0 in order.
 
-    Each chunk has one row per rho in ``rhos`` and one column per start, in
-    the smallest type holding n; no crossing waits 0, so 0 marks a censored
-    start.  ``tables`` are ``_first_passage_tables`` of s.
+    Each chunk is an integer array with one row per rho in ``rhos`` and one
+    column per start; no crossing waits 0, so 0 marks a censored start.
+    ``tables`` are ``_first_passage_tables`` of s.
 
     The block search starts at b0, the block after the one holding t0 + 1.
     A (rho, start) element is near when its threshold is reached within
@@ -151,7 +151,6 @@ def _first_passage_up(tables: _PassageTables, rhos):
     """
     n, fine, suffix, coarse = tables
     rhos = np.asarray(rhos, dtype=np.float64)[:, None]
-    dtype = np.min_scalar_type(n)
     near_levels = min(_NEAR_LEVELS, len(coarse) - 1)
     step = max(1, _DESCENT_CHUNK // max(len(rhos), 1))
     for a in range(0, n - 1, step):
@@ -182,7 +181,7 @@ def _first_passage_up(tables: _PassageTables, rhos):
         censored = pos == n
         pos -= np.arange(a, b)
         pos[censored] = 0
-        yield pos.astype(dtype)
+        yield pos
 
 
 def check_bin_ratio(ratio: float):

@@ -4,8 +4,8 @@ Input CSVs follow the daily-quote schema ``Date,Open,High,Low,Close,Adj
 Close,Volume`` with ISO dates.  All numeric output uses 12 significant
 digits; p-values are written as log10(p) because the z scores of interest
 live far beyond double-precision tail printing.  Every run writes a
-``summary.json`` recording the exact config, seed, and input hashes needed
-to reproduce it; summaries carry no timestamps, so reruns are byte-identical.
+``summary.json`` recording the settings it reads and the input hashes that
+reproduce it; summaries carry no timestamps, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conditional, inverse_stats
+from . import __version__, conditional, inverse_stats
 from .errors import DataError, InsufficientDataError, ValidationError, check_scalar_fields
 from .fearsim import SimConfig, simulate_market, to_aligned_panel
 from .ranktests import RankSumResult, equalize_sizes, wilcoxon_rank_sum
-from .timeseries import AlignedPanel, PriceSeries, align_panel, detrend_log_price
+from .timeseries import (DEFAULT_DETREND_WINDOW, AlignedPanel, PriceSeries, align_panel,
+                         detrend_log_price)
 
 __all__ = [
     "CSV_HEADER",
@@ -41,7 +42,8 @@ __all__ = [
     "fmt",
 ]
 
-CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
+DEFAULT_PRICE_COLUMN = "Adj Close"
+CSV_HEADER = ["Date", "Open", "High", "Low", "Close", DEFAULT_PRICE_COLUMN, "Volume"]
 
 # proleptic Gregorian ordinal of 1970-01-01, day 0 of datetime64[D]
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
@@ -96,7 +98,7 @@ def _date_order(dates: np.ndarray):
     return order, dates, np.flatnonzero(dates[1:] == dates[:-1])
 
 
-def ingest_csv(path, price_column: str = "Adj Close",
+def ingest_csv(path, price_column: str = DEFAULT_PRICE_COLUMN,
                ticker: str | None = None) -> PriceSeries:
     """Parse one daily-quote CSV into a PriceSeries.
 
@@ -152,7 +154,7 @@ def _parse_fast(path, price_column: str):
     return dates, closes
 
 
-def _ingest_csv_reader(path, price_column: str = "Adj Close"):
+def _ingest_csv_reader(path, price_column: str = DEFAULT_PRICE_COLUMN):
     """The ``csv.reader`` path of ``ingest_csv``: the sorted dates and
     their prices.  It alone raises ``DataError``.
 
@@ -228,7 +230,7 @@ class DatasetManifest:
     index_file: str
     stock_files: tuple[tuple[str, str], ...]
     date_range: tuple[str, str] | None = None
-    price_column: str = "Adj Close"
+    price_column: str = DEFAULT_PRICE_COLUMN
     base_dir: Path = Path(".")
 
     def __post_init__(self):
@@ -298,20 +300,17 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(**raw, base_dir=path.parent)
 
 
-def _clip_dates(series: PriceSeries, date_range) -> PriceSeries:
+def _load_series(manifest: DatasetManifest, ticker: str, rel: str) -> PriceSeries:
+    """One manifest file, ingested and clipped to the manifest's date range."""
+    series = ingest_csv(manifest.resolve(rel), manifest.price_column, ticker=ticker)
+    date_range = manifest.date_range
     if date_range is None:
         return series
     start, end = np.datetime64(date_range[0], "D"), np.datetime64(date_range[1], "D")
     mask = (series.dates >= start) & (series.dates <= end)
     if not np.any(mask):
-        raise DataError(f"{series.ticker}: no rows within {date_range}")
-    return PriceSeries(series.ticker, series.dates[mask], series.closes[mask])
-
-
-def _load_series(manifest: DatasetManifest, ticker: str, rel: str) -> PriceSeries:
-    """One manifest file, ingested and clipped to the manifest's date range."""
-    series = ingest_csv(manifest.resolve(rel), manifest.price_column, ticker=ticker)
-    return _clip_dates(series, manifest.date_range)
+        raise DataError(f"{ticker}: no rows within {date_range}")
+    return PriceSeries(ticker, series.dates[mask], series.closes[mask])
 
 
 def load_panel(manifest: DatasetManifest) -> AlignedPanel:
@@ -327,7 +326,7 @@ def load_panel(manifest: DatasetManifest) -> AlignedPanel:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Analysis parameters, all overridable from the command line.
+    """Analysis parameters; a command takes flags for and records only its ``COMMAND_FIELDS``.
 
     rho_grid holds signed levels; chi_levels and ct_level are positive
     magnitudes (each expands to a ± pair).  The inverse-statistics path
@@ -341,19 +340,19 @@ class RunConfig:
     """
 
     delta_t: int = 1
-    dt1: int = 10
-    dt2: int = 35
+    dt1: int = conditional.DEFAULT_WINDOW_RANGE[0]
+    dt2: int = conditional.DEFAULT_WINDOW_RANGE[1]
     rho_grid: tuple[float, ...] = (
         -0.15, -0.10, -0.08, -0.05, -0.04, -0.03, -0.02, -0.01,
         0.01, 0.02, 0.03, 0.04, 0.05, 0.08, 0.10, 0.15,
     )
     chi_levels: tuple[float, ...] = (0.03, 0.05, 0.10)
     ct_level: float = 0.05
-    detrend_window: int = 251
-    bin_ratio: float = 1.25
+    detrend_window: int = DEFAULT_DETREND_WINDOW
+    bin_ratio: float = inverse_stats.DEFAULT_LOG_BIN_RATIO
     seed: int = 0
-    min_samples: int = 10
-    epsilon: float = 1e-6
+    min_samples: int = conditional.DEFAULT_MIN_SAMPLES
+    epsilon: float = conditional.DEFAULT_EPSILON
 
     def __post_init__(self):
         check_scalar_fields(self)
@@ -404,20 +403,20 @@ class RunConfig:
         return sorted({abs(r) for r in self.rho_grid})
 
 
+# the RunConfig fields each analysis command reads, dt1 and dt2 through window_range
+COMMAND_FIELDS = {"condcorr": ("delta_t", "dt1", "dt2", "rho_grid", "chi_levels", "ct_level",
+                               "seed", "min_samples", "epsilon"),
+                  "invstats": ("rho_grid", "detrend_window", "bin_ratio")}
+
+
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional flat JSON file plus overrides; a
     None override is not given.  ``RunConfig`` checks every value."""
-    values: dict = {}
-    if path is not None:
-        path = Path(path)
-        raw = _read_json_object(path, "config file")
-        names = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - names
-        if unknown:
-            raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-        values.update(raw)
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    values = {} if path is None else _read_json_object(Path(path), "config file")
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ValidationError(f"{Path(path)}: unknown config keys {sorted(unknown)}")
+    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return RunConfig(**values)
 
 
@@ -440,29 +439,26 @@ def write_curve_tsv(path, curve: conditional.CorrelationCurve):
 
 
 def write_chi_tsv(path, report: conditional.ChiReport):
-    rows = (
+    _write_tsv(Path(path), ["x", "y", "chi"], (
         [p.pair[0], p.pair[1], fmt(p.chi)]
         for p in report.pairs if p.chi is not None
-    )
-    _write_tsv(Path(path), ["x", "y", "chi"], rows)
+    ))
 
 
 def write_pair_conditionals_tsv(path, report: conditional.ChiReport):
-    rows = (
+    _write_tsv(Path(path), ["x", "y", "C_minus", "C_plus", "n_minus", "n_plus"], (
         [p.pair[0], p.pair[1], fmt(p.c_minus), fmt(p.c_plus),
          str(p.count_minus), str(p.count_plus)]
         for p in report.pairs
-    )
-    _write_tsv(Path(path), ["x", "y", "C_minus", "C_plus", "n_minus", "n_plus"], rows)
+    ))
 
 
 def write_time_resolved_tsv(path, tr: conditional.TimeResolvedCorrelation,
                             calendar: np.ndarray):
-    rows = (
+    _write_tsv(Path(path), ["date", "C_t"], (
         [str(calendar[t]), fmt(v)]
         for t, v in zip(tr.times, tr.values)
-    )
-    _write_tsv(Path(path), ["date", "C_t"], rows)
+    ))
 
 
 def write_wilcoxon_tsv(path, rows: list[tuple[float, RankSumResult]]):
@@ -473,11 +469,19 @@ def write_wilcoxon_tsv(path, rows: list[tuple[float, RankSumResult]]):
 
 
 def write_histogram_tsv(path, hist: inverse_stats.WaitingTimeHistogram):
-    rows = (
+    _write_tsv(Path(path), ["tau_center", "density"], (
         [fmt(c), fmt(d)]
         for c, d in zip(hist.bin_centers, hist.densities)
-    )
-    _write_tsv(Path(path), ["tau_center", "density"], rows)
+    ))
+
+
+def _output_dir(path) -> Path:
+    """``path``, made a directory with its parents; ValidationError if it cannot be one."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot create output directory ({exc.strerror})") from None
+    return Path(path)
 
 
 def _write_summary(out_dir: Path, payload: dict):
@@ -511,8 +515,7 @@ def write_price_csv(path, series: PriceSeries, *, dates: list[str] | None = None
 
 def run_simulate(sim_config: SimConfig, output_dir) -> dict:
     """Simulate a market and persist it as an ingestible CSV panel + manifest."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(output_dir)
     panel = to_aligned_panel(simulate_market(sim_config))
     dates = np.datetime_as_string(panel.calendar).tolist()
     stock_files = []
@@ -525,7 +528,7 @@ def run_simulate(sim_config: SimConfig, output_dir) -> dict:
         "index_file": "INDEX.csv",
         "stock_files": stock_files,
         "date_range": None,
-        "price_column": "Adj Close",
+        "price_column": DEFAULT_PRICE_COLUMN,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -537,15 +540,10 @@ def run_simulate(sim_config: SimConfig, output_dir) -> dict:
             "manifest": "manifest.json",
             "files": [f for _, f in stock_files] + ["INDEX.csv"],
         },
-        "version": _package_version(),
+        "version": __version__,
     }
     _write_summary(out, summary)
     return summary
-
-
-def _package_version() -> str:
-    from . import __version__
-    return __version__
 
 
 def _input_hashes(manifest: DatasetManifest) -> dict:
@@ -576,8 +574,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
     per-pair conditional correlations, one over the C_t samples (the larger
     side subsampled to equal size first).
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(output_dir)
     if panel is None:
         if manifest is None:
             raise ValidationError("need a manifest or a pre-built panel")
@@ -621,7 +618,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
 
     summary = {
         "command": "condcorr",
-        "config": asdict(config),
+        "config": {name: getattr(config, name) for name in COMMAND_FIELDS["condcorr"]},
         "inputs": _input_hashes(manifest) if manifest is not None else {},
         "panel": {
             "n_stocks": panel.n_stocks,
@@ -650,7 +647,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
         "wilcoxon_pairs": _rank_tests_summary(pair_tests),
         "wilcoxon_pairs_skipped": [fmt(l) for l in skipped_pair_tests],
         "wilcoxon_time": _rank_tests_summary(ct_tests),
-        "version": _package_version(),
+        "version": __version__,
     }
     _write_summary(out, summary)
     return summary
@@ -665,8 +662,7 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
     rho_grid; a grid containing 0 is rejected.
     """
     levels = config.invstats_levels()
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(output_dir)
 
     inputs = {}
     if isinstance(source, DatasetManifest):
@@ -712,7 +708,7 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
 
     summary = {
         "command": "invstats",
-        "config": asdict(config),
+        "config": {name: getattr(config, name) for name in COMMAND_FIELDS["invstats"]},
         "inputs": inputs,
         "series": {
             "ticker": series.ticker,
@@ -720,7 +716,7 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
             "detrended": bool(config.detrend_window),
         },
         "levels": level_summaries,
-        "version": _package_version(),
+        "version": __version__,
     }
     _write_summary(out, summary)
     return summary

@@ -30,6 +30,8 @@ __all__ = [
     "align_panel",
 ]
 
+DEFAULT_DETREND_WINDOW = 251
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """``arr`` itself, made read-only; the constructors pass it a copy of
@@ -113,7 +115,8 @@ def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
     return (csum[width:] - csum[:-width]) / width
 
 
-def detrend_log_price(series: PriceSeries, drift_window: int = 251) -> np.ndarray:
+def detrend_log_price(series: PriceSeries,
+                      drift_window: int = DEFAULT_DETREND_WINDOW) -> np.ndarray:
     """Remove slow drift: log price minus its centred moving average over
     ``drift_window`` days, which must be odd.
 

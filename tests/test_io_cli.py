@@ -41,6 +41,7 @@ from condcorr.io import fmt, write_price_csv
 from conftest import calendar
 
 CSV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
+BOTH = ["condcorr", "invstats"]
 
 
 def csv_file(tmp_path, name, rows, header=CSV_HEADER):
@@ -965,28 +966,31 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert "chi_levels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flags, config, message", [
-        pytest.param(command, *case[1:], id=f"{case[0]}-{command}")
+        pytest.param(command, *case[2:], id=f"{case[0]}-{command}")
         for case in [
-            ("ratio-flag", ["--bin-ratio", "nan"], None, "ratio"),
-            ("ratio-json", [], {"bin_ratio": math.nan}, "ratio"),
-            ("epsilon-flag", ["--epsilon", "-1"], None, "epsilon"),
-            ("epsilon-json", [], {"epsilon": -1.0}, "epsilon"),
-            ("binning-json", [], {"binning": "log"}, "unknown config keys ['binning']"),
-            ("detrend-mode-json", [], {"detrend_mode": "centered"},
+            ("ratio-flag", ["invstats"], ["--bin-ratio", "nan"], None, "ratio"),
+            ("ratio-json", BOTH, [], {"bin_ratio": math.nan}, "ratio"),
+            ("epsilon-flag", ["condcorr"], ["--epsilon", "-1"], None, "epsilon"),
+            ("epsilon-json", BOTH, [], {"epsilon": -1.0}, "epsilon"),
+            ("binning-json", BOTH, [], {"binning": "log"}, "unknown config keys ['binning']"),
+            ("detrend-mode-json", BOTH, [], {"detrend_mode": "centered"},
              "unknown config keys ['detrend_mode']"),
-            ("even-detrend-window", ["--detrend-window", "250"], None, "detrend_window"),
-            ("detrend-window-1", ["--detrend-window", "1"], None, "detrend_window"),
-            ("detrend-window-2-json", [], {"detrend_window": 2}, "detrend_window"),
+            ("even-detrend-window", ["invstats"], ["--detrend-window", "250"], None,
+             "detrend_window"),
+            ("detrend-window-1", ["invstats"], ["--detrend-window", "1"], None, "detrend_window"),
+            ("detrend-window-2-json", BOTH, [], {"detrend_window": 2}, "detrend_window"),
+            ("zero-level", ["invstats"], ["--rho-grid=0,0.05"], None, "must not contain 0"),
         ]
-        for command in ("condcorr", "invstats")
-    ] + [pytest.param("invstats", ["--rho-grid=0,0.05"], None, "must not contain 0",
-                      id="zero-level-invstats")])
+        for command in case[1]
+    ])
     def test_bad_config_exits_2_before_ingest(self, tmp_path, capsys, command,
                                               flags, config, message):
         """A bad parameter, or a key that is not a ``RunConfig`` field, exits
         2 with a message naming it, not a traceback, and before the manifest
-        is read: an absent manifest would exit 3.  A 0 level is bad for
-        ``invstats`` alone."""
+        is read: an absent manifest would exit 3.  A config file is checked
+        whole, so both commands refuse a bad value of any field in it; a flag
+        exists only on the commands that read its field.  A 0 level is bad
+        for ``invstats`` alone."""
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))  # NaN is written as NaN
@@ -1017,7 +1021,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
     def test_bad_level_flag_exits_2(self, tmp_path, capsys, flag):
         """argparse refuses a level list that does not parse, naming the flag."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["invstats", "--manifest", str(tmp_path / "absent.json"),
+            main(["condcorr", "--manifest", str(tmp_path / "absent.json"),
                   "--out", str(tmp_path / "out"), flag])
         assert exit_info.value.code == 2
         assert f"argument {flag.split('=')[0]}: could not convert" in capsys.readouterr().err
@@ -1027,10 +1031,15 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         ("condcorr", "--detrend-mode", "centered"),
         ("invstats", "--detrend-mode", "centered"),
         ("simulate", "--initial-log-price", "0"),
+        ("condcorr", "--bin-ratio", "nan"), ("condcorr", "--detrend-window", "250"),
+        ("condcorr", "--detrend-window", "1"), ("invstats", "--epsilon", "-1"),
+        ("invstats", "--seed", "-1"), ("invstats", "--dt1", "3"),
     ])
     def test_unknown_flag_exits_2(self, tmp_path, capsys, command, flag, value):
         """Detrending is always centred, bins always logarithmic and simulated
-        prices always start at 1, so no flag selects them."""
+        prices always start at 1, so no flag selects them; and a command has
+        no flag for a ``RunConfig`` field it does not read.  Each exits 2
+        before any input is read or ``--out`` is made."""
         required = {"simulate": ["--n-stocks", "2", "--n-steps", "10",
                                  "--fear-probability", "0", "--seed", "0"],
                     "condcorr": ["--manifest", str(tmp_path / "absent.json")],
@@ -1041,18 +1050,71 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["condcorr", "invstats"])
-    def test_config_flags_are_the_run_config_fields(self, command):
-        """Every analysis flag sets the ``RunConfig`` field of its name and
-        every field has a flag: a flag without a field would be parsed and
-        then ignored."""
+    @pytest.mark.parametrize("command, names", [
+        ("condcorr", ["delta_t", "dt1", "dt2", "rho_grid", "chi_levels", "ct_level",
+                      "seed", "min_samples", "epsilon"]),
+        ("invstats", ["rho_grid", "detrend_window", "bin_ratio"]),
+    ], ids=["condcorr", "invstats"])
+    def test_config_flags_are_the_run_config_fields(self, command, names):
+        """A command's analysis flags are ``--config`` and one per
+        ``RunConfig`` field it reads, in field order: a flag for a field it
+        does not read would be parsed and then ignored.  The two commands
+        together read every field."""
         commands = next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         group = next(g for g in commands[command]._action_groups
                      if g.title == "analysis configuration")
-        flags = {s for a in group._group_actions for s in a.option_strings}
-        names = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig)}
-        assert flags == names | {"--config"}
+        flags = [s for a in group._group_actions for s in a.option_strings]
+        assert flags == ["--config"] + ["--" + name.replace("_", "-") for name in names]
+        assert cc_io.COMMAND_FIELDS[command] == tuple(names)
+        assert ({name for read in cc_io.COMMAND_FIELDS.values() for name in read}
+                == {f.name for f in dataclasses.fields(RunConfig)})
+
+    def test_fields_a_command_does_not_read_move_none_of_its_outputs(self, tmp_path):
+        """Moving every ``RunConfig`` field a command does not read off its
+        default leaves the whole output directory byte-identical, summary.json
+        included, whose config block holds exactly the fields it reads."""
+        data = simulated_dataset(tmp_path, n_stocks=4, n_steps=1500)
+        manifest = load_manifest(data / "manifest.json")
+        unread = {
+            run_invstats: dict(delta_t=2, dt1=4, dt2=8, chi_levels=(0.02,), ct_level=0.02,
+                               seed=9, min_samples=3, epsilon=0.3),
+            run_condcorr: dict(detrend_window=0, bin_ratio=2.0),
+        }
+        for run, command in ((run_invstats, "invstats"), (run_condcorr, "condcorr")):
+            assert not set(unread[run]) & set(cc_io.COMMAND_FIELDS[command])
+            default, moved = tmp_path / f"{command}-default", tmp_path / f"{command}-moved"
+            run(manifest, RunConfig(), default)
+            run(manifest, RunConfig(**unread[run]), moved)
+            assert_same_files(default, moved)
+            config = json.loads((default / "summary.json").read_text())["config"]
+            assert sorted(config) == sorted(cc_io.COMMAND_FIELDS[command])
+
+    def test_every_help_exits_0(self, capsys):
+        """argparse %-formats each help string only when --help prints it."""
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for argv in [[]] + [[command] for command in commands]:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--help"])
+            assert exit_info.value.code == 0, argv
+        assert "--rho-grid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "condcorr", "invstats"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        """An --out naming an existing file exits 2 naming it, not 1 with a
+        FileExistsError traceback, and leaves the file as it was."""
+        manifest = str(simulated_dataset(tmp_path, n_stocks=2, n_steps=30) / "manifest.json")
+        args = {"simulate": ["--n-stocks", "2", "--n-steps", "10",
+                             "--fear-probability", "0", "--seed", "0"],
+                "condcorr": ["--manifest", manifest],
+                "invstats": ["--manifest", manifest, "--detrend-window", "0"]}[command]
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {out}: cannot create output directory (File exists)")
+        assert out.read_text() == "keep\n"
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main([
@@ -1126,10 +1188,9 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         ("simulate", ["--step-size", "inf"], "step_size must be finite"),
         ("simulate", ["--step-size", "nan"], "step_size must be finite"),
         ("condcorr", ["--seed", "-1"], "seed must be >= 0"),
-        ("invstats", ["--seed", "-1"], "seed must be >= 0"),
         ("wilcoxon", ["--equalize", "--seed", "-1"], "seed must be >= 0"),
     ], ids=["simulate-seed", "simulate-step-inf", "simulate-step-nan",
-            "condcorr-seed", "invstats-seed", "wilcoxon-seed"])
+            "condcorr-seed", "wilcoxon-seed"])
     def test_bad_seed_or_step_exits_2(self, tmp_path, capsys, command, flags, message):
         """A negative seed or a non-finite step size exits 2 naming it, not 1
         with numpy's traceback (nor 3 on a market of infinite prices), and
@@ -1142,7 +1203,6 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
             "simulate": ["simulate", "--n-stocks", "2", "--n-steps", "10",
                          "--fear-probability", "0.1", "--seed", "0"],
             "condcorr": ["condcorr", "--manifest", str(tmp_path / "absent.json")],
-            "invstats": ["invstats", "--manifest", str(tmp_path / "absent.json")],
             "wilcoxon": ["wilcoxon", str(a), str(b)],
         }[command]
         if command != "wilcoxon":
