@@ -7,40 +7,34 @@ Subcommands are independently runnable stages of the same pipeline:
 * ``condcorr``     — conditional correlation curve, χ distributions, C_t,
                      and Wilcoxon tables for a panel
 * ``invstats``     — waiting-time histograms and tail fits for one series
-* ``wilcoxon``     — standalone rank-sum z-test of two value files
-* ``chi``          — the relative-difference calculator for two C values
 
 Analysis parameters come from an optional flat JSON config, which may hold
 any ``RunConfig`` field and is checked whole; ``condcorr`` and ``invstats``
 each take a flag, the field's name in kebab-case, for every field they read
 (``io.COMMAND_FIELDS``).  Exit codes: 0 success, 2 validation error, 3 data
-error, 4 insufficient statistics.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import asdict, fields
-from pathlib import Path
+from dataclasses import fields
 
 import numpy as np
 
 from . import io
-from .conditional import DEFAULT_EPSILON, relative_difference_chi
-from .errors import CondCorrError, DataError, ValidationError
+from .errors import CondCorrError, ValidationError
 from .fearsim import SimConfig
-from .ranktests import equalize_sizes, wilcoxon_rank_sum
 
 # each RunConfig field's flag help; the level lists also get a metavar
 _FLAG_HELP = {
     "delta_t": "return horizon Δt in days",
     "dt1": "smallest correlation window span",
     "dt2": "largest correlation window span",
-    "rho_grid": "signed return levels for the curve; use the --rho-grid=-0.05,... form "
-                "when the list starts with a negative number",
+    "rho_grid": "signed return levels (invstats takes their magnitudes); use the form "
+                "--rho-grid=-0.05,... when the list starts with a negative number",
     "chi_levels": "|rho| magnitudes for per-pair analyses",
     "ct_level": "|rho| magnitude for the time-resolved analysis",
     "detrend_window": "centred moving-average width in days (odd); 0 disables detrending",
@@ -51,11 +45,6 @@ _FLAG_HELP = {
 }
 _FLAG_METAVARS = {"rho_grid": "R1,R2,...", "chi_levels": "L1,L2,..."}
 _FLAG_TYPES = {"int": int, "float": float}
-
-
-def _print_json(obj):
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    print()
 
 
 def _number_list(text: str) -> tuple[float, ...]:
@@ -116,7 +105,8 @@ def _cmd_ingest_check(args) -> int:
                 "price_min": float(np.min(series.closes)),
                 "price_max": float(np.max(series.closes)),
             }
-    _print_json(report)
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    print()
     return 0
 
 
@@ -150,48 +140,6 @@ def _cmd_invstats(args) -> int:
     return 0
 
 
-def _read_values(path) -> np.ndarray:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"{p}: no such file")
-    values = []
-    with open(p, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise DataError(f"{p}:{lineno}: not a number: {text!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{p}:{lineno}: not finite: {text!r}")
-            values.append(value)
-    if not values:
-        raise DataError(f"{p}: no values")
-    return np.asarray(values)
-
-
-def _cmd_wilcoxon(args) -> int:
-    a = _read_values(args.sample_a)
-    b = _read_values(args.sample_b)
-    if args.equalize:
-        a, b = equalize_sizes(a, b, args.seed)
-    _print_json(asdict(wilcoxon_rank_sum(a, b)))
-    return 0
-
-
-def _cmd_chi(args) -> int:
-    chi = relative_difference_chi(args.c_minus, args.c_plus, args.epsilon)
-    if chi is None:
-        reason = (f"|C(+)| <= epsilon ({args.epsilon:g})" if abs(args.c_plus) <= args.epsilon
-                  else "(C(-) - C(+))/|C(+)| overflows")
-        _print_json({"chi": None, "excluded": True, "reason": reason})
-        return 4
-    _print_json({"chi": chi, "excluded": False})
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="condcorr",
@@ -209,48 +157,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log-price increment per step")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("ingest-check",
                        help="validate CSV files or a manifest (.json)")
     p.add_argument("paths", nargs="+", metavar="PATH")
     p.add_argument("--price-column", default=io.DEFAULT_PRICE_COLUMN)
-    p.set_defaults(func=_cmd_ingest_check)
+    p.set_defaults(func=_cmd_ingest_check, parser=p)
 
     p = sub.add_parser("condcorr", help="run the conditional correlation pipeline")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, io.COMMAND_FIELDS["condcorr"])
-    p.set_defaults(func=_cmd_condcorr)
+    p.set_defaults(func=_cmd_condcorr, parser=p)
 
     p = sub.add_parser("invstats", help="run inverse statistics on one series")
     p.add_argument("--manifest", help="analyze the manifest's index series")
     p.add_argument("--csv", help="analyze a single CSV file")
     p.add_argument("--out", required=True)
     _add_config_flags(p, io.COMMAND_FIELDS["invstats"])
-    p.set_defaults(func=_cmd_invstats)
-
-    p = sub.add_parser("wilcoxon",
-                       help="rank-sum z-test of two one-number-per-line files")
-    p.add_argument("sample_a")
-    p.add_argument("sample_b")
-    p.add_argument("--equalize", action="store_true",
-                   help="subsample the larger file to the smaller's size")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_wilcoxon)
-
-    p = sub.add_parser("chi", help="relative difference (C(-)-C(+))/|C(+)|")
-    p.add_argument("c_minus", type=float)
-    p.add_argument("c_plus", type=float)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.set_defaults(func=_cmd_chi)
+    p.set_defaults(func=_cmd_invstats, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse hands a subcommand's unknown flags back to the top parser;
+    # report them with the usage of the subcommand that was given them
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except CondCorrError as exc:

@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Three failure families, matching the CLI exit codes: bad parameters or
-configuration (2), malformed or inconsistent input data (3), and inputs that
-are structurally fine but too thin to support the requested statistic (4).
+Three failure families: bad parameters or configuration (CLI exit code 2),
+malformed or inconsistent input data (exit code 3), and inputs that are
+structurally fine but too thin to support the requested statistic.  The last,
+``InsufficientDataError``, comes from the waiting-time tail fit, which
+``invstats`` records in ``summary.json`` as an ``error`` entry instead of
+exiting.
 """
 
 from dataclasses import fields

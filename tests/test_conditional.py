@@ -472,6 +472,13 @@ class TestChi:
         assert relative_difference_chi(1e308, 1e-300, epsilon=0.0) is None
         assert relative_difference_chi(1e300, 0.5) == pytest.approx(2e300, rel=1e-12)
 
+    @pytest.mark.parametrize("c_minus, c_plus", [(math.nan, 0.5), (0.3, math.inf),
+                                                 (0.3, math.nan)],
+                             ids=["nan-minus", "inf-plus", "nan-plus"])
+    def test_non_finite_c_rejected(self, c_minus, c_plus):
+        with pytest.raises(ValidationError, match="^C values must be finite"):
+            relative_difference_chi(c_minus, c_plus)
+
     def test_distribution_report(self, rng):
         """Each pair's χ is the reference χ of its own C values, None where a
         side has no members or the guard excludes it.  The guard sits at the

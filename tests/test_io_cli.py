@@ -882,13 +882,14 @@ class TestCli:
         assert (inv / "hist_plus_0.02.tsv").is_file()
 
     def test_runtime_needs_no_scipy(self, tmp_path):
-        """The README chain and the rank-sum command run with scipy blocked
-        from import, lazy imports included, and leave no scipy module loaded."""
+        """The README chain runs with scipy blocked from import, lazy imports
+        included, and leaves no scipy module loaded.  The rank-sum path runs
+        too, inside ``condcorr``'s two Wilcoxon tables."""
         script = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 from condcorr.cli import main
-data, reports, inv, a, b = sys.argv[1:]
+data, reports, inv = sys.argv[1:]
 codes = [
     main(["simulate", "--n-stocks", "5", "--n-steps", "2000", "--fear-probability", "0.1",
           "--seed", "6", "--out", data]),
@@ -897,23 +898,19 @@ codes = [
           "--chi-levels", "0.01", "--ct-level", "0.01", "--min-samples", "2"]),
     main(["invstats", "--manifest", data + "/manifest.json", "--out", inv,
           "--rho-grid=-0.02,0.02", "--detrend-window", "0"]),
-    main(["wilcoxon", a, b]),
 ]
 loaded = sorted(name for name, module in sys.modules.items()
                 if name.partition(".")[0] == "scipy" and module is not None)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        a.write_text("1\n2\n2\n3\n")
-        b.write_text("2\n4\n5\n6\n")
-        paths = [tmp_path / "market", tmp_path / "reports", tmp_path / "inv", a, b]
+        paths = [tmp_path / "market", tmp_path / "reports", tmp_path / "inv"]
         src = str(Path(condcorr.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * 4, "loaded": []}
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * 3, "loaded": []}
         # the rank tests and both tail fits ran, not only their error paths
         summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
         assert summary["wilcoxon_pairs"] and summary["wilcoxon_time"]
@@ -1039,7 +1036,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         """Detrending is always centred, bins always logarithmic and simulated
         prices always start at 1, so no flag selects them; and a command has
         no flag for a ``RunConfig`` field it does not read.  Each exits 2
-        before any input is read or ``--out`` is made."""
+        before any input is read or ``--out`` is made, under the usage of the
+        command that got the flag, which lists the flags it does take."""
         required = {"simulate": ["--n-stocks", "2", "--n-steps", "10",
                                  "--fear-probability", "0", "--seed", "0"],
                     "condcorr": ["--manifest", str(tmp_path / "absent.json")],
@@ -1047,7 +1045,9 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         with pytest.raises(SystemExit) as exit_info:
             main([command, *required[command], "--out", str(tmp_path / "out"), flag, value])
         assert exit_info.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: condcorr {command} ")
+        assert f"unrecognized arguments: {flag} {value}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, names", [
@@ -1091,14 +1091,18 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
             assert sorted(config) == sorted(cc_io.COMMAND_FIELDS[command])
 
     def test_every_help_exits_0(self, capsys):
-        """argparse %-formats each help string only when --help prints it."""
+        """argparse %-formats each help string only when --help prints it.
+        The one shared ``--rho-grid`` help holds for ``invstats`` too, which
+        draws no curve."""
         commands = next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         for argv in [[]] + [[command] for command in commands]:
             with pytest.raises(SystemExit) as exit_info:
                 main([*argv, "--help"])
             assert exit_info.value.code == 0, argv
-        assert "--rho-grid" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            if argv == ["invstats"]:
+                assert "--rho-grid" in out and "for the curve" not in out
 
     @pytest.mark.parametrize("command", ["simulate", "condcorr", "invstats"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
@@ -1124,110 +1128,26 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert code == 3
         assert "no such manifest" in capsys.readouterr().err
 
-    def test_chi_subcommand(self, capsys):
-        assert main(["chi", "0.55", "0.5"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out == {"chi": pytest.approx(0.1), "excluded": False}
-
-        assert main(["chi", "0.3", "0.0"]) == 4
-        out = json.loads(capsys.readouterr().out)
-        assert out["excluded"] is True and out["chi"] is None
-
-    @pytest.mark.parametrize("argv", [["1e308", "0.5"], ["1e308", "1e-300", "--epsilon", "0"]],
-                             ids=["big-numerator", "tiny-denominator"])
-    def test_chi_overflow_is_excluded(self, capsys, argv):
-        """A χ too large for a float exits 4 like the guard's exclusion, and
-        prints strict JSON: no Infinity."""
-        assert main(["chi", *argv]) == 4
-
-        def refuse(constant):
-            raise ValueError(f"not JSON: {constant}")
-
-        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
-        assert out == {"chi": None, "excluded": True,
-                       "reason": "(C(-) - C(+))/|C(+)| overflows"}
-
-    @pytest.mark.parametrize("c_values", [["nan", "0.5"], ["0.3", "inf"], ["0.3", "nan"]],
-                             ids=["nan-minus", "inf-plus", "nan-plus"])
-    def test_chi_rejects_non_finite_c(self, capsys, c_values):
-        """A non-finite C exits 2 instead of printing NaN, which is not JSON."""
-        assert main(["chi", *c_values]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: C values must be finite")
-
-    @pytest.mark.parametrize("epsilon", ["-1", "nan"])
-    def test_chi_rejects_bad_epsilon(self, capsys, epsilon):
-        assert main(["chi", "0.3", "0.0", "--epsilon", epsilon]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "epsilon" in err
-
-    def test_wilcoxon_subcommand(self, tmp_path, capsys):
-        a = tmp_path / "a.txt"
-        a.write_text("1.0\n\n# midway comment\n2.0\n3.0\n")
-        b = tmp_path / "b.txt"
-        b.write_text("4\n5\n6\n")
-        assert main(["wilcoxon", str(a), str(b)]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["z"] == pytest.approx(-1.9640, abs=1e-4)
-        assert out["n_a"] == 3 and out["n_b"] == 3
-
-    def test_wilcoxon_equalize_is_deterministic(self, tmp_path, capsys):
-        a = tmp_path / "a.txt"
-        a.write_text("".join(f"{v}\n" for v in range(30)))
-        b = tmp_path / "b.txt"
-        b.write_text("".join(f"{v + 0.5}\n" for v in range(10)))
-        assert main(["wilcoxon", str(a), str(b), "--equalize", "--seed", "5"]) == 0
-        first = capsys.readouterr().out
-        assert main(["wilcoxon", str(a), str(b), "--equalize", "--seed", "5"]) == 0
-        assert capsys.readouterr().out == first
-        assert json.loads(first)["n_a"] == 10
-
     @pytest.mark.parametrize("command, flags, message", [
         ("simulate", ["--seed", "-1"], "seed must be >= 0"),
         ("simulate", ["--step-size", "inf"], "step_size must be finite"),
         ("simulate", ["--step-size", "nan"], "step_size must be finite"),
         ("condcorr", ["--seed", "-1"], "seed must be >= 0"),
-        ("wilcoxon", ["--equalize", "--seed", "-1"], "seed must be >= 0"),
-    ], ids=["simulate-seed", "simulate-step-inf", "simulate-step-nan",
-            "condcorr-seed", "wilcoxon-seed"])
+    ], ids=["simulate-seed", "simulate-step-inf", "simulate-step-nan", "condcorr-seed"])
     def test_bad_seed_or_step_exits_2(self, tmp_path, capsys, command, flags, message):
         """A negative seed or a non-finite step size exits 2 naming it, not 1
         with numpy's traceback (nor 3 on a market of infinite prices), and
-        before any input is read: the analysis commands get an absent
-        manifest, which would exit 3."""
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        a.write_text("1\n2\n3\n")
-        b.write_text("4\n5\n")
+        before any input is read: ``condcorr`` gets an absent manifest,
+        which would exit 3."""
         args = {
             "simulate": ["simulate", "--n-stocks", "2", "--n-steps", "10",
                          "--fear-probability", "0.1", "--seed", "0"],
             "condcorr": ["condcorr", "--manifest", str(tmp_path / "absent.json")],
-            "wilcoxon": ["wilcoxon", str(a), str(b)],
         }[command]
-        if command != "wilcoxon":
-            args += ["--out", str(tmp_path / "out")]
-        assert main([*args, *flags]) == 2
+        assert main([*args, "--out", str(tmp_path / "out"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "out").exists()
-
-    def test_wilcoxon_bad_value_names_line(self, tmp_path, capsys):
-        a = tmp_path / "a.txt"
-        a.write_text("1.0\nfoo\n")
-        b = tmp_path / "b.txt"
-        b.write_text("1\n2\n3\n")
-        assert main(["wilcoxon", str(a), str(b)]) == 3
-        assert ":2:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_wilcoxon_non_finite_value_names_line(self, tmp_path, capsys, value):
-        a = tmp_path / "a.txt"
-        a.write_text(f"1.0\n{value}\n")
-        b = tmp_path / "b.txt"
-        b.write_text("1\n2\n3\n")
-        assert main(["wilcoxon", str(a), str(b)]) == 3
-        assert f"a.txt:2: not finite: '{value}'" in capsys.readouterr().err
 
     def test_ingest_check_csv_and_manifest(self, tmp_path, capsys):
         data = simulated_dataset(tmp_path, n_stocks=2, n_steps=30)
