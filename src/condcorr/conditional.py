@@ -153,8 +153,12 @@ class PanelAnalysis:
 
 def _returns(panel: AlignedPanel, horizon: int) -> np.ndarray:
     """Δt-day log returns of every stock at every start, time-major (days, N)."""
-    logm = panel.log_close_matrix
-    return np.ascontiguousarray((logm[:, horizon:] - logm[:, :-horizon]).T)
+    returns = np.empty((panel.n_days - horizon, panel.n_stocks))
+    log_closes = np.empty(panel.n_days)  # one stock's at a time
+    for column, stock in zip(returns.T, panel.stocks):
+        np.log(stock.closes, out=log_closes)
+        np.subtract(log_closes[horizon:], log_closes[:-horizon], out=column)
+    return returns
 
 
 def _condition_returns(panel: AlignedPanel, horizon: int, span: int) -> np.ndarray:
@@ -264,7 +268,8 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
     # a band's χ band (pair levels ≤ r) as a pair_member row, -1 if none holds it
     chi_band = np.append(np.searchsorted(pair_edges, np.append(-np.inf, levels), "right"),
                          len(pair_edges) + 1)
-    pair_row = np.where(held, np.cumsum(held) - 1, -1)[chi_band]
+    pair_row = np.where(held, np.cumsum(held) - 1, -1)[chi_band].astype(
+        np.min_scalar_type(-1 - len(pair_member)))  # the smallest signed sort keys
     bands = np.full((max(n_returns - dt1, 0), len(spans)), n_bands - 1,
                     dtype=np.min_scalar_type(n_bands))
     for j, span in enumerate(spans):

@@ -30,8 +30,6 @@ class DataError(CondCorrError, ValueError):
 class InsufficientDataError(CondCorrError, RuntimeError):
     """Valid inputs, but not enough usable samples for the statistic."""
 
-    exit_code = 4
-
 
 _SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
 

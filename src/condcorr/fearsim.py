@@ -152,12 +152,13 @@ def _ticker(i: int, n_stocks: int) -> str:
 
 
 def to_aligned_panel(panel: SimPanel) -> AlignedPanel:
-    """Dress a SimPanel in real-data clothes: consecutive-day calendar from
-    2000-01-03, tickers S00.., index ticker INDEX.  Downstream analysis then
-    treats synthetic and ingested panels identically."""
+    """Dress a SimPanel in real-data clothes: one frozen calendar from
+    2000-01-03 that every member shares, tickers S00.., index ticker INDEX.
+    Downstream analysis treats synthetic and ingested panels identically."""
     calendar = _EPOCH + np.arange(panel.n_steps + 1)
-    stocks = [PriceSeries(_ticker(i, panel.n_stocks), calendar, np.exp(log_prices))
-              for i, log_prices in enumerate(panel.log_prices)]
-    # build_index's bytes from the stocks' prices: their sum in row order
-    index = PriceSeries("INDEX", calendar, sum(s.closes for s in stocks) / len(stocks))
-    return AlignedPanel(calendar, stocks, index)
+    closes = [np.exp(log_prices) for log_prices in panel.log_prices]
+    index = sum(closes) / len(closes)  # build_index's bytes: the sum in row order
+    for arr in (calendar, index, *closes):
+        arr.flags.writeable = False  # so the constructors keep it, not copy it
+    stocks = [PriceSeries(_ticker(i, len(closes)), calendar, c) for i, c in enumerate(closes)]
+    return AlignedPanel(calendar, stocks, PriceSeries("INDEX", calendar, index))

@@ -162,21 +162,21 @@ def _first_passage_up(tables: _PassageTables, rhos):
         # levels below near_levels find it for a near element, every level
         # from b0 + 2**near_levels for a far one
         k = near_levels - 1
-        block = b0 + ((coarse[k][b0] < thresholds) << k)
+        block = b0 + ((coarse[k].take(b0) < thresholds) << k)
         for k in range(near_levels - 2, -1, -1):
-            block += (coarse[k][block] < thresholds) << k
-        far = np.flatnonzero(coarse[near_levels][b0] < thresholds)
+            block += (coarse[k].take(block) < thresholds) << k
+        far = np.flatnonzero(coarse[near_levels].take(b0) < thresholds)
         if len(far):
-            far_block = b0[far % len(b0)] + (1 << near_levels)
+            far_block = b0.take(far % len(b0)) + (1 << near_levels)
             far_thresholds = thresholds.take(far)
             for k in range(len(coarse) - 1, -1, -1):
-                far_block += (coarse[k][far_block] < far_thresholds) << k
+                far_block += (coarse[k].take(far_block) < far_thresholds) << k
             np.put(block, far, far_block)
         # the crossing lies in first's own block when that block's suffix
         # from first reaches the threshold, else in the block found
-        pos = np.where(suffix[first] < thresholds, block * _BLOCK, first)
+        pos = np.where(suffix.take(first) < thresholds, block * _BLOCK, first)
         for k in range(_FINE_LEVELS - 1, -1, -1):
-            pos += (fine[k][pos] < thresholds) << k
+            pos += (fine[k].take(pos) < thresholds) << k
         # a search that found no crossing stopped at n: that start waits 0
         censored = pos == n
         pos -= np.arange(a, b)

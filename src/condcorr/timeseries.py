@@ -33,24 +33,28 @@ __all__ = [
 DEFAULT_DETREND_WINDOW = 251
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, made read-only; the constructors pass it a copy of
-    what the caller handed them, the cached properties their fresh result."""
-    arr.flags.writeable = False
-    return arr
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array: kept when it is one already
+    and owns its data (so no view can write to it), else a frozen copy."""
+    keep = (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable)
+    values = values if keep else np.array(values, dtype)
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """One asset's daily closing prices on strictly increasing dates."""
+    """One asset's daily closing prices on strictly increasing dates; each
+    array is kept or copied as ``_read_only`` says, and every check runs."""
 
     ticker: str
     dates: np.ndarray
     closes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", _read_only(np.array(self.dates, "datetime64[D]")))
-        object.__setattr__(self, "closes", _read_only(np.array(self.closes, np.float64)))
+        object.__setattr__(self, "dates", _read_only(self.dates, "datetime64[D]"))
+        object.__setattr__(self, "closes", _read_only(self.closes, np.float64))
         if self.dates.ndim != 1 or self.closes.ndim != 1:
             raise ValidationError("dates and closes must be one-dimensional")
         if len(self.dates) != len(self.closes):
@@ -67,19 +71,21 @@ class PriceSeries:
 
     @cached_property
     def log_closes(self) -> np.ndarray:
-        return _read_only(np.log(self.closes))
+        log_closes = np.log(self.closes)
+        log_closes.flags.writeable = False  # frozen in place, not copied
+        return log_closes
 
 
 class AlignedPanel:
     """N >= 2 stocks plus a market index on one common trading calendar.
 
-    All member series share identical dates.  Instances are treated as
-    immutable; the cached matrices below are safe to share across threads.
+    All member series share identical dates; a read-only, data-owning
+    calendar is kept, not copied.  Instances are treated as immutable.
     """
 
     def __init__(self, calendar: np.ndarray, stocks: Sequence[PriceSeries],
                  index_series: PriceSeries):
-        self.calendar = _read_only(np.array(calendar, "datetime64[D]"))
+        self.calendar = _read_only(calendar, "datetime64[D]")
         self.stocks = tuple(stocks)
         self.index_series = index_series
         if len(self.stocks) < 2:
@@ -102,12 +108,6 @@ class AlignedPanel:
     @property
     def n_days(self) -> int:
         return len(self.calendar)
-
-    @cached_property
-    def log_close_matrix(self) -> np.ndarray:
-        """Stacked log closes, shape (n_stocks, n_days), logged in place."""
-        matrix = np.vstack([s.closes for s in self.stocks])
-        return _read_only(np.log(matrix, out=matrix))
 
 
 def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
@@ -132,7 +132,7 @@ def detrend_log_price(series: PriceSeries,
     if w % 2 == 0:
         raise ValidationError("centered drift window must be odd")
     half = (w - 1) // 2
-    logp = series.log_closes
+    logp = np.log(series.closes)  # not cached on the caller's series
     return logp[half:len(series) - half] - _moving_average(logp, w)
 
 
@@ -141,9 +141,9 @@ def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries) -> AlignedPan
 
     A member whose dates already equal the running calendar is not
     intersected, and one as long as the common calendar is kept as it is:
-    it holds every common date and no other.  Raises if fewer than two
-    stocks are given, tickers repeat, or the common calendar ends up
-    shorter than two days.
+    it holds every common date and no other; the rest are rebuilt on the
+    frozen common calendar itself.  Raises if fewer than two stocks are
+    given, tickers repeat, or the common calendar is shorter than two days.
     """
     if len(stocks) < 2:
         raise ValidationError("need at least 2 stocks to build a panel")
@@ -158,10 +158,11 @@ def align_panel(stocks: Sequence[PriceSeries], index: PriceSeries) -> AlignedPan
         raise DataError("no common trading dates across panel members")
     if len(calendar) < 2:
         raise DataError(f"common calendar has {len(calendar)} days, below minimum 2")
+    calendar.flags.writeable = False  # index.dates, or a fresh intersection
     def fit(s: PriceSeries) -> PriceSeries:
         if len(s) == len(calendar):
             return s
         mask = np.isin(s.dates, calendar, assume_unique=True)
-        return PriceSeries(s.ticker, s.dates[mask], s.closes[mask])
+        return PriceSeries(s.ticker, calendar, s.closes[mask])
 
     return AlignedPanel(calendar, [fit(s) for s in stocks], fit(index))

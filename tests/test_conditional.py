@@ -1,6 +1,7 @@
 """Conditional correlation pipeline: pair windows through χ and C_t."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -692,6 +693,26 @@ class TestChunkedSweep:
         assert report.excluded_denominator == 0
         assert all(len(tr) == 0 for tr in analysis.time_resolved.values())
         assert analysis.curve == self.analyze(p, chi_levels=(), ct_levels=()).curve
+
+
+class TestReturns:
+    def test_filled_one_stock_at_a_time(self):
+        """``_returns`` writes each stock's returns into its column of the
+        time-major array from that stock's log closes alone: the values are
+        the stacked log prices' differences, and the traced peak stays
+        within the returns plus two stock rows."""
+        p = to_aligned_panel(simulate_market(SimConfig(
+            n_stocks=10, n_steps=5000, fear_probability=0.05, step_size=0.01, seed=2)))
+        tracemalloc.start()
+        try:
+            returns = conditional._returns(p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= returns.nbytes + 2 * p.stocks[0].closes.nbytes
+        log_prices = np.log(np.vstack([s.closes for s in p.stocks]))
+        np.testing.assert_array_equal(returns, (log_prices[:, 3:] - log_prices[:, :-3]).T)
+        assert returns.flags.c_contiguous
 
 
 class TestAnalyzePanel:

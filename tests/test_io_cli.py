@@ -641,7 +641,8 @@ class TestSimulateRoundTrip:
         panel = load_panel(load_manifest(out / "manifest.json"))
         sim = to_aligned_panel(simulate_market(cfg))
         assert panel.tickers == sim.tickers
-        np.testing.assert_allclose(panel.log_close_matrix, sim.log_close_matrix,
+        np.testing.assert_allclose(np.log(np.vstack([s.closes for s in panel.stocks])),
+                                   np.log(np.vstack([s.closes for s in sim.stocks])),
                                    atol=1e-10)
         np.testing.assert_allclose(panel.index_series.log_closes,
                                    sim.index_series.log_closes, atol=1e-10)
@@ -843,6 +844,13 @@ class TestRunInvstats:
                 assert entry[f"n_{side}"] + entry[f"censored_{side}"] == 33
                 written = (out / f"hist_{side}_{tag}.tsv").is_file()
                 assert written == (entry[f"n_{side}"] > 0), (tag, side)
+
+    def test_detrending_leaves_no_log_closes_on_the_series(self, tmp_path):
+        """The detrended log prices are taken locally: the caller's series
+        keeps no cached ``log_closes`` through the first-passage descent."""
+        series = PriceSeries("W", calendar(600), np.exp(np.sin(np.arange(600) / 9.0)))
+        run_invstats(series, small_config(detrend_window=251), tmp_path / "inv")
+        assert "log_closes" not in vars(series)
 
     def test_zero_level_rejected(self, tmp_path):
         series = PriceSeries("W", calendar(100),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from condcorr import (
+    AlignedPanel,
     DataError,
     PriceSeries,
     ValidationError,
@@ -139,7 +140,8 @@ class TestAlignPanel:
         idx = PriceSeries("IDX", d, np.full(5, 3.0))
         panel = align_panel([a, b], idx)
         assert panel.n_stocks == 2 and panel.n_days == 5
-        np.testing.assert_allclose(panel.log_close_matrix[0], np.arange(5.0))
+        log_prices = np.log(np.vstack([s.closes for s in panel.stocks]))
+        np.testing.assert_allclose(log_prices[0], np.arange(5.0))
         np.testing.assert_allclose(panel.index_series.log_closes, math.log(3.0))
 
     def test_one_misaligned_member_gives_the_intersection(self):
@@ -154,7 +156,13 @@ class TestAlignPanel:
         common = d[keep & (d != d[0])]
         np.testing.assert_array_equal(panel.calendar, common)
         expected = np.vstack([s.log_closes[np.isin(s.dates, common)] for s in stocks])
-        np.testing.assert_array_equal(panel.log_close_matrix, expected)
+        np.testing.assert_array_equal(np.log(np.vstack([s.closes for s in panel.stocks])),
+                                      expected)
+        # S2 holds just the common dates and is kept; the rest are rebuilt
+        # on the panel's calendar itself
+        assert panel.stocks[2] is stocks[2]
+        assert all(s.dates is panel.calendar for s in (*panel.stocks[:2], panel.stocks[3],
+                                                       panel.index_series))
         np.testing.assert_array_equal(panel.index_series.log_closes,
                                       idx.log_closes[np.isin(idx.dates, common)])
 
@@ -167,7 +175,7 @@ class TestAlignPanel:
         np.testing.assert_array_equal(panel.calendar, d)
         assert all(a is b for a, b in zip(panel.stocks, stocks))
         assert panel.index_series is idx
-        np.testing.assert_array_equal(panel.log_close_matrix,
+        np.testing.assert_array_equal(np.log(np.vstack([s.closes for s in panel.stocks])),
                                       np.vstack([s.log_closes for s in stocks]))
 
 
@@ -192,19 +200,25 @@ class TestFrozenArrays:
         assert s.closes[0] == 1.0 and s.dates[0] == calendar(4)[0]
         for arr in (s.dates, s.closes, s.log_closes):
             assert not arr.flags.writeable
+        # read-only arrays of the right dtype that own their data are kept
+        for arr in (dates, closes):
+            arr.flags.writeable = False
+        kept = PriceSeries("K", dates, closes)
+        assert kept.dates is dates and kept.closes is closes
+        assert AlignedPanel(dates, [kept, PriceSeries("L", dates, closes)], kept).calendar is dates
+        # a read-only view, or another dtype, is still copied
+        for other in (PriceSeries("V", dates[:2], closes[:2]),
+                      PriceSeries("F", dates.astype("datetime64[s]"), closes.astype(np.float32))):
+            assert other.dates.flags.owndata and other.closes.flags.owndata
+            assert other.dates.dtype == "datetime64[D]" and other.closes.dtype == np.float64
 
     def test_log_arrays_are_frozen_in_place(self):
-        """``log_closes`` freezes its fresh result instead of copying it, and
-        ``log_close_matrix`` takes the log of the stacked closes in place,
-        building no stock's ``log_closes``: the panel keeps one log-price
-        matrix, and building it holds no more."""
-        d = calendar(5000)
+        """``log_closes`` freezes its fresh result instead of copying it.  The
+        panel keeps no log-price matrix: the sweep's returns are taken one
+        stock at a time (``TestReturns`` in test_conditional.py)."""
         rng = np.random.default_rng(8)
-        stocks = [PriceSeries(f"S{i}", d, rng.uniform(1.0, 2.0, 5000)) for i in range(10)]
-        panel = align_panel(stocks, PriceSeries("IDX", d, np.full(5000, 3.0)))
-        matrix, kept, peak = traced(lambda: panel.log_close_matrix)
-        assert matrix.shape == (10, 5000) and not matrix.flags.writeable
-        assert kept <= 1.1 * matrix.nbytes and peak <= 1.1 * matrix.nbytes
-        log_closes, _, peak = traced(lambda: stocks[0].log_closes)
-        assert peak <= 1.1 * log_closes.nbytes
-        np.testing.assert_array_equal(matrix, np.vstack([s.log_closes for s in stocks]))
+        s = PriceSeries("S0", calendar(5000), rng.uniform(1.0, 2.0, 5000))
+        log_closes, kept, peak = traced(lambda: s.log_closes)
+        assert log_closes.shape == (5000,) and not log_closes.flags.writeable
+        assert kept <= 1.1 * log_closes.nbytes and peak <= 1.1 * log_closes.nbytes
+        np.testing.assert_array_equal(log_closes, np.log(s.closes))
