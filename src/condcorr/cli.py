@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from dataclasses import fields
 
 import numpy as np
@@ -38,13 +39,17 @@ _FLAG_HELP = {
     "chi_levels": "|rho| magnitudes for per-pair analyses",
     "ct_level": "|rho| magnitude for the time-resolved analysis",
     "detrend_window": "centred moving-average width in days (odd); 0 disables detrending",
-    "bin_ratio": "edge ratio for logarithmic waiting-time bins",
     "seed": "subsampling seed",
-    "min_samples": "conditional-set size below which points are flagged",
-    "epsilon": "χ denominator guard",
 }
 _FLAG_METAVARS = {"rho_grid": "R1,R2,...", "chi_levels": "L1,L2,..."}
 _FLAG_TYPES = {"int": int, "float": float}
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so ``--rho-grid=-0.05,...`` stays whole."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
 def _number_list(text: str) -> tuple[float, ...]:
@@ -178,6 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, io.COMMAND_FIELDS["invstats"])
     p.set_defaults(func=_cmd_invstats, parser=p)
 
+    for p in sub.choices.values():
+        p.formatter_class = _HelpFormatter
     return parser
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "ChiReport",
     "TimeResolvedCorrelation",
     "PanelAnalysis",
-    "check_epsilon",
     "relative_difference_chi",
     "analyze_panel",
 ]
@@ -69,8 +68,10 @@ _CHUNK = 256
 _ROWS = 256  # grid rows (starts) per partial sum of the curve's member sums
 
 DEFAULT_WINDOW_RANGE = (10, 35)
-DEFAULT_EPSILON = 1e-6
-DEFAULT_MIN_SAMPLES = 10
+# χ is None where |C(+|ρ|)| is at most this
+EPSILON = 1e-6
+# a curve point with fewer conditional members than this is flagged
+MIN_SAMPLES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ class CurvePoint:
     variance is inflated by δt + 1 because overlapping windows share days,
     and across δt the per-window SEs are averaged in quadrature with no
     reduction for the δt count, since every window size reuses the same
-    days.  flagged marks points below the min_samples bar.
+    days.  flagged marks points with fewer than MIN_SAMPLES members.
     """
 
     rho: float
@@ -161,10 +162,10 @@ def _returns(panel: AlignedPanel, horizon: int) -> np.ndarray:
     return returns
 
 
-def _condition_returns(panel: AlignedPanel, horizon: int, span: int) -> np.ndarray:
-    """Index log return over [t, t+span] for each valid window start."""
-    n_t = max(panel.n_days - horizon - span, 0)
-    index_log = panel.index_series.log_closes
+def _condition_returns(index_log: np.ndarray, horizon: int, span: int) -> np.ndarray:
+    """Index log return over [t, t+span] for each valid window start, from
+    the index's log closes."""
+    n_t = max(len(index_log) - horizon - span, 0)
     return index_log[span: span + n_t] - index_log[:n_t]
 
 
@@ -272,8 +273,9 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
         np.min_scalar_type(-1 - len(pair_member)))  # the smallest signed sort keys
     bands = np.full((max(n_returns - dt1, 0), len(spans)), n_bands - 1,
                     dtype=np.min_scalar_type(n_bands))
+    index_log = np.log(panel.index_series.closes)
     for j, span in enumerate(spans):
-        r = _condition_returns(panel, horizon, span)
+        r = _condition_returns(index_log, horizon, span)
         bands[:len(r), j] = np.searchsorted(levels, r, side="right")
     starts = np.flatnonzero(member.any(axis=1)[bands].any(axis=1))
     starts = starts[np.lexsort(pair_row[bands[starts]].T)]  # by χ band, if any
@@ -325,8 +327,7 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
                       time_resolved)
 
 
-def _curve_point(sums: _SweepSums, i: int, rho: float,
-                 min_samples: int) -> CurvePoint | None:
+def _curve_point(sums: _SweepSums, i: int, rho: float) -> CurvePoint | None:
     """C(ρ) of level i of a sweep, the mean over δt of the member means;
     None when no δt has members."""
     counts, level_sums, level_sumsqs = sums.stats[:, :, i]
@@ -342,36 +343,26 @@ def _curve_point(sums: _SweepSums, i: int, rho: float,
     return CurvePoint(rho=rho, value=float(np.mean(level_sums[have] / counts[have])),
                       sample_count=total, excluded_windows=int(np.sum(~have)),
                       stderr=float(np.sqrt(np.mean(se2))) if np.any(ok) else None,
-                      flagged=total < min_samples)
+                      flagged=total < MIN_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
 # χ and the one entry point
 
 
-def check_epsilon(epsilon: float):
-    """Raise ValidationError unless the χ denominator guard is finite and
-    >= 0; NaN fails the test."""
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
-
-
-def relative_difference_chi(c_minus: float, c_plus: float,
-                            epsilon: float = DEFAULT_EPSILON) -> float | None:
+def relative_difference_chi(c_minus: float, c_plus: float) -> float | None:
     """χ_ρ = (C(−|ρ|) − C(+|ρ|)) / |C(+|ρ|)|; None when the denominator is
-    within ``epsilon`` of zero, or too small for the quotient to be finite
+    within ``EPSILON`` of zero, or too small for the quotient to be finite
     (excluded sample).  A C value that is not finite raises ValidationError."""
-    check_epsilon(epsilon)
     if not (math.isfinite(c_minus) and math.isfinite(c_plus)):
         raise ValidationError(f"C values must be finite, got {c_minus} and {c_plus}")
-    if abs(c_plus) <= epsilon:
+    if abs(c_plus) <= EPSILON:
         return None
     chi = (c_minus - c_plus) / abs(c_plus)
     return chi if math.isfinite(chi) else None
 
 
-def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
-                epsilon: float) -> ChiReport:
+def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int) -> ChiReport:
     tickers = panel.tickers
     iu, ju = np.triu_indices(len(tickers), k=1)
     # each array's (∓|ρ|, pair) entries in one read: rows minus and plus, pairs i < j
@@ -389,7 +380,7 @@ def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int,
         if c_minus is None or c_plus is None:
             missing += 1
         else:
-            chi = relative_difference_chi(c_minus, c_plus, epsilon)
+            chi = relative_difference_chi(c_minus, c_plus)
             small_denom += chi is None
         pairs.append(PairConditional((tickers[i], tickers[j]), c_minus, c_plus, cm, cp, chi))
     return ChiReport(pairs=tuple(pairs), excluded_denominator=small_denom,
@@ -400,9 +391,7 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
                   window_range: tuple[int, int] = DEFAULT_WINDOW_RANGE,
                   horizon: int = 1,
                   chi_levels: Sequence[float] = (),
-                  ct_levels: Sequence[float] = (),
-                  min_samples: int = DEFAULT_MIN_SAMPLES,
-                  epsilon: float = DEFAULT_EPSILON) -> PanelAnalysis:
+                  ct_levels: Sequence[float] = ()) -> PanelAnalysis:
     """Run curve, per-pair χ, and time-resolved analyses in one sweep.
 
     chi_levels are |ρ| magnitudes (each expands to a ± pair of conditional
@@ -417,7 +406,6 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
         raise ValidationError("horizon must be >= 1 trading day")
     if panel.n_days <= horizon:
         raise ValidationError(f"panel of {panel.n_days} days too short for horizon {horizon}")
-    check_epsilon(epsilon)
 
     chi_levels = tuple(abs(float(l)) for l in chi_levels)
     if any(lev <= 0 for lev in chi_levels):
@@ -431,10 +419,10 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
 
     sums = _sweep(panel, horizon, window_range, levels, pair_levels, ct_levels)
 
-    points = (_curve_point(sums, levels.index(lev), lev, min_samples) for lev in curve_levels)
+    points = (_curve_point(sums, levels.index(lev), lev) for lev in curve_levels)
     curve = CorrelationCurve(points=tuple(p for p in points if p is not None))
 
-    chi = {lev: _chi_report(panel, sums, 2 * k, 2 * k + 1, epsilon)
+    chi = {lev: _chi_report(panel, sums, 2 * k, 2 * k + 1)
            for k, lev in enumerate(chi_levels)}
 
     return PanelAnalysis(curve=curve, chi=chi,

@@ -47,13 +47,13 @@ __all__ = [
     "TailFit",
     "GainLossEntry",
     "GainLossReport",
-    "check_bin_ratio",
     "default_fit_range",
     "fit_tail_exponent",
     "gain_loss_report",
 ]
 
-DEFAULT_LOG_BIN_RATIO = 1.25
+# each waiting-time bin edge is this times the last (but at least 1 day more)
+LOG_BIN_RATIO = 1.25
 # (magnitude, start) elements one descent step handles: a chunk's positions,
 # thresholds and gathered maxima stay in cache across all the table levels
 _DESCENT_CHUNK = 1 << 15
@@ -182,13 +182,6 @@ def _first_passage_up(tables: _PassageTables, rhos):
         pos -= np.arange(a, b)
         pos[censored] = 0
         yield pos
-
-
-def check_bin_ratio(ratio: float):
-    """Raise ValidationError unless the log bin ratio is finite and above 1;
-    a NaN ratio fails the test."""
-    if not (ratio > 1.0 and np.isfinite(ratio)):
-        raise ValidationError(f"log bin ratio must be finite and exceed 1, got {ratio}")
 
 
 def _log_edges(tau_max: float, ratio: float) -> np.ndarray:
@@ -328,27 +321,25 @@ class GainLossReport:
         raise ValidationError(f"no entry for level {level_abs}")
 
 
-def gain_loss_report(log_prices, levels,
-                     ratio: float = DEFAULT_LOG_BIN_RATIO) -> GainLossReport:
+def gain_loss_report(log_prices, levels) -> GainLossReport:
     """Waiting-time histograms at ±|ρ| for each magnitude in ``levels``,
-    binned logarithmically with edges ``ratio`` apart.
+    binned logarithmically with edges ``LOG_BIN_RATIO`` apart.
 
     ``log_prices`` is a one-dimensional array of at least two finite log
-    prices, such as ``PriceSeries.log_closes`` or the output of
+    prices, such as ``np.log(series.closes)`` or the output of
     ``detrend_log_price``; anything that is not an array of numbers raises
     ValidationError.  A positive asymmetry (mode(+) above mode(−)) means the
     series reaches losses sooner than equal-sized gains.  Every magnitude is
-    checked before the first scan, and so is the bin ratio; each sign runs
-    one descent over every magnitude and bins its waits chunk by chunk, so
-    memory holds the tables (about 6 floats a day) and a 1–2-byte bin lookup.
+    checked before the first scan; each sign runs one descent over every
+    magnitude and bins its waits chunk by chunk, so memory holds the tables
+    (about 6 floats a day) and a 1–2-byte bin lookup.
     """
     values = _log_price_values(log_prices)
     magnitudes = [abs(float(level)) for level in levels]
     for magnitude in magnitudes:
         if magnitude == 0.0 or not np.isfinite(magnitude):
             raise ValidationError("level must be nonzero and finite")
-    check_bin_ratio(ratio)
-    edges = _log_edges(len(values), ratio)
+    edges = _log_edges(len(values), LOG_BIN_RATIO)
     bin_of = _bin_lookup(edges, len(values))
     offsets = len(edges) * np.arange(len(magnitudes))[:, None]
     hists = {}

@@ -331,12 +331,12 @@ class RunConfig:
     rho_grid holds signed levels; chi_levels and ct_level are positive
     magnitudes (each expands to a ± pair).  The inverse-statistics path
     subtracts a centred moving average over detrend_window days (odd, >= 3;
-    0 turns detrending off) and bins waiting times logarithmically, edges
-    bin_ratio apart.  Each scalar field must hold its type (an int field an
-    integer, a float field an integer or a float; a bool is never a number),
-    and every level a finite number, not a bool or a string; a mismatch
-    raises ValidationError naming the field.  Each level list is kept as a
-    tuple of floats.  seed, the rank tests' subsampling seed, must be >= 0.
+    0 turns detrending off).  Each scalar field must hold its type (an int
+    field an integer, a float field an integer or a float; a bool is never a
+    number), and every level a finite number, not a bool or a string; a
+    mismatch raises ValidationError naming the field.  Each level list is
+    kept as a tuple of floats.  seed, the rank tests' subsampling seed, must
+    be >= 0.
     """
 
     delta_t: int = 1
@@ -349,10 +349,7 @@ class RunConfig:
     chi_levels: tuple[float, ...] = (0.03, 0.05, 0.10)
     ct_level: float = 0.05
     detrend_window: int = DEFAULT_DETREND_WINDOW
-    bin_ratio: float = inverse_stats.DEFAULT_LOG_BIN_RATIO
     seed: int = 0
-    min_samples: int = conditional.DEFAULT_MIN_SAMPLES
-    epsilon: float = conditional.DEFAULT_EPSILON
 
     def __post_init__(self):
         check_scalar_fields(self)
@@ -385,12 +382,8 @@ class RunConfig:
         object.__setattr__(self, "ct_level", float(self.ct_level))
         if self.detrend_window and (self.detrend_window < 3 or self.detrend_window % 2 == 0):
             raise ValidationError("detrend_window must be 0 (off) or odd and >= 3")
-        if self.min_samples < 1:
-            raise ValidationError("min_samples must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        inverse_stats.check_bin_ratio(self.bin_ratio)
-        conditional.check_epsilon(self.epsilon)
 
     @property
     def window_range(self) -> tuple[int, int]:
@@ -405,8 +398,8 @@ class RunConfig:
 
 # the RunConfig fields each analysis command reads, dt1 and dt2 through window_range
 COMMAND_FIELDS = {"condcorr": ("delta_t", "dt1", "dt2", "rho_grid", "chi_levels", "ct_level",
-                               "seed", "min_samples", "epsilon"),
-                  "invstats": ("rho_grid", "detrend_window", "bin_ratio")}
+                               "seed"),
+                  "invstats": ("rho_grid", "detrend_window")}
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -587,8 +580,6 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
         horizon=config.delta_t,
         chi_levels=config.chi_levels,
         ct_levels=ct_levels,
-        min_samples=config.min_samples,
-        epsilon=config.epsilon,
     )
     write_curve_tsv(out / "curve.tsv", analysis.curve)
 
@@ -677,9 +668,9 @@ def run_invstats(source, config: RunConfig, output_dir) -> dict:
     if config.detrend_window:
         log_prices = detrend_log_price(series, config.detrend_window)
     else:
-        log_prices = series.log_closes
+        log_prices = np.log(series.closes)
 
-    report = inverse_stats.gain_loss_report(log_prices, levels, config.bin_ratio)
+    report = inverse_stats.gain_loss_report(log_prices, levels)
     starts = len(log_prices) - 1  # every start is scanned at every level
     level_summaries = {}
     for entry in report.entries:

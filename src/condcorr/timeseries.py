@@ -16,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -68,12 +67,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return len(self.closes)
-
-    @cached_property
-    def log_closes(self) -> np.ndarray:
-        log_closes = np.log(self.closes)
-        log_closes.flags.writeable = False  # frozen in place, not copied
-        return log_closes
 
 
 class AlignedPanel:
@@ -132,7 +125,7 @@ def detrend_log_price(series: PriceSeries,
     if w % 2 == 0:
         raise ValidationError("centered drift window must be odd")
     half = (w - 1) // 2
-    logp = np.log(series.closes)  # not cached on the caller's series
+    logp = np.log(series.closes)
     return logp[half:len(series) - half] - _moving_average(logp, w)
 
 

@@ -41,7 +41,6 @@ CONTROL_SEED = 20260801
 CONTROL_MAGNITUDES = (0.03, 0.05, 0.10)
 CONTROL_GRID = (-0.10, -0.05, -0.03, 0.03, 0.05, 0.10)
 WINDOW_RANGE = (10, 35)
-MIN_SAMPLES = 10
 
 
 def control_market(p, seed, n_stocks=30, n_steps=100_000):
@@ -52,8 +51,7 @@ def control_market(p, seed, n_stocks=30, n_steps=100_000):
 
 def control_analysis(panel):
     return analyze_panel(panel, CONTROL_GRID, window_range=WINDOW_RANGE,
-                         horizon=1, chi_levels=CONTROL_MAGNITUDES,
-                         min_samples=MIN_SAMPLES)
+                         horizon=1, chi_levels=CONTROL_MAGNITUDES)
 
 
 def pair_rank_sum_z(report, seed=0):
@@ -82,7 +80,7 @@ def test_conditional_pipeline_matches_direct_definitions():
         dt2 = dt1 + int(rng.integers(1, 5))
         horizon = int(rng.integers(1, 3))
         analysis = analyze_panel(panel, (-0.01, 0.0, 0.009), (dt1, dt2), horizon,
-                                 chi_levels=(0.005,), min_samples=1)
+                                 chi_levels=(0.005,))
         for level in (-0.01, 0.0, 0.009):
             got = analysis.curve.point(level)
             want = reference.curve_point(rows, idx, level, dt1, dt2, horizon)

@@ -1,11 +1,17 @@
 """Conditional correlation pipeline: pair windows through χ and C_t."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condcorr
 from condcorr import (SimConfig, ValidationError, analyze_panel, conditional,
                       relative_difference_chi, simulate_market, to_aligned_panel)
 
@@ -30,7 +36,7 @@ def per_span_members(panel, level, spans, horizon=1):
     members = []
     for span in spans:
         s0, _ = window_probe(panel, span, horizon)
-        r = conditional._condition_returns(panel, horizon, span)
+        r = conditional._condition_returns(np.log(panel.index_series.closes), horizon, span)
         member = r < level if level < 0 else r >= level
         members.append(s0[member & ~np.isnan(s0)])
     return members
@@ -160,7 +166,7 @@ class TestNestedSpanOracle:
         idx = p.index_series.closes.tolist()
         dt1, dt2 = self.WINDOW_RANGE
         analysis = analyze_panel(p, self.GRID, self.WINDOW_RANGE, chi_levels=(0.004, 0.01),
-                                 ct_levels=(0.004, -0.01), min_samples=1)
+                                 ct_levels=(0.004, -0.01))
         for level in self.GRID:
             got = analysis.curve.point(level)
             value, n_samples, n_excluded = reference.curve_point(rows, idx, level,
@@ -232,7 +238,7 @@ class TestLongPanelOracle:
     def test_sweep_matches_per_span_selection(self, long_panel):
         p, _ = long_panel
         levels = (-0.03, -0.01, 0.0, 0.01, 0.03)
-        analysis = analyze_panel(p, levels, window_range=(10, 35), min_samples=1)
+        analysis = analyze_panel(p, levels, window_range=(10, 35))
         for level in levels:
             assert_point_matches(analysis.curve.point(level),
                                  per_span_members(p, level, range(10, 36)))
@@ -300,13 +306,14 @@ class TestConditionalSelect:
 
     def point(self, level):
         p = panel_from_returns(self.RETURNS, self.INDEX)
-        point = analyze_panel(p, (level,), window_range=(1, 2), min_samples=1).curve.point(level)
+        point = analyze_panel(p, (level,), window_range=(1, 2)).curve.point(level)
         assert_point_matches(point, per_span_members(p, level, (1, 2)))
         return point
 
     def test_zero_level_takes_nonnegative_branch(self):
         p = panel_from_returns(self.RETURNS, self.INDEX)
-        span1, span2 = (conditional._condition_returns(p, 1, span) for span in (1, 2))
+        index_log = np.log(p.index_series.closes)
+        span1, span2 = (conditional._condition_returns(index_log, 1, span) for span in (1, 2))
         np.testing.assert_array_equal(span1, [self.H, self.H, 0.0, -self.H, 0.0, -self.H])
         np.testing.assert_array_equal(span2, [2 * self.H, self.H, -self.H, -self.H, -self.H])
         # span 1 starts 2-5 (two of them exactly at 0) and span 2 starts 2-4
@@ -334,7 +341,7 @@ class TestConditionalSelect:
                                np.exp(0.001 * np.arange(7.0)))
         undefined = [np.flatnonzero(window_probe(p, span)[1] == 0) for span in (1, 2)]
         assert [u.tolist() for u in undefined] == [[0, 1], [0]]
-        point = analyze_panel(p, (0.0,), window_range=(1, 2), min_samples=1).curve.point(0.0)
+        point = analyze_panel(p, (0.0,), window_range=(1, 2)).curve.point(0.0)
         assert point.sample_count == (5 + 4) - 3
         assert_point_matches(point, per_span_members(p, 0.0, (1, 2)))
 
@@ -343,7 +350,7 @@ class TestConditionalSelect:
         # r < the largest negative float exactly when r < 0, so the two
         # levels split the windows into the ρ = 0 set and its complement
         below = np.nextafter(0.0, -1.0)
-        analysis = analyze_panel(p, (below, 0.0), window_range=(4, 5), min_samples=1)
+        analysis = analyze_panel(p, (below, 0.0), window_range=(4, 5))
         n_defined = sum(int(np.sum(~np.isnan(window_probe(p, span)[0]))) for span in (4, 5))
         counts = [point.sample_count for point in analysis.curve.points]
         assert sum(counts) == n_defined
@@ -353,7 +360,7 @@ class TestIndexConditionReturns:
     def test_window_return_definition(self, rng):
         p = random_oracle_panel(rng)
         span = 6
-        r = conditional._condition_returns(p, 1, span)
+        r = conditional._condition_returns(np.log(p.index_series.closes), 1, span)
         logc = np.log(p.index_series.closes)
         n_returns = p.n_days - 1
         assert r.shape == (n_returns - span,)
@@ -362,7 +369,7 @@ class TestIndexConditionReturns:
 
     def test_horizon_trims_starts(self, rng):
         p = random_oracle_panel(rng)
-        r = conditional._condition_returns(p, 2, 4)
+        r = conditional._condition_returns(np.log(p.index_series.closes), 2, 4)
         assert r.shape == ((p.n_days - 2) - 4,)
 
 
@@ -373,7 +380,7 @@ class TestConditionalAverages:
             [[0.01, 0.02, 0.03, 0.01, 0.02, 0.03], [0.01, 0.03, 0.02, 0.01, 0.03, 0.02]],
             index_closes=np.exp([0.0, 0.01, -0.01, 0.02, -0.02, 0.03, -0.03])[:7],
         )
-        point = analyze_panel(p, (0.0,), window_range=(2, 3), min_samples=1).curve.point(0.0)
+        point = analyze_panel(p, (0.0,), window_range=(2, 3)).curve.point(0.0)
         assert point is not None
         assert_point_matches(point, per_span_members(p, 0.0, (2, 3)))
 
@@ -386,14 +393,14 @@ class TestConditionalAverages:
 
     def test_average_over_windows_mean_of_span_means(self, rng):
         p = random_oracle_panel(rng)
-        point = analyze_panel(p, (0.0,), window_range=(2, 4), min_samples=1).curve.point(0.0)
+        point = analyze_panel(p, (0.0,), window_range=(2, 4)).curve.point(0.0)
         assert_point_matches(point, per_span_members(p, 0.0, (2, 3, 4)))
 
     def test_constant_correlation_passes_through(self):
         rng = np.random.default_rng(7)
         steps = rng.normal(0.0, 0.02, size=19)
         p = panel_from_returns([steps, steps])  # identical stocks: S_0 = 1 always
-        point = analyze_panel(p, (0.0,), window_range=(2, 5), min_samples=1).curve.point(0.0)
+        point = analyze_panel(p, (0.0,), window_range=(2, 5)).curve.point(0.0)
         assert point.value == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_spans_excluded_and_counted(self):
@@ -403,31 +410,30 @@ class TestConditionalAverages:
         # so a 0.0115 level admits only the span-12 windows of range (10, 12)
         index = np.exp(0.001 * np.arange(15.0))
         p = panel_from_returns(rows, index)
-        curve = analyze_panel(p, (0.0115, 0.5), window_range=(10, 12), min_samples=1).curve
+        curve = analyze_panel(p, (0.0115, 0.5), window_range=(10, 12)).curve
         point = curve.point(0.0115)
         assert point.excluded_windows == 2
         assert point.sample_count == 2  # n_returns(14) - span(12) starts
         assert curve.point(0.5) is None
 
-    def test_min_samples_flags_thin_points(self, rng):
+    def test_min_samples_flags_thin_points(self, rng, monkeypatch):
+        """A point is flagged exactly when it has fewer than MIN_SAMPLES members."""
         p = random_oracle_panel(rng)
-        point = analyze_panel(p, (0.0,), window_range=(2, 3),
-                              min_samples=10 ** 6).curve.point(0.0)
-        assert point.flagged
-        healthy = analyze_panel(p, (0.0,), window_range=(2, 3),
-                                min_samples=1).curve.point(0.0)
-        assert not healthy.flagged
-        assert healthy.stderr is None or healthy.stderr >= 0.0
+        point = analyze_panel(p, (0.0,), window_range=(2, 3)).curve.point(0.0)
+        assert point.flagged == (point.sample_count < conditional.MIN_SAMPLES)
+        assert point.stderr is None or point.stderr >= 0.0
+        for bar, flagged in ((point.sample_count, False), (point.sample_count + 1, True)):
+            monkeypatch.setattr(conditional, "MIN_SAMPLES", bar)
+            assert analyze_panel(p, (0.0,), window_range=(2, 3)).curve.point(0.0).flagged == flagged
 
 
 class TestCurve:
     def test_points_match_single_level_runs(self, rng):
         p = random_oracle_panel(rng)
         grid = [-0.02, -0.01, 0.0, 0.01]
-        curve = analyze_panel(p, grid, window_range=(2, 4), min_samples=1).curve
+        curve = analyze_panel(p, grid, window_range=(2, 4)).curve
         for rho in grid:
-            single = analyze_panel(p, (rho,), window_range=(2, 4),
-                                   min_samples=1).curve.point(rho)
+            single = analyze_panel(p, (rho,), window_range=(2, 4)).curve.point(rho)
             got = curve.point(rho)
             if single is None:
                 assert got is None
@@ -444,10 +450,8 @@ class TestCurve:
                 [1.0 / s.closes for s in p.stocks], 1.0 / p.index_series.closes
             )
             rho = 0.004
-            plus = analyze_panel(p, (rho,), window_range=(2, 4),
-                                 min_samples=1).curve.point(rho)
-            minus_m = analyze_panel(mirrored, (-rho,), window_range=(2, 4),
-                                    min_samples=1).curve.point(-rho)
+            plus = analyze_panel(p, (rho,), window_range=(2, 4)).curve.point(rho)
+            minus_m = analyze_panel(mirrored, (-rho,), window_range=(2, 4)).curve.point(-rho)
             # r' < -rho  <=>  r > rho; ties r == rho have zero measure here
             if plus is None or minus_m is None:
                 assert plus is None and minus_m is None
@@ -464,13 +468,15 @@ class TestChi:
 
     def test_small_denominator_excluded(self):
         assert relative_difference_chi(0.3, 0.0) is None
-        assert relative_difference_chi(0.3, 5e-7, epsilon=1e-6) is None
-        assert relative_difference_chi(0.3, 2e-6, epsilon=1e-6) is not None
+        assert conditional.EPSILON == 1e-6
+        assert relative_difference_chi(0.3, 1e-6) is None
+        assert relative_difference_chi(0.3, -5e-7) is None
+        assert relative_difference_chi(0.3, 2e-6) is not None
 
     def test_overflowing_chi_excluded(self):
         # a quotient beyond the float range is excluded like a small denominator
         assert relative_difference_chi(1e308, 0.5) is None
-        assert relative_difference_chi(1e308, 1e-300, epsilon=0.0) is None
+        assert relative_difference_chi(1e308, 2e-6) is None
         assert relative_difference_chi(1e300, 0.5) == pytest.approx(2e300, rel=1e-12)
 
     @pytest.mark.parametrize("c_minus, c_plus", [(math.nan, 0.5), (0.3, math.inf),
@@ -480,18 +486,19 @@ class TestChi:
         with pytest.raises(ValidationError, match="^C values must be finite"):
             relative_difference_chi(c_minus, c_plus)
 
-    def test_distribution_report(self, rng):
+    def test_distribution_report(self, rng, monkeypatch):
         """Each pair's χ is the reference χ of its own C values, None where a
-        side has no members or the guard excludes it.  The guard sits at the
-        lower median of the panel's |C(+)|, so it excludes some pairs and
+        side has no members or the guard excludes it.  The guard is moved to
+        the lower median of the panel's |C(+)|, so it excludes some pairs and
         keeps others."""
         reached = set()
         for _ in range(10):
             p = random_oracle_panel(rng)
 
             def report_at(epsilon):
+                monkeypatch.setattr(conditional, "EPSILON", epsilon)
                 return analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
-                                     chi_levels=(0.004,), epsilon=epsilon).chi[0.004]
+                                     chi_levels=(0.004,)).chi[0.004]
 
             c_plus = sorted(abs(pc.c_plus) for pc in report_at(0.0).pairs
                             if pc.c_minus is not None and pc.c_plus is not None)
@@ -602,7 +609,7 @@ def level_windows(p, starts, spans, levels):
     """(start, span) flags: the window lies in some level's set."""
     flags = np.zeros((len(starts), len(spans)), dtype=bool)
     for j, span in enumerate(spans):
-        r = conditional._condition_returns(p, 1, span)
+        r = conditional._condition_returns(np.log(p.index_series.closes), 1, span)
         inside = starts < len(r)
         flags[inside, j] = np.any([r[starts[inside]] < lev if lev < 0
                                    else r[starts[inside]] >= lev for lev in levels], axis=0)
@@ -619,7 +626,7 @@ class TestChunkedSweep:
 
     def analyze(self, p, chi_levels=(CHI,), ct_levels=CT):
         return analyze_panel(p, self.GRID, self.WINDOW_RANGE, chi_levels=chi_levels,
-                             ct_levels=ct_levels, min_samples=1)
+                             ct_levels=ct_levels)
 
     def test_multi_chunk_matches_reference(self, monkeypatch):
         p = burst_panel()
@@ -721,10 +728,8 @@ class TestAnalyzePanel:
         grid = [-0.01, -0.004, 0.0, 0.004, 0.01]
         analysis = analyze_panel(
             p, grid, window_range=(2, 4), chi_levels=(0.004,), ct_levels=(0.0,),
-            min_samples=1,
         )
-        assert analysis.curve == analyze_panel(p, grid, window_range=(2, 4),
-                                               min_samples=1).curve
+        assert analysis.curve == analyze_panel(p, grid, window_range=(2, 4)).curve
         chi_direct = analyze_panel(p, (-0.004, 0.004), window_range=(2, 4),
                                    chi_levels=(0.004,)).chi[0.004]
         for a, b in zip(analysis.chi[0.004].pairs, chi_direct.pairs, strict=True):
@@ -774,14 +779,6 @@ class TestAnalyzePanel:
         with pytest.raises(ValidationError):
             analyze_panel(p, [-0.01, 0.01], window_range=(0, 4))
 
-    @pytest.mark.parametrize("chi_levels, epsilon", [((), math.nan), ((100.0,), -1.0)],
-                             ids=["no-chi-level", "unreached-chi-level"])
-    def test_epsilon_validated_before_the_sweep(self, rng, chi_levels, epsilon):
-        """A bad χ guard raises even when no pair reaches the χ quotient."""
-        p = random_oracle_panel(rng)
-        with pytest.raises(ValidationError, match="epsilon"):
-            analyze_panel(p, (0.004,), window_range=(2, 4), chi_levels=chi_levels,
-                          epsilon=epsilon)
 
 
 class TestOracleSpotCheck:
@@ -794,8 +791,7 @@ class TestOracleSpotCheck:
             rows = [s.closes.tolist() for s in p.stocks]
             idx = p.index_series.closes.tolist()
             for level in (-0.006, 0.0, 0.006):
-                got = analyze_panel(p, (level,), window_range=(2, 5),
-                                    min_samples=1).curve.point(level)
+                got = analyze_panel(p, (level,), window_range=(2, 5)).curve.point(level)
                 want = reference.curve_point(rows, idx, level, 2, 5, 1)
                 if want is None:
                     assert got is None
@@ -809,11 +805,11 @@ class TestOracleSpotCheck:
             # magnitudes (one off the grid), and levels tied exactly to
             # realised span-3 index returns
             grid = [-0.02, -0.01, -0.004, 0.0, 0.004, 0.01, 0.02]
-            realised = np.sort(conditional._condition_returns(p, 1, 3))
+            realised = np.sort(conditional._condition_returns(np.log(p.index_series.closes), 1, 3))
             n = len(realised)
             ties = sorted({float(realised[i]) for i in (0, n // 4, n // 2, 3 * n // 4, -1)})
             analysis = analyze_panel(p, grid + ties, window_range=(2, 5),
-                                     chi_levels=(0.004, 0.015), min_samples=1)
+                                     chi_levels=(0.004, 0.015))
             for level in grid:
                 got = analysis.curve.point(level)
                 want = reference.curve_point(rows, idx, level, 2, 5, 1)
@@ -828,3 +824,51 @@ class TestOracleSpotCheck:
                 assert_point_matches(analysis.curve.point(level),
                                      per_span_members(p, level, range(2, 6)))
             assert_pairs_match_reference(p, analysis, (2, 5))
+
+
+# analyze_panel on a small fear panel, printed as JSON: every float exactly
+_KERNEL_RUN = """
+import json
+from condcorr import SimConfig, analyze_panel, simulate_market, to_aligned_panel
+panel = to_aligned_panel(simulate_market(SimConfig(
+    n_stocks=10, n_steps=3000, fear_probability=0.05, step_size=0.01, seed=1)))
+a = analyze_panel(panel, (-0.05, -0.03, 0.03, 0.05), chi_levels=(0.03, 0.05),
+                  ct_levels=(0.03, -0.03))
+print(json.dumps({
+    "curve": [v for p in a.curve.points for v in (p.value, p.stderr)],
+    "pairs": [c for r in a.chi.values() for pc in r.pairs for c in (pc.c_minus, pc.c_plus)],
+    "ct": [v for t in a.time_resolved.values() for v in t.values.tolist()],
+    "times": [t.times.tolist() for t in a.time_resolved.values()],
+}))
+"""
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_blas_kernels_agree_within_oracle_tolerance():
+    """Outputs are byte-identical only under one BLAS kernel: the S_0
+    kernel's matmul and the χ products round differently under another.
+    Under OpenBLAS's Haswell and Sandybridge kernels every curve value and
+    SE, pair C and C_t agrees within the oracle's 1e-10, and the same pairs
+    and times are defined."""
+    src = str(Path(condcorr.__file__).resolve().parent.parent)
+    runs = []
+    for core in ("Haswell", "Sandybridge"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _KERNEL_RUN], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    haswell, sandybridge = runs
+    assert haswell["times"] == sandybridge["times"]
+    for key in ("curve", "pairs", "ct"):
+        a, b = haswell[key], sandybridge[key]
+        assert len(a) == len(b) and [x is None for x in a] == [x is None for x in b]
+        largest = max(abs(x - y) for x, y in zip(a, b) if x is not None)
+        print(f"{key}: largest |Haswell - Sandybridge| = {largest:.3g}")
+        assert largest <= 1e-10

@@ -56,7 +56,7 @@ def quote(date, price):
 
 def small_config(**kw):
     base = dict(dt1=3, dt2=6, rho_grid=(-0.02, -0.01, 0.01, 0.02),
-                chi_levels=(0.01,), ct_level=0.01, min_samples=2)
+                chi_levels=(0.01,), ct_level=0.01)
     base.update(kw)
     return RunConfig(**base)
 
@@ -524,8 +524,6 @@ class TestRunConfig:
             with pytest.raises(ValidationError, match="detrend_window"):
                 RunConfig(detrend_window=window)
         assert RunConfig(detrend_window=3).detrend_window == 3
-        with pytest.raises(ValidationError):
-            RunConfig(min_samples=0)
         # chi_levels and ct_level are magnitudes: a sign or a zero would
         # silently swap or merge the ± runs
         for bad in ((-0.05,), (0.03, 0.0)):
@@ -534,13 +532,6 @@ class TestRunConfig:
         for bad in (0.0, -0.02):
             with pytest.raises(ValidationError, match="ct_level"):
                 RunConfig(ct_level=bad)
-        # NaN fails every comparison, so it must fail the checks too
-        for bad in (1.0, 0.5, math.nan, math.inf):
-            with pytest.raises(ValidationError, match="ratio"):
-                RunConfig(bin_ratio=bad)
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValidationError, match="epsilon"):
-                RunConfig(epsilon=bad)
         # RunConfig alone checks the levels, and names the bad key
         with pytest.raises(ValidationError, match="^rho_grid: '-0.05' is not a number$"):
             load_run_config(None, {"rho_grid": ["-0.05", "x"]})
@@ -552,7 +543,7 @@ class TestRunConfig:
             load_run_config(cfg_file)
 
     @pytest.mark.parametrize("field, value", [
-        ("dt1", "3"), ("bin_ratio", True), ("seed", 1.5), ("ct_level", "0.05"),
+        ("dt1", "3"), ("ct_level", True), ("seed", 1.5), ("ct_level", "0.05"),
     ])
     def test_direct_construction_checks_types(self, field, value):
         """Built from Python, a mistyped scalar is a ValidationError naming
@@ -589,10 +580,10 @@ class TestRunConfig:
 
     def test_precedence_defaults_file_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"dt1": 3, "dt2": 6, "seed": 5, "bin_ratio": 2}))
+        cfg_file.write_text(json.dumps({"dt1": 3, "dt2": 6, "seed": 5, "ct_level": 2}))
         c = load_run_config(cfg_file, {"dt2": 8, "seed": None})
         assert c.dt1 == 3       # from file
-        assert c.bin_ratio == 2  # an integer is a number
+        assert c.ct_level == 2  # an integer is a number
         assert c.dt2 == 8       # flag beats file
         assert c.seed == 5      # None override is "not given"
         assert c.delta_t == 1   # untouched default
@@ -644,8 +635,8 @@ class TestSimulateRoundTrip:
         np.testing.assert_allclose(np.log(np.vstack([s.closes for s in panel.stocks])),
                                    np.log(np.vstack([s.closes for s in sim.stocks])),
                                    atol=1e-10)
-        np.testing.assert_allclose(panel.index_series.log_closes,
-                                   sim.index_series.log_closes, atol=1e-10)
+        np.testing.assert_allclose(np.log(panel.index_series.closes),
+                                   np.log(sim.index_series.closes), atol=1e-10)
 
     def test_same_seed_byte_identical(self, tmp_path):
         assert_same_files(simulated_dataset(tmp_path / "a"),
@@ -846,11 +837,12 @@ class TestRunInvstats:
                 assert written == (entry[f"n_{side}"] > 0), (tag, side)
 
     def test_detrending_leaves_no_log_closes_on_the_series(self, tmp_path):
-        """The detrended log prices are taken locally: the caller's series
-        keeps no cached ``log_closes`` through the first-passage descent."""
+        """The log prices, detrended or not, are taken locally: the caller's
+        series holds only its own fields through the first-passage descent."""
         series = PriceSeries("W", calendar(600), np.exp(np.sin(np.arange(600) / 9.0)))
-        run_invstats(series, small_config(detrend_window=251), tmp_path / "inv")
-        assert "log_closes" not in vars(series)
+        for window in (251, 0):
+            run_invstats(series, small_config(detrend_window=window), tmp_path / f"inv{window}")
+            assert set(vars(series)) == {"ticker", "dates", "closes"}, window
 
     def test_zero_level_rejected(self, tmp_path):
         series = PriceSeries("W", calendar(100),
@@ -874,7 +866,7 @@ class TestCli:
             "condcorr", "--manifest", str(data / "manifest.json"),
             "--out", str(reports), "--dt1", "3", "--dt2", "6",
             "--rho-grid=-0.02,-0.01,0.01,0.02", "--chi-levels", "0.01",
-            "--ct-level", "0.01", "--min-samples", "2",
+            "--ct-level", "0.01",
         ]) == 0
         out = capsys.readouterr().out
         assert "pairs |rho|=0.01" in out
@@ -903,7 +895,7 @@ codes = [
           "--seed", "6", "--out", data]),
     main(["condcorr", "--manifest", data + "/manifest.json", "--out", reports,
           "--dt1", "3", "--dt2", "6", "--rho-grid=-0.02,-0.01,0.01,0.02",
-          "--chi-levels", "0.01", "--ct-level", "0.01", "--min-samples", "2"]),
+          "--chi-levels", "0.01", "--ct-level", "0.01"]),
     main(["invstats", "--manifest", data + "/manifest.json", "--out", inv,
           "--rho-grid=-0.02,0.02", "--detrend-window", "0"]),
 ]
@@ -935,7 +927,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
             "condcorr", "--manifest", str(data / "manifest.json"),
             "--out", str(via_cli), "--dt1", "3", "--dt2", "6",
             "--rho-grid=-0.02,-0.01,0.01,0.02", "--chi-levels", "0.01",
-            "--ct-level", "0.01", "--min-samples", "2",
+            "--ct-level", "0.01",
         ]) == 0
         assert ((via_cli / "curve.tsv").read_bytes()
                 == (via_lib / "curve.tsv").read_bytes())
@@ -945,7 +937,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "dt1": 3, "dt2": 6, "rho_grid": [-0.02, -0.01, 0.01, 0.02],
-            "chi_levels": [0.01], "ct_level": 0.01, "min_samples": 2,
+            "chi_levels": [0.01], "ct_level": 0.01,
         }))
         out = tmp_path / "out"
         assert main([
@@ -973,10 +965,11 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
     @pytest.mark.parametrize("command, flags, config, message", [
         pytest.param(command, *case[2:], id=f"{case[0]}-{command}")
         for case in [
-            ("ratio-flag", ["invstats"], ["--bin-ratio", "nan"], None, "ratio"),
-            ("ratio-json", BOTH, [], {"bin_ratio": math.nan}, "ratio"),
-            ("epsilon-flag", ["condcorr"], ["--epsilon", "-1"], None, "epsilon"),
-            ("epsilon-json", BOTH, [], {"epsilon": -1.0}, "epsilon"),
+            ("ratio-json", BOTH, [], {"bin_ratio": math.nan},
+             "unknown config keys ['bin_ratio']"),
+            ("epsilon-json", BOTH, [], {"epsilon": -1.0}, "unknown config keys ['epsilon']"),
+            ("min-samples-json", BOTH, [], {"min_samples": 2},
+             "unknown config keys ['min_samples']"),
             ("binning-json", BOTH, [], {"binning": "log"}, "unknown config keys ['binning']"),
             ("detrend-mode-json", BOTH, [], {"detrend_mode": "centered"},
              "unknown config keys ['detrend_mode']"),
@@ -1007,7 +1000,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("config", [
-        {"dt1": "3"}, {"bin_ratio": "1.5"}, {"seed": 1.5}, {"dt2": True},
+        {"dt1": "3"}, {"ct_level": "1.5"}, {"seed": 1.5}, {"dt2": True},
         {"rho_grid": ["0.05", "-0.05"]},
     ], ids=["int-as-string", "float-as-string", "int-as-float", "int-as-bool",
             "level-as-string"])
@@ -1039,11 +1032,14 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         ("condcorr", "--bin-ratio", "nan"), ("condcorr", "--detrend-window", "250"),
         ("condcorr", "--detrend-window", "1"), ("invstats", "--epsilon", "-1"),
         ("invstats", "--seed", "-1"), ("invstats", "--dt1", "3"),
+        ("invstats", "--bin-ratio", "nan"), ("condcorr", "--epsilon", "-1"),
+        ("condcorr", "--min-samples", "2"), ("invstats", "--min-samples", "2"),
     ])
     def test_unknown_flag_exits_2(self, tmp_path, capsys, command, flag, value):
-        """Detrending is always centred, bins always logarithmic and simulated
-        prices always start at 1, so no flag selects them; and a command has
-        no flag for a ``RunConfig`` field it does not read.  Each exits 2
+        """Detrending is always centred, bins always logarithmic with a fixed
+        ratio, the χ guard and the flag bar are constants, and simulated
+        prices always start at 1, so no flag sets them; and a command has no
+        flag for a ``RunConfig`` field it does not read.  Each exits 2
         before any input is read or ``--out`` is made, under the usage of the
         command that got the flag, which lists the flags it does take."""
         required = {"simulate": ["--n-stocks", "2", "--n-steps", "10",
@@ -1059,9 +1055,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, names", [
-        ("condcorr", ["delta_t", "dt1", "dt2", "rho_grid", "chi_levels", "ct_level",
-                      "seed", "min_samples", "epsilon"]),
-        ("invstats", ["rho_grid", "detrend_window", "bin_ratio"]),
+        ("condcorr", ["delta_t", "dt1", "dt2", "rho_grid", "chi_levels", "ct_level", "seed"]),
+        ("invstats", ["rho_grid", "detrend_window"]),
     ], ids=["condcorr", "invstats"])
     def test_config_flags_are_the_run_config_fields(self, command, names):
         """A command's analysis flags are ``--config`` and one per
@@ -1086,8 +1081,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         manifest = load_manifest(data / "manifest.json")
         unread = {
             run_invstats: dict(delta_t=2, dt1=4, dt2=8, chi_levels=(0.02,), ct_level=0.02,
-                               seed=9, min_samples=3, epsilon=0.3),
-            run_condcorr: dict(detrend_window=0, bin_ratio=2.0),
+                               seed=9),
+            run_condcorr: dict(detrend_window=0),
         }
         for run, command in ((run_invstats, "invstats"), (run_condcorr, "condcorr")):
             assert not set(unread[run]) & set(cc_io.COMMAND_FIELDS[command])
@@ -1111,6 +1106,17 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
             out = capsys.readouterr().out
             if argv == ["invstats"]:
                 assert "--rho-grid" in out and "for the curve" not in out
+
+    def test_help_keeps_the_negative_grid_form_whole(self, capsys, monkeypatch):
+        """The help's ``--rho-grid=-0.05,...`` is wrapped as one word at
+        every terminal width, never split at one of its hyphens."""
+        for columns in range(40, 140):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            for command in ("condcorr", "invstats"):
+                with pytest.raises(SystemExit):
+                    main([command, "--help"])
+                words = capsys.readouterr().out.split()
+                assert "--rho-grid=-0.05,..." in words, (command, columns)
 
     @pytest.mark.parametrize("command", ["simulate", "condcorr", "invstats"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):

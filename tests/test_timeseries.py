@@ -1,7 +1,6 @@
 """Price-series primitives: validation, detrending, alignment."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from condcorr import (
     PriceSeries,
     ValidationError,
     align_panel,
+    analyze_panel,
     detrend_log_price,
 )
 
@@ -79,7 +79,7 @@ class TestDetrend:
         """Entry k is day k + 5 less the mean of days k..k + 10."""
         s = series(np.exp(np.random.default_rng(3).normal(0.0, 0.1, 30)))
         d = detrend_log_price(s, drift_window=11)
-        logp = s.log_closes
+        logp = np.log(s.closes)
         expected = [logp[k + 5] - logp[k:k + 11].mean() for k in range(20)]
         np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)
 
@@ -142,7 +142,7 @@ class TestAlignPanel:
         assert panel.n_stocks == 2 and panel.n_days == 5
         log_prices = np.log(np.vstack([s.closes for s in panel.stocks]))
         np.testing.assert_allclose(log_prices[0], np.arange(5.0))
-        np.testing.assert_allclose(panel.index_series.log_closes, math.log(3.0))
+        np.testing.assert_allclose(np.log(panel.index_series.closes), math.log(3.0))
 
     def test_one_misaligned_member_gives_the_intersection(self):
         d = calendar(12)
@@ -155,7 +155,7 @@ class TestAlignPanel:
         panel = align_panel(stocks, idx)
         common = d[keep & (d != d[0])]
         np.testing.assert_array_equal(panel.calendar, common)
-        expected = np.vstack([s.log_closes[np.isin(s.dates, common)] for s in stocks])
+        expected = np.log(np.vstack([s.closes[np.isin(s.dates, common)] for s in stocks]))
         np.testing.assert_array_equal(np.log(np.vstack([s.closes for s in panel.stocks])),
                                       expected)
         # S2 holds just the common dates and is kept; the rest are rebuilt
@@ -163,8 +163,8 @@ class TestAlignPanel:
         assert panel.stocks[2] is stocks[2]
         assert all(s.dates is panel.calendar for s in (*panel.stocks[:2], panel.stocks[3],
                                                        panel.index_series))
-        np.testing.assert_array_equal(panel.index_series.log_closes,
-                                      idx.log_closes[np.isin(idx.dates, common)])
+        np.testing.assert_array_equal(panel.index_series.closes,
+                                      idx.closes[np.isin(idx.dates, common)])
 
     def test_aligned_members_are_kept(self):
         d = calendar(30)
@@ -176,19 +176,7 @@ class TestAlignPanel:
         assert all(a is b for a, b in zip(panel.stocks, stocks))
         assert panel.index_series is idx
         np.testing.assert_array_equal(np.log(np.vstack([s.closes for s in panel.stocks])),
-                                      np.vstack([s.log_closes for s in stocks]))
-
-
-def traced(compute):
-    """compute() and the tracemalloc current and peak size of the
-    allocations it made: what it keeps, and the most it held at once."""
-    tracemalloc.start()
-    try:
-        result = compute()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, kept, peak
+                                      np.log(np.vstack([s.closes for s in stocks])))
 
 
 class TestFrozenArrays:
@@ -198,7 +186,7 @@ class TestFrozenArrays:
         closes[0] = 9.0
         dates[0] = dates[0] - 1
         assert s.closes[0] == 1.0 and s.dates[0] == calendar(4)[0]
-        for arr in (s.dates, s.closes, s.log_closes):
+        for arr in (s.dates, s.closes):
             assert not arr.flags.writeable
         # read-only arrays of the right dtype that own their data are kept
         for arr in (dates, closes):
@@ -212,13 +200,16 @@ class TestFrozenArrays:
             assert other.dates.flags.owndata and other.closes.flags.owndata
             assert other.dates.dtype == "datetime64[D]" and other.closes.dtype == np.float64
 
-    def test_log_arrays_are_frozen_in_place(self):
-        """``log_closes`` freezes its fresh result instead of copying it.  The
-        panel keeps no log-price matrix: the sweep's returns are taken one
-        stock at a time (``TestReturns`` in test_conditional.py)."""
+    def test_analysis_caches_no_array_on_the_panel(self):
+        """The panel and its series hold only what they were built with: the
+        sweep takes the log closes it needs locally, the index's once and
+        each stock's one at a time (``TestReturns`` in test_conditional.py)."""
         rng = np.random.default_rng(8)
-        s = PriceSeries("S0", calendar(5000), rng.uniform(1.0, 2.0, 5000))
-        log_closes, kept, peak = traced(lambda: s.log_closes)
-        assert log_closes.shape == (5000,) and not log_closes.flags.writeable
-        assert kept <= 1.1 * log_closes.nbytes and peak <= 1.1 * log_closes.nbytes
-        np.testing.assert_array_equal(log_closes, np.log(s.closes))
+        d = calendar(200)
+        stocks = [PriceSeries(f"S{i}", d, rng.uniform(1.0, 2.0, 200)) for i in range(3)]
+        panel = align_panel(stocks, PriceSeries("IDX", d, rng.uniform(1.0, 2.0, 200)))
+        analyze_panel(panel, (-0.05, 0.05), window_range=(2, 4), chi_levels=(0.05,),
+                      ct_levels=(0.05,))
+        assert set(vars(panel)) == {"calendar", "stocks", "index_series"}
+        for s in (*panel.stocks, panel.index_series):
+            assert set(vars(s)) == {"ticker", "dates", "closes"}
