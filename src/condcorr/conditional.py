@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_level
 from .timeseries import AlignedPanel
 
 __all__ = [
@@ -395,9 +395,10 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
     """Run curve, per-pair χ, and time-resolved analyses in one sweep.
 
     chi_levels are |ρ| magnitudes (each expands to a ± pair of conditional
-    runs); ct_levels are signed.  Every requested level shares one gather
-    of the member windows, and the sums are taken once per band between
-    adjacent levels, so adding levels or analyses is nearly free.
+    runs, the sign dropped); ct_levels are signed.  Every level must pass
+    ``errors.check_level``.  Every requested level shares one gather of the
+    member windows, and the sums are taken once per band between adjacent
+    levels, so adding levels or analyses is nearly free.
     """
     dt1, dt2 = window_range
     if not (1 <= dt1 < dt2):
@@ -407,15 +408,13 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
     if panel.n_days <= horizon:
         raise ValidationError(f"panel of {panel.n_days} days too short for horizon {horizon}")
 
-    chi_levels = tuple(abs(float(l)) for l in chi_levels)
+    chi_levels = tuple(abs(check_level("chi_levels", l)) for l in chi_levels)
     if any(lev <= 0 for lev in chi_levels):
         raise ValidationError("chi levels must be positive magnitudes")
     pair_levels = [signed for lev in chi_levels for signed in (-lev, lev)]
-    ct_levels = tuple(float(l) for l in ct_levels)
-    curve_levels = sorted(set(float(r) for r in rho_grid))
+    ct_levels = tuple(check_level("ct_levels", l) for l in ct_levels)
+    curve_levels = sorted({check_level("rho_grid", r) for r in rho_grid})
     levels = sorted(set(curve_levels) | set(pair_levels) | set(ct_levels))
-    if any(np.isnan(levels)):
-        raise ValidationError("levels must be numbers, not NaN")
 
     sums = _sweep(panel, horizon, window_range, levels, pair_levels, ct_levels)
 

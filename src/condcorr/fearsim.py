@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_scalar_fields
+from .errors import ValidationError, check_fields
 from .timeseries import AlignedPanel, PriceSeries
 
 __all__ = [
@@ -54,7 +54,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        check_scalar_fields(self)
+        check_fields(self)
         if self.n_stocks < 1:
             raise ValidationError("n_stocks must be >= 1")
         if self.n_steps < 1:
@@ -64,8 +64,8 @@ class SimConfig:
                 f"fear_probability {self.fear_probability} outside [0, 0.5): "
                 "at 0.5 the compensating up-probability reaches 1"
             )
-        if not 0.0 < self.step_size < np.inf:
-            raise ValidationError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not self.step_size > 0.0:
+            raise ValidationError(f"step_size must be > 0, got {self.step_size}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 

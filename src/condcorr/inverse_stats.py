@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, ValidationError
+from .errors import DataError, InsufficientDataError, ValidationError, check_level
 
 __all__ = [
     "WaitingTimeHistogram",
@@ -261,18 +261,10 @@ def default_fit_range(hist: WaitingTimeHistogram) -> tuple[float, float]:
     return tau_min, tau_max
 
 
-def fit_tail_exponent(hist: WaitingTimeHistogram,
-                      fit_range: tuple[float, float] | None = None) -> TailFit:
-    """Least-squares slope of (ln τ, ln density) over the tail bins.
-
-    The exponent is the negated slope.  Needs at least 4 nonzero bins inside
-    the range; the default range is ``default_fit_range(hist)``.
-    """
-    if fit_range is None:
-        fit_range = default_fit_range(hist)
-    tau_min, tau_max = float(fit_range[0]), float(fit_range[1])
-    if not tau_min < tau_max:
-        raise ValidationError(f"empty fit range [{tau_min}, {tau_max}]")
+def fit_tail_exponent(hist: WaitingTimeHistogram) -> TailFit:
+    """Least-squares slope of (ln τ, ln density) over the tail bins in
+    ``default_fit_range(hist)``, negated; needs 4 nonzero bins there."""
+    tau_min, tau_max = default_fit_range(hist)
     centers = hist.bin_centers
     use = (centers >= tau_min) & (centers <= tau_max) & (hist.densities > 0.0)
     n_bins = int(np.sum(use))
@@ -329,16 +321,16 @@ def gain_loss_report(log_prices, levels) -> GainLossReport:
     prices, such as ``np.log(series.closes)`` or the output of
     ``detrend_log_price``; anything that is not an array of numbers raises
     ValidationError.  A positive asymmetry (mode(+) above mode(−)) means the
-    series reaches losses sooner than equal-sized gains.  Every magnitude is
-    checked before the first scan; each sign runs one descent over every
-    magnitude and bins its waits chunk by chunk, so memory holds the tables
-    (about 6 floats a day) and a 1–2-byte bin lookup.
+    series reaches losses sooner than equal-sized gains.  Every level must
+    pass ``errors.check_level`` and be nonzero, checked before the first
+    scan; each sign runs one descent over every magnitude and bins its waits
+    chunk by chunk, so memory holds the tables (about 6 floats a day) and a
+    1–2-byte bin lookup.
     """
     values = _log_price_values(log_prices)
-    magnitudes = [abs(float(level)) for level in levels]
-    for magnitude in magnitudes:
-        if magnitude == 0.0 or not np.isfinite(magnitude):
-            raise ValidationError("level must be nonzero and finite")
+    magnitudes = [abs(check_level("levels", level)) for level in levels]
+    if 0.0 in magnitudes:
+        raise ValidationError("levels must be nonzero")
     edges = _log_edges(len(values), LOG_BIN_RATIO)
     bin_of = _bin_lookup(edges, len(values))
     offsets = len(edges) * np.arange(len(magnitudes))[:, None]

@@ -16,13 +16,13 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, conditional, inverse_stats
-from .errors import DataError, InsufficientDataError, ValidationError, check_scalar_fields
+from .errors import DataError, InsufficientDataError, ValidationError, check_fields
 from .fearsim import SimConfig, simulate_market, to_aligned_panel
 from .ranktests import RankSumResult, equalize_sizes, wilcoxon_rank_sum
 from .timeseries import (DEFAULT_DETREND_WINDOW, AlignedPanel, PriceSeries, align_panel,
@@ -220,11 +220,10 @@ def _ingest_csv_reader(path, price_column: str = DEFAULT_PRICE_COLUMN):
 class DatasetManifest:
     """Which files make up a panel.  Paths are relative to ``base_dir``.
 
-    ``index_file`` and ``price_column`` must be strings, ``stock_files`` a
-    sequence of at least two ``(ticker, path)`` string pairs with distinct
-    tickers, and ``date_range`` None or two dates ``date.fromisoformat``
-    accepts, the first not after the second (kept as YYYY-MM-DD); a
-    mismatch raises ValidationError naming the field.
+    ``stock_files`` must be a sequence of at least two ``(ticker, path)``
+    string pairs with distinct tickers, and ``date_range`` None or two dates
+    ``date.fromisoformat`` accepts, the first not after the second (kept as
+    YYYY-MM-DD); ``errors.check_fields`` checks the strings.
     """
 
     index_file: str
@@ -234,10 +233,7 @@ class DatasetManifest:
     base_dir: Path = Path(".")
 
     def __post_init__(self):
-        for key in ("index_file", "price_column"):
-            value = getattr(self, key)
-            if not isinstance(value, str):
-                raise ValidationError(f"{key}: expected a string, got {value!r}")
+        check_fields(self)
         pairs = self.stock_files
         if not (isinstance(pairs, (list, tuple)) and all(
                 isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -273,31 +269,33 @@ def _date_range(bounds) -> tuple[str, str]:
     return first.isoformat(), last.isoformat()
 
 
-def _read_json_object(path: Path, noun: str) -> dict:
-    """The JSON object in ``path``; a missing file or invalid JSON raises
-    DataError, any other JSON value ValidationError."""
+def _load_record(cls, path, noun: str, overrides=None, **given):
+    """A ``cls`` from the JSON object in ``path``, then ``overrides``, then the
+    ``given`` fields, which the file may not set.  A missing file or bad JSON
+    raises DataError; a key that is not a field the file may set, or a
+    missing required field, raises ValidationError naming it."""
+    path = Path(path)
     if not path.is_file():
-        raise DataError(f"{path}: no such {noun}")
+        raise DataError(f"{path}: no such {noun} file")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {raw!r}")
-    return raw
+    unknown = set(raw) - {f.name for f in fields(cls)}.difference(given)
+    if unknown:
+        raise ValidationError(f"{path}: unknown {noun} keys {sorted(unknown)}")
+    values = raw | (overrides or {}) | given
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
+    if missing:
+        raise ValidationError(f"{path}: {noun} needs {' and '.join(missing)}")
+    return cls(**values)
 
 
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest JSON: index_file, stock_files, date_range, price_column."""
-    path = Path(path)
-    raw = _read_json_object(path, "manifest")
-    known = {"index_file", "stock_files", "date_range", "price_column"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"{path}: unknown manifest keys {sorted(unknown)}")
-    if "index_file" not in raw or "stock_files" not in raw:
-        raise ValidationError(f"{path}: manifest needs index_file and stock_files")
-    return DatasetManifest(**raw, base_dir=path.parent)
+    return _load_record(DatasetManifest, path, "manifest", base_dir=Path(path).parent)
 
 
 def _load_series(manifest: DatasetManifest, ticker: str, rel: str) -> PriceSeries:
@@ -329,14 +327,10 @@ class RunConfig:
     """Analysis parameters; a command takes flags for and records only its ``COMMAND_FIELDS``.
 
     rho_grid holds signed levels; chi_levels and ct_level are positive
-    magnitudes (each expands to a ± pair).  The inverse-statistics path
-    subtracts a centred moving average over detrend_window days (odd, >= 3;
-    0 turns detrending off).  Each scalar field must hold its type (an int
-    field an integer, a float field an integer or a float; a bool is never a
-    number), and every level a finite number, not a bool or a string; a
-    mismatch raises ValidationError naming the field.  Each level list is
-    kept as a tuple of floats.  seed, the rank tests' subsampling seed, must
-    be >= 0.
+    magnitudes (each expands to a ± pair), no two chi_levels with one ``fmt``
+    tag, which names their report files.  invstats subtracts a centred moving
+    average over detrend_window days (odd, >= 3; 0 turns detrending off).
+    ``errors.check_fields`` checks the types; seed must be >= 0.
     """
 
     delta_t: int = 1
@@ -352,34 +346,22 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_scalar_fields(self)
+        check_fields(self)
         if self.delta_t < 1:
             raise ValidationError("delta_t must be >= 1")
         if not 1 <= self.dt1 < self.dt2:
             raise ValidationError(
                 f"need 1 <= dt1 < dt2, got dt1={self.dt1}, dt2={self.dt2}"
             )
-        for key in ("rho_grid", "chi_levels"):
-            levels = getattr(self, key)
-            if not isinstance(levels, (list, tuple)):
-                raise ValidationError(f"{key}: expected a list of numbers, got {levels!r}")
-            for level in levels:
-                try:
-                    if isinstance(level, bool):
-                        raise TypeError
-                    finite = math.isfinite(level)
-                except TypeError:
-                    raise ValidationError(f"{key}: {level!r} is not a number") from None
-                if not finite:
-                    raise ValidationError(f"{key}: {level!r} is not finite")
-            object.__setattr__(self, key, tuple(map(float, levels)))
         if len(self.rho_grid) == 0:
             raise ValidationError("rho_grid must not be empty")
         if any(level <= 0 for level in self.chi_levels):
             raise ValidationError("chi_levels must be positive magnitudes")
-        if not (math.isfinite(self.ct_level) and self.ct_level > 0):
-            raise ValidationError("ct_level must be a finite positive magnitude")
-        object.__setattr__(self, "ct_level", float(self.ct_level))
+        tags = [fmt(level) for level in self.chi_levels]
+        if len(set(tags)) < len(tags):
+            raise ValidationError(f"chi_levels must not repeat a level, got {', '.join(tags)}")
+        if self.ct_level <= 0:
+            raise ValidationError("ct_level must be a positive magnitude")
         if self.detrend_window and (self.detrend_window < 3 or self.detrend_window % 2 == 0):
             raise ValidationError("detrend_window must be 0 (off) or odd and >= 3")
         if self.seed < 0:
@@ -403,14 +385,10 @@ COMMAND_FIELDS = {"condcorr": ("delta_t", "dt1", "dt2", "rho_grid", "chi_levels"
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional flat JSON file plus overrides; a
-    None override is not given.  ``RunConfig`` checks every value."""
-    values = {} if path is None else _read_json_object(Path(path), "config file")
-    unknown = set(values) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ValidationError(f"{Path(path)}: unknown config keys {sorted(unknown)}")
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return RunConfig(**values)
+    """Build a RunConfig from an optional flat JSON file plus overrides, which
+    beat the file; a None override is not given."""
+    values = {k: v for k, v in (overrides or {}).items() if v is not None}
+    return RunConfig(**values) if path is None else _load_record(RunConfig, path, "config", values)
 
 
 # ---------------------------------------------------------------------------

@@ -766,11 +766,22 @@ class TestAnalyzePanel:
         with pytest.raises(ValidationError):
             analyze_panel(p, [-0.01, 0.01], window_range=(2, 3), chi_levels=(0.0,))
 
-    def test_rejects_nan_level(self, rng):
+    @pytest.mark.parametrize("levels, message", [
         # a NaN cannot be ordered among the levels that split the index returns
+        ({"rho_grid": [-0.01, math.nan, 0.01]}, "rho_grid: nan is not finite"),
+        # an infinite level would select no window, or every window
+        ({"rho_grid": (math.inf, -0.05)}, "rho_grid: inf is not finite"),
+        ({"ct_levels": (-math.inf,)}, "ct_levels: -inf is not finite"),
+        ({"chi_levels": (math.inf,)}, "chi_levels: inf is not finite"),
+        ({"rho_grid": ("0.05",)}, "rho_grid: '0.05' is not a number"),
+        ({"ct_levels": (True,)}, "ct_levels: True is not a number"),
+    ], ids=["nan", "inf", "ct-minus-inf", "chi-inf", "string", "bool"])
+    def test_rejects_level_that_is_not_a_finite_number(self, rng, levels, message):
+        """Every level passes the one rule ``RunConfig`` applies to its level
+        lists, ``errors.check_level``."""
         p = random_oracle_panel(rng)
-        with pytest.raises(ValidationError):
-            analyze_panel(p, [-0.01, float("nan"), 0.01], window_range=(2, 3))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            analyze_panel(p, **{"rho_grid": (), **levels}, window_range=(2, 3))
 
     def test_window_range_validated(self, rng):
         p = random_oracle_panel(rng)

@@ -78,6 +78,7 @@ class TestConfigValidation:
         ("seed", -1, "must be >= 0"),
         ("step_size", math.inf, "must be finite"),
         ("step_size", math.nan, "must be finite"),
+        pytest.param("step_size", 10**400, "must be finite", id="step_size-huge-int"),
     ])
     def test_rejects_bad_values_naming_the_field(self, field, value, message):
         """A mistyped, negative or non-finite value is a ValidationError
@@ -86,6 +87,10 @@ class TestConfigValidation:
                   "step_size": 0.01, "seed": 0, field: value}
         with pytest.raises(ValidationError, match=f"^{field}.*{message}"):
             SimConfig(**values)
+
+    def test_float_fields_kept_as_floats(self):
+        config = SimConfig(n_stocks=2, n_steps=10, fear_probability=0, step_size=1, seed=0)
+        assert type(config.fear_probability) is float and type(config.step_size) is float
 
     def test_result_arrays_are_immutable(self):
         panel = run()

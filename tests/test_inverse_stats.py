@@ -79,7 +79,7 @@ class TestFirstPassage:
 
     def test_validation(self, no_scan):
         """A bad level or series raises before any table is built."""
-        for level in (0.0, math.nan):
+        for level in (0.0, math.nan, -math.inf, "0.05", True):
             with pytest.raises(ValidationError):
                 gain_loss_report(np.array([0.0, 0.1]), [level])
         with pytest.raises(ValidationError):
@@ -233,10 +233,12 @@ class TestTailFit:
     @pytest.mark.parametrize("exponent", [1.5, 2.0])
     def test_recovers_exact_power_law(self, exponent):
         h = power_law_histogram(exponent)
-        fit = fit_tail_exponent(h, fit_range=(h.bin_centers[0], h.bin_centers[-1]))
+        fit = fit_tail_exponent(h)
         assert fit.exponent == pytest.approx(exponent, abs=1e-9)
         assert fit.stderr == pytest.approx(0.0, abs=1e-6)
-        assert fit.n_bins == len(h.bin_centers)
+        # every bin is well filled, so the fit runs from 3x the mode to the end
+        assert fit.fit_range == (3.0 * h.mode, h.bin_centers[-1])
+        assert fit.n_bins == int(np.sum(h.bin_centers >= 3.0 * h.mode)) == 12
 
     def test_default_range_semantics(self):
         taus = [2] * 40 + [3] * 25 + [5] * 18 + [9] * 11 + [15] * 7 + [30] * 3
@@ -252,14 +254,10 @@ class TestTailFit:
             default_fit_range(h)
 
     def test_fit_needs_four_nonzero_bins(self):
-        h = power_law_histogram(1.5, n_bins=6)
-        with pytest.raises(InsufficientDataError):
-            fit_tail_exponent(h, fit_range=(h.bin_centers[0], h.bin_centers[2]))
-
-    def test_inverted_range_rejected(self):
-        h = power_law_histogram(1.5)
-        with pytest.raises(ValidationError):
-            fit_tail_exponent(h, fit_range=(10.0, 2.0))
+        # 5 bins leave 3 past 3x the mode, 6 leave the 4 a fit needs
+        with pytest.raises(InsufficientDataError, match="^only 3 nonzero bins"):
+            fit_tail_exponent(power_law_histogram(1.5, n_bins=5))
+        assert fit_tail_exponent(power_law_histogram(1.5, n_bins=6)).n_bins == 4
 
     @pytest.mark.parametrize("case", ["fair-walk", "power-law", "flat"])
     def test_matches_linregress_exactly(self, case):
@@ -271,13 +269,12 @@ class TestTailFit:
             steps = np.where(rng.random(200_000) < 0.5, 0.01, -0.01)
             values = np.concatenate([[0.0], np.cumsum(steps)])
             h = gain_loss_report(values, [0.1]).entry(0.1).plus
-            fit_range = default_fit_range(h)
         else:
             h = power_law_histogram(1.5)
             if case == "flat":
                 h = dataclasses.replace(h, densities=np.ones_like(h.densities))
-            fit_range = (h.bin_centers[0], h.bin_centers[-1])
-        fit = fit_tail_exponent(h, fit_range)
+        fit = fit_tail_exponent(h)
+        fit_range = default_fit_range(h)
         c = h.bin_centers
         use = (c >= fit_range[0]) & (c <= fit_range[1]) & (h.densities > 0.0)
         ref = stats.linregress(np.log(c[use]), np.log(h.densities[use]))

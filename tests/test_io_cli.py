@@ -36,7 +36,8 @@ from condcorr import (
     to_aligned_panel,
 )
 from condcorr.cli import build_parser, main
-from condcorr.io import fmt, write_price_csv
+from condcorr.errors import FIELD_TYPES
+from condcorr.io import DatasetManifest, fmt, write_price_csv
 
 from conftest import calendar
 
@@ -84,6 +85,16 @@ def test_every_exported_name_resolves():
     for module in modules:
         stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert stale == [], module.__name__
+
+
+def test_no_field_goes_unchecked():
+    """Every field of a record built from outside input has an annotation
+    ``check_fields`` checks, or is one of the few its record checks by hand."""
+    hand_checked = {"stock_files", "date_range", "base_dir"}
+    assert hand_checked <= {f.name for f in dataclasses.fields(DatasetManifest)}
+    for record in (SimConfig, RunConfig, DatasetManifest):
+        for f in dataclasses.fields(record):
+            assert f.type in FIELD_TYPES or f.name in hand_checked, (record.__name__, f.name)
 
 
 class TestFmt:
@@ -413,10 +424,16 @@ class TestManifest:
         payload = self.base_payload() | {"frequency": "daily"}
         with pytest.raises(ValidationError, match="frequency"):
             load_manifest(self.manifest_file(tmp_path, payload))
+        # the manifest's own directory is the base, never a key of it
+        payload = self.base_payload() | {"base_dir": "/elsewhere"}
+        with pytest.raises(ValidationError, match=r"unknown manifest keys \['base_dir'\]"):
+            load_manifest(self.manifest_file(tmp_path, payload))
 
     def test_required_keys(self, tmp_path):
         with pytest.raises(ValidationError, match="index_file"):
             load_manifest(self.manifest_file(tmp_path, {"stock_files": []}))
+        with pytest.raises(ValidationError, match="manifest needs index_file and stock_files$"):
+            load_manifest(self.manifest_file(tmp_path, {}))
 
     def test_too_few_stocks(self, tmp_path):
         payload = self.base_payload() | {"stock_files": [["A", "A.csv"]]}
@@ -525,10 +542,12 @@ class TestRunConfig:
                 RunConfig(detrend_window=window)
         assert RunConfig(detrend_window=3).detrend_window == 3
         # chi_levels and ct_level are magnitudes: a sign or a zero would
-        # silently swap or merge the ± runs
-        for bad in ((-0.05,), (0.03, 0.0)):
+        # silently swap or merge the ± runs; two χ levels with one 12-digit
+        # tag would write the same report files and Wilcoxon row twice
+        for bad in ((-0.05,), (0.03, 0.0), (0.03, 0.05, 0.050), (0.05, 0.05000000000001)):
             with pytest.raises(ValidationError, match="chi_levels"):
                 RunConfig(chi_levels=bad)
+        assert RunConfig(chi_levels=(0.05, 0.0500000000001)).chi_levels == (0.05, 0.0500000000001)
         for bad in (0.0, -0.02):
             with pytest.raises(ValidationError, match="ct_level"):
                 RunConfig(ct_level=bad)
@@ -564,6 +583,8 @@ class TestRunConfig:
         ("rho_grid", (0.05, "0.1"), "'0.1' is not a number"),
         ("rho_grid", (True, 0.05), "True is not a number"),
         ("chi_levels", 0.05, "expected a list of numbers, got 0.05"),
+        # an integer past the largest float is no finite level either
+        pytest.param("chi_levels", (10**400,), f"{10**400} is not finite", id="huge-int"),
     ])
     def test_direct_construction_checks_levels(self, field, levels, message):
         """Built from Python, a level that is not a finite number is refused
@@ -978,6 +999,12 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
             ("detrend-window-1", ["invstats"], ["--detrend-window", "1"], None, "detrend_window"),
             ("detrend-window-2-json", BOTH, [], {"detrend_window": 2}, "detrend_window"),
             ("zero-level", ["invstats"], ["--rho-grid=0,0.05"], None, "must not contain 0"),
+            ("repeated-chi-level", ["condcorr"], ["--chi-levels", "0.05,0.05,0.050"], None,
+             "chi_levels must not repeat a level, got 0.05, 0.05, 0.05"),
+            ("repeated-chi-level-json", BOTH, [], {"chi_levels": [0.05, 0.05000000000001]},
+             "chi_levels must not repeat a level"),
+            ("huge-ct-level-json", BOTH, [], {"ct_level": 10**400}, "ct_level must be finite"),
+            ("huge-level-json", BOTH, [], {"rho_grid": [10**400]}, "rho_grid: 1000"),
         ]
         for command in case[1]
     ])
