@@ -64,7 +64,8 @@ __all__ = [
 
 # variance at or below mean-square × this is treated as zero volatility
 _REL_VAR_FLOOR = 1e-12
-_CHUNK = 256
+_CHUNK = 256  # starts per chunk of the sweep, at most
+_CHUNK_FLOATS = 1 << 22  # the kernel's scratch per chunk: 32 MiB, 256 starts at the default spans
 _ROWS = 256  # grid rows (starts) per partial sum of the curve's member sums
 
 DEFAULT_WINDOW_RANGE = (10, 35)
@@ -217,9 +218,10 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, 
 
 @dataclass(frozen=True)
 class _SweepSums:
-    """Member sums of one sweep over the window sizes ``spans``.
+    """Member sums of one sweep over the window sizes ``spans``, the
+    requested ones that fit in the panel.
 
-    stats is (3, n_spans, n_levels): the members with a defined S_0, and
+    stats is (3, len(spans), n_levels): the members with a defined S_0, and
     Σ S_0 and Σ S_0² over them, summed in start order.  pair_num,
     pair_den and pair_members are (n_pair_levels, N, N): the sum over δt of
     each pair's member mean, the δt count behind it, and the member windows
@@ -258,6 +260,9 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
     returns = _returns(panel, horizon)
     n_returns, n = returns.shape
     dt1, dt2 = window_range
+    # a window longer than the returns has no members: run the spans up to
+    # the longest that fits (dt1 alone, with no starts, if none fits)
+    dt2 = max(dt1, min(dt2, n_returns - 1))
     spans = np.arange(dt1, dt2 + 1)
     n_bands = len(levels) + 2
     member = _held_bands(levels, levels)
@@ -282,9 +287,11 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
 
     s0 = np.full(bands.shape, np.nan)
     products = np.zeros((2, len(spans), len(pair_member), n, n))  # Σ Zᵀ Z, Σ Dᵀ D
-    work = np.empty(_CHUNK * ((dt2 + 1) * n + 2 * len(spans) * n + (dt2 + 1) * len(spans)))
-    for lo in range(0, len(starts), _CHUNK):
-        t = starts[lo:lo + _CHUNK]
+    per_start = (dt2 + 1) * n + 2 * len(spans) * n + (dt2 + 1) * len(spans)
+    chunk = max(1, min(_CHUNK, _CHUNK_FLOATS // per_start))
+    work = np.empty(chunk * per_start)
+    for lo in range(0, len(starts), chunk):
+        t = starts[lo:lo + chunk]
         block, mean, scale, s0[t] = _window_kernel(returns, t, dt1, dt2, work)
         pair_band = pair_row[bands[t]]
         for j in np.flatnonzero((pair_band >= 0).any(axis=0)):  # the spans with χ rows
@@ -327,9 +334,10 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
                       time_resolved)
 
 
-def _curve_point(sums: _SweepSums, i: int, rho: float) -> CurvePoint | None:
+def _curve_point(sums: _SweepSums, i: int, rho: float, n_spans: int) -> CurvePoint | None:
     """C(ρ) of level i of a sweep, the mean over δt of the member means;
-    None when no δt has members."""
+    None when no δt has members.  Of the n_spans requested δt, those with
+    no members, the ones too long for the panel included, are excluded."""
     counts, level_sums, level_sumsqs = sums.stats[:, :, i]
     have, ok = counts > 0, counts > 1
     if not np.any(have):
@@ -341,7 +349,7 @@ def _curve_point(sums: _SweepSums, i: int, rho: float) -> CurvePoint | None:
     se2 = var * (sums.spans[ok] + 1) / (counts[ok] - 1)
     total = int(counts.sum())
     return CurvePoint(rho=rho, value=float(np.mean(level_sums[have] / counts[have])),
-                      sample_count=total, excluded_windows=int(np.sum(~have)),
+                      sample_count=total, excluded_windows=n_spans - int(np.sum(have)),
                       stderr=float(np.sqrt(np.mean(se2))) if np.any(ok) else None,
                       flagged=total < MIN_SAMPLES)
 
@@ -418,7 +426,7 @@ def analyze_panel(panel: AlignedPanel, rho_grid: Sequence[float],
 
     sums = _sweep(panel, horizon, window_range, levels, pair_levels, ct_levels)
 
-    points = (_curve_point(sums, levels.index(lev), lev) for lev in curve_levels)
+    points = (_curve_point(sums, levels.index(lev), lev, dt2 - dt1 + 1) for lev in curve_levels)
     curve = CorrelationCurve(points=tuple(p for p in points if p is not None))
 
     chi = {lev: _chi_report(panel, sums, 2 * k, 2 * k + 1)

@@ -1,6 +1,7 @@
 """Synthetic fear-factor market: marginals, synchronization, reproducibility."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -199,6 +200,18 @@ class TestBlockedSimulation:
         self.assert_matches_one_shot(SimConfig(
             n_stocks=12, n_steps=n_steps, fear_probability=0.05,
             step_size=0.01, seed=n_steps))
+
+    @pytest.mark.parametrize("n_stocks", [1, 12])
+    @pytest.mark.parametrize("step_size", [0.1, 7.7, 5e-324, 9e307, 1e308, sys.float_info.max])
+    def test_matches_one_shot_at_any_step_size(self, step_size, n_stocks):
+        """Every finite δ gives the one-shot generator's bytes, the smallest
+        subnormal and the float maximum included, where the walk overflows to
+        ±inf and then NaN.  The δ > max/2 cases catch a fill by 2δ·up − δ,
+        whose 2δ overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_matches_one_shot(SimConfig(
+                n_stocks=n_stocks, n_steps=B + 1, fear_probability=0.05,
+                step_size=step_size, seed=7))
 
     def test_multi_block_fear_market(self):
         cfg = SimConfig(n_stocks=30, n_steps=2 * B + 3, fear_probability=0.4,

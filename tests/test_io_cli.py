@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import condcorr
+from condcorr import conditional
 from condcorr import io as cc_io
 from condcorr import (
     DataError,
@@ -967,6 +969,36 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         ]) == 0
         written = json.loads((out / "summary.json").read_text())["config"]
         assert written["dt1"] == 3 and written["dt2"] == 7
+
+    def test_long_window_memory_is_bounded(self, tmp_path):
+        """A window range past the panel runs the spans that fit and counts
+        the rest as excluded.  On a 3-stock, 300-day market the kernel's
+        scratch grew with dt2²: 175 MiB at dt2 = 299, one day short of the
+        panel, and 18.6 TiB at dt2 = 100,000 (exit 1).  It is now bounded by
+        ``conditional._CHUNK_FLOATS``, and both runs give one curve."""
+        data = tmp_path / "market"
+        assert main(["simulate", "--n-stocks", "3", "--n-steps", "299",
+                     "--fear-probability", "0.05", "--seed", "1", "--out", str(data)]) == 0
+        curves = {}
+        for dt2 in (299, 100_000):
+            cfg = tmp_path / f"dt2-{dt2}.json"
+            cfg.write_text(json.dumps({"dt2": dt2}))
+            out = tmp_path / f"cc-{dt2}"
+            tracemalloc.start()
+            try:
+                code = main(["condcorr", "--manifest", str(data / "manifest.json"),
+                             "--out", str(out), "--config", str(cfg)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 1.5 * 8 * conditional._CHUNK_FLOATS
+            curves[dt2] = json.loads((out / "summary.json").read_text())["curve"]
+        fit, past = curves[299], curves[100_000]
+        assert fit.keys() == past.keys() and fit
+        for level, point in fit.items():
+            assert past[level]["n_excluded_windows"] == point["n_excluded_windows"] + 100_000 - 299
+            assert past[level]["C"] == point["C"]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         data = simulated_dataset(tmp_path)
