@@ -470,18 +470,24 @@ def write_price_csv(path, series: PriceSeries, *, dates: list[str] | None = None
 
     ``dates``, when given, are the series' dates already formatted as
     YYYY-MM-DD, so a caller writing many series on one calendar formats it
-    once.
+    once; there must be one for each close.  Each distinct close is rendered
+    once: a simulated stock's closes lie on the lattice exp(k·δ), so a file
+    of thousands of rows holds a few hundred distinct values.
     """
     if dates is None:
         dates = np.datetime_as_string(series.dates).tolist()
-    closes = series.closes.tolist()
-    # one %-format for the whole file: "%.12g" renders a float as fmt does,
-    # and each piece keeps its trailing comma
-    values = (("%.12g,\n" * len(closes)) % tuple(closes)).split("\n")
-    rows = [",".join(CSV_HEADER) + "\n"]
-    rows += [f"{date},{v}{v}{v}{v}{v}0\n" for date, v in zip(dates, values)]
+    if len(dates) != len(series):
+        raise ValidationError(f"{series.ticker}: {len(dates)} dates vs {len(series)} closes")
+    distinct, inverse = np.unique(series.closes, return_inverse=True)
+    # one %-format over the distinct closes: "%.12g" renders a float as fmt does
+    values = ("%.12g\n" * len(distinct) % tuple(distinct.tolist())).split("\n")[:-1]
+    tails = np.array([f",{v},{v},{v},{v},{v},0\n" for v in values], dtype=object)
+    # the header, then each row's date and tail in turn
+    pieces = [",".join(CSV_HEADER) + "\n"] * (2 * len(dates) + 1)
+    pieces[1::2] = dates
+    pieces[2::2] = tails[inverse].tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(rows))
+        fh.write("".join(pieces))
 
 
 def run_simulate(sim_config: SimConfig, output_dir) -> dict:

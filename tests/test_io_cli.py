@@ -681,7 +681,7 @@ class TestSimulateRoundTrip:
     @given(closes=st.lists(st.one_of(
         st.floats(min_value=5e-324, max_value=1.7e308),
         st.sampled_from([1e-05, 1e-5 * (1 + 2**-52), 1e+16, 123456789012.5, 1e300,
-                         5e-324, 0.1, 1.0, 100.0])), min_size=1, max_size=40))
+                         5e-324, 0.1, 1.0, 100.0])), min_size=0, max_size=40))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_written_values_are_fmt(self, tmp_path, closes):
@@ -691,6 +691,33 @@ class TestSimulateRoundTrip:
         write_price_csv(path, PriceSeries("T", calendar(len(closes)), closes))
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[1:] for row in rows] == [[fmt(c)] * 5 + ["0"] for c in closes]
+
+    @pytest.mark.parametrize("kind", ["lattice", "all-distinct", "one-row", "empty"])
+    def test_price_csv_matches_per_row_rendering(self, tmp_path, kind):
+        """Rendering each distinct close once writes the bytes of rendering
+        every row on its own."""
+        if kind == "lattice":
+            series = to_aligned_panel(simulate_market(SimConfig(
+                n_stocks=2, n_steps=500, fear_probability=0.1, step_size=0.01,
+                seed=3))).stocks[0]
+            assert len(np.unique(series.closes)) < len(series)
+        else:
+            n = {"all-distinct": 300, "one-row": 1, "empty": 0}[kind]
+            series = PriceSeries("T", calendar(n), np.exp(np.sin(np.arange(n) + 0.5)))
+            assert len(np.unique(series.closes)) == len(series)
+        path = tmp_path / "T.csv"
+        write_price_csv(path, series)
+        dates = np.datetime_as_string(series.dates).tolist()
+        assert path.read_text(encoding="utf-8") == CSV_HEADER + "".join(
+            f"{date},{fmt(c)},{fmt(c)},{fmt(c)},{fmt(c)},{fmt(c)},0\n"
+            for date, c in zip(dates, series.closes))
+
+    def test_price_csv_dates_must_match_series_length(self, tmp_path):
+        s = PriceSeries("T", calendar(3), np.array([1.0, 2.0, 3.0]))
+        path = tmp_path / "T.csv"
+        with pytest.raises(ValidationError, match="T: 1 dates vs 3 closes"):
+            write_price_csv(path, s, dates=["2000-01-03"])
+        assert not path.exists()
 
     def test_price_csv_golden_bytes(self, tmp_path):
         s = PriceSeries("T", np.array(["2000-01-03", "2000-01-04", "2000-01-05"],
