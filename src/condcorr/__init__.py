@@ -47,6 +47,7 @@ from .inverse_stats import (
 from .io import (
     DatasetManifest,
     RunConfig,
+    directional_tests,
     ingest_csv,
     load_manifest,
     load_panel,

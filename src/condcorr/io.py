@@ -1,4 +1,4 @@
-"""Data ingestion, run configuration, and result persistence.
+"""Data ingestion, run configuration, persistence, and the directional tests.
 
 Input CSVs follow the daily-quote schema ``Date,Open,High,Low,Close,Adj
 Close,Volume`` with ISO dates.  All numeric output uses 12 significant
@@ -6,6 +6,9 @@ digits; p-values are written as log10(p) because the z scores of interest
 live far beyond double-precision tail printing.  Every run writes a
 ``summary.json`` recording the settings it reads and the input hashes that
 reproduce it; summaries carry no timestamps, so reruns are byte-identical.
+``directional_tests`` lives here, calling ``wilcoxon_rank_sum`` through this
+module's namespace, because perfbench records and traces every rank-sum
+call the pipeline makes by replacing ``condcorr.io.wilcoxon_rank_sum``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "load_manifest",
     "load_panel",
     "load_run_config",
+    "directional_tests",
     "run_simulate",
     "run_condcorr",
     "run_invstats",
@@ -432,10 +436,10 @@ def write_time_resolved_tsv(path, tr: conditional.TimeResolvedCorrelation,
     ))
 
 
-def write_wilcoxon_tsv(path, rows: list[tuple[float, RankSumResult]]):
+def write_wilcoxon_tsv(path, tests: dict[float, RankSumResult | None]):
     _write_tsv(Path(path), ["rho", "z", "log10_p", "n"], (
         [fmt(rho), fmt(r.z), fmt(r.log10_p), str(min(r.n_a, r.n_b))]
-        for rho, r in rows
+        for rho, r in tests.items() if r is not None
     ))
 
 
@@ -529,17 +533,36 @@ def _input_hashes(manifest: DatasetManifest) -> dict:
     return {t: _sha256(p) for t, p in sorted(files.items())}
 
 
-def _rank_test(plus: np.ndarray, minus: np.ndarray, seed: int) -> RankSumResult | None:
-    """Rank-sum test of ``plus`` against ``minus`` after trimming the larger
-    side to the smaller's size; None below 2 values a side."""
-    plus, minus = equalize_sizes(plus, minus, seed)
-    return wilcoxon_rank_sum(plus, minus) if len(plus) >= 2 else None
+def directional_tests(analysis: conditional.PanelAnalysis, seed: int = 0):
+    """The rank-sum tests of ``analysis``'s plus side against its minus side.
+
+    Returns two dicts of ``RankSumResult``: the pair tests, keyed by χ
+    magnitude in ``analysis.chi`` order, over each pair's C(+) against its
+    C(−); then the time tests, keyed by each positive C_t level ``l`` whose
+    ``-l`` is also in ``analysis.time_resolved``, over C_t(l) against
+    C_t(−l).  The larger side is first trimmed to the smaller's size with
+    ``equalize_sizes(seed)``.  A test is skipped, its value None, when a
+    side then has fewer than 2 values or every pooled value is equal.
+    """
+    def test(plus, minus):
+        plus, minus = equalize_sizes(np.asarray(plus), np.asarray(minus), seed)
+        pooled = np.concatenate((plus, minus))
+        if len(plus) < 2 or pooled.min() == pooled.max():
+            return None
+        return wilcoxon_rank_sum(plus, minus)
+
+    pairs = {level: test([p.c_plus for p in report.pairs if p.c_plus is not None],
+                         [p.c_minus for p in report.pairs if p.c_minus is not None])
+             for level, report in analysis.chi.items()}
+    ct = analysis.time_resolved
+    return pairs, {level: test(tr.values, ct[-level].values)
+                   for level, tr in ct.items() if level > 0 and -level in ct}
 
 
-def _rank_tests_summary(tests: list[tuple[float, RankSumResult]]) -> dict:
-    """The summary.json block of one Wilcoxon table: z, log10(p), n per level."""
+def _rank_tests_summary(tests: dict[float, RankSumResult | None]) -> dict:
+    """The summary.json block of one Wilcoxon table: z, log10(p), n per level run."""
     return {fmt(level): {"z": r.z, "log10_p": r.log10_p, "n": min(r.n_a, r.n_b)}
-            for level, r in tests}
+            for level, r in tests.items() if r is not None}
 
 
 def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir,
@@ -547,9 +570,8 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
     """Full conditional-correlation pipeline -> TSV reports + summary.json.
 
     Emits the ρ-curve, per-pair χ distributions and conditional values, the
-    ±ct_level time-resolved C_t series, and two Wilcoxon tables: one over
-    per-pair conditional correlations, one over the C_t samples (the larger
-    side subsampled to equal size first).
+    ±ct_level time-resolved C_t series, and the pair and time Wilcoxon
+    tables of ``directional_tests``.
     """
     out = _output_dir(output_dir)
     if panel is None:
@@ -566,29 +588,15 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
         ct_levels=ct_levels,
     )
     write_curve_tsv(out / "curve.tsv", analysis.curve)
-
-    pair_tests: list[tuple[float, RankSumResult]] = []
-    skipped_pair_tests = []
     for level in config.chi_levels:
-        report = analysis.chi[level]
         tag = fmt(level)
-        write_chi_tsv(out / f"chi_{tag}.tsv", report)
-        write_pair_conditionals_tsv(out / f"pairs_{tag}.tsv", report)
-        test = _rank_test(
-            np.array([p.c_plus for p in report.pairs if p.c_plus is not None]),
-            np.array([p.c_minus for p in report.pairs if p.c_minus is not None]),
-            config.seed)
-        if test is None:
-            skipped_pair_tests.append(level)
-        else:
-            pair_tests.append((level, test))
+        write_chi_tsv(out / f"chi_{tag}.tsv", analysis.chi[level])
+        write_pair_conditionals_tsv(out / f"pairs_{tag}.tsv", analysis.chi[level])
+    for level, side in zip(ct_levels, ("plus", "minus")):
+        write_time_resolved_tsv(out / f"ct_{side}_{fmt(config.ct_level)}.tsv",
+                                analysis.time_resolved[level], panel.calendar)
+    pair_tests, ct_tests = directional_tests(analysis, config.seed)
     write_wilcoxon_tsv(out / "wilcoxon_pairs.tsv", pair_tests)
-
-    ct_plus, ct_minus = (analysis.time_resolved[level] for level in ct_levels)
-    for side, tr in (("plus", ct_plus), ("minus", ct_minus)):
-        write_time_resolved_tsv(out / f"ct_{side}_{fmt(config.ct_level)}.tsv", tr, panel.calendar)
-    ct_test = _rank_test(ct_plus.values, ct_minus.values, config.seed)
-    ct_tests = [] if ct_test is None else [(config.ct_level, ct_test)]
     write_wilcoxon_tsv(out / "wilcoxon_time.tsv", ct_tests)
 
     summary = {
@@ -620,7 +628,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
             for level in config.chi_levels
         },
         "wilcoxon_pairs": _rank_tests_summary(pair_tests),
-        "wilcoxon_pairs_skipped": [fmt(l) for l in skipped_pair_tests],
+        "wilcoxon_pairs_skipped": [fmt(l) for l, r in pair_tests.items() if r is None],
         "wilcoxon_time": _rank_tests_summary(ct_tests),
         "version": __version__,
     }

@@ -19,13 +19,13 @@ from condcorr import (
     SimConfig,
     analyze_panel,
     detrend_log_price,
+    directional_tests,
     fit_tail_exponent,
     gain_loss_report,
     simulate_market,
     to_aligned_panel,
     wilcoxon_rank_sum,
 )
-from condcorr.ranktests import equalize_sizes
 
 import reference
 from conftest import (
@@ -52,18 +52,6 @@ def control_market(p, seed, n_stocks=30, n_steps=100_000):
 def control_analysis(panel):
     return analyze_panel(panel, CONTROL_GRID, window_range=WINDOW_RANGE,
                          horizon=1, chi_levels=CONTROL_MAGNITUDES)
-
-
-def pair_rank_sum_z(report, seed=0):
-    """Rank-sum z over per-pair conditional correlations, larger side
-    subsampled to equal size (the pipeline's convention); None when the
-    samples are too small to test."""
-    plus = np.array([p.c_plus for p in report.pairs if p.c_plus is not None])
-    minus = np.array([p.c_minus for p in report.pairs if p.c_minus is not None])
-    plus, minus = equalize_sizes(plus, minus, seed)
-    if len(plus) < 2 or len(plus) + len(minus) < 4:
-        return None
-    return wilcoxon_rank_sum(plus, minus).z
 
 
 def test_conditional_pipeline_matches_direct_definitions():
@@ -180,18 +168,18 @@ def test_fear_market_directional_correlation_control():
         assert not analysis.curve.point(mag).flagged
         assert not analysis.curve.point(-mag).flagged
 
+    pair_tests, _ = directional_tests(analysis)
     zs = {}
     for mag in CONTROL_MAGNITUDES:
-        z = pair_rank_sum_z(analysis.chi[mag])
-        assert z is not None
-        zs[mag] = z
+        assert pair_tests[mag] is not None
+        zs[mag] = z = pair_tests[mag].z
         assert z < -3.0, f"pair rank-sum z at |rho|={mag} is {z:.2f}"
 
     rerun = control_analysis(control_market(p=0.05, seed=CONTROL_SEED))
     for p_once, p_again in zip(analysis.curve.points, rerun.curve.points):
         assert p_once.value == p_again.value and p_once.rho == p_again.rho
-    for mag in CONTROL_MAGNITUDES:
-        assert pair_rank_sum_z(rerun.chi[mag]) == zs[mag]
+    rerun_tests, _ = directional_tests(rerun)
+    assert {mag: rerun_tests[mag].z for mag in CONTROL_MAGNITUDES} == zs
 
     elapsed = time.perf_counter() - started
     print("\n".join(lines))
@@ -231,8 +219,7 @@ def test_null_market_shows_no_directional_asymmetry():
     worst_gap_ratio = 0.0
     for seed in range(1, 21):
         analysis = control_analysis(control_market(p=0.0, seed=seed))
-        zs = [pair_rank_sum_z(analysis.chi[mag]) for mag in CONTROL_MAGNITUDES]
-        zs = [z for z in zs if z is not None]
+        zs = [r.z for r in directional_tests(analysis)[0].values() if r is not None]
         if zs and all(abs(z) < 3.0 for z in zs):
             quiet_runs += 1
         if zs:
@@ -273,8 +260,7 @@ def test_symmetric_null_shows_no_directional_asymmetry():
     quiet_runs = 0
     for seed in range(1, 21):
         analysis = control_analysis(symmetric_market(30, 20_000, 0.01, 0.05, seed))
-        zs = [pair_rank_sum_z(analysis.chi[mag]) for mag in CONTROL_MAGNITUDES]
-        zs = [z for z in zs if z is not None]
+        zs = [r.z for r in directional_tests(analysis)[0].values() if r is not None]
         if zs and all(abs(z) < 3.0 for z in zs):
             quiet_runs += 1
     elapsed = time.perf_counter() - started

@@ -27,6 +27,8 @@ from condcorr import (
     RunConfig,
     SimConfig,
     ValidationError,
+    analyze_panel,
+    directional_tests,
     ingest_csv,
     load_manifest,
     load_panel,
@@ -798,6 +800,39 @@ class TestRunCondcorr:
         summary = run_condcorr(None, small_config(), tmp_path / "t", panel=sim)
         assert summary["wilcoxon_pairs"] == {}
         assert summary["wilcoxon_pairs_skipped"] == ["0.01"]
+        analysis = analyze_panel(sim, (0.01,), window_range=(3, 6), chi_levels=(0.01,))
+        assert directional_tests(analysis)[0] == {0.01: None}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_summary_blocks_are_the_directional_tests(self, tmp_path, seed):
+        """The summary's rank-test blocks hold ``directional_tests`` of the
+        analysis the run makes, field for field; the C_t sides differ in
+        size, so the seed picks the trimmed subset."""
+        sim = to_aligned_panel(simulate_market(
+            SimConfig(n_stocks=5, n_steps=400, fear_probability=0.1,
+                      step_size=0.01, seed=6)))
+        config = small_config(chi_levels=(0.01, 0.05), seed=seed)
+        summary = run_condcorr(None, config, tmp_path / "r", panel=sim)
+        analysis = analyze_panel(sim, config.rho_grid, config.window_range, config.delta_t,
+                                 config.chi_levels, (config.ct_level, -config.ct_level))
+        pair_tests, ct_tests = directional_tests(analysis, seed)
+        assert list(pair_tests) == [0.01, 0.05] and list(ct_tests) == [0.01]
+        assert pair_tests[0.05] is None and ct_tests[0.01].n_a == ct_tests[0.01].n_b
+
+        def block(tests):
+            return {fmt(level): {"z": r.z, "log10_p": r.log10_p, "n": r.n_a}
+                    for level, r in tests.items() if r is not None}
+        assert summary["wilcoxon_pairs"] == block(pair_tests) != {}
+        assert summary["wilcoxon_pairs_skipped"] == ["0.05"]
+        assert summary["wilcoxon_time"] == block(ct_tests) != {}
+
+    def test_one_signed_ct_level_has_no_time_test(self):
+        sim = to_aligned_panel(simulate_market(
+            SimConfig(n_stocks=5, n_steps=400, fear_probability=0.1,
+                      step_size=0.01, seed=6)))
+        for level in (0.01, -0.01):
+            analysis = analyze_panel(sim, (0.01,), window_range=(3, 6), ct_levels=(level,))
+            assert directional_tests(analysis) == ({}, {})
 
 
 class TestRunInvstats:
@@ -1026,6 +1061,24 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         for level, point in fit.items():
             assert past[level]["n_excluded_windows"] == point["n_excluded_windows"] + 100_000 - 299
             assert past[level]["C"] == point["C"]
+
+    def test_degenerate_rank_test_is_skipped(self, tmp_path):
+        """Three tickers on one file make every pair's C(+) and C(−) equal
+        at some levels; a rank test with no variance is skipped there, and
+        the run still writes every report and its summary."""
+        data = tmp_path / "market"
+        assert main(["simulate", "--n-stocks", "3", "--n-steps", "3000",
+                     "--fear-probability", "0.05", "--seed", "1", "--out", str(data)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["stock_files"] = [[ticker, "S00.csv"] for ticker in "ABC"]
+        (data / "same.json").write_text(json.dumps(manifest))
+        out = tmp_path / "cc"
+        assert main(["condcorr", "--manifest", str(data / "same.json"), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "0.05" in summary["wilcoxon_pairs_skipped"]
+        assert list(summary["wilcoxon_pairs"]) == ["0.03"]
+        rows = (out / "wilcoxon_pairs.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == ["0.03"]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         data = simulated_dataset(tmp_path)
