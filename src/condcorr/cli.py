@@ -119,10 +119,12 @@ def _cmd_condcorr(args) -> int:
     config = _build_config(args)
     manifest = io.load_manifest(args.manifest)
     summary = io.run_condcorr(manifest, config, args.out)
-    for name, tests in (("pairs", summary["wilcoxon_pairs"]), ("C_t  ", summary["wilcoxon_time"])):
-        for level, res in tests.items():
+    for name, key in (("pairs", "wilcoxon_pairs"), ("C_t  ", "wilcoxon_time")):
+        for level, res in summary[key].items():
             print(f"{name} |rho|={level}: z={res['z']:.4f} log10(p)={res['log10_p']:.2f} "
                   f"n={res['n']}")
+        for level in summary[f"{key}_skipped"]:
+            print(f"{name} |rho|={level}: skipped")
     print(f"reports written to {args.out}")
     return 0
 

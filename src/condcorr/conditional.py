@@ -180,6 +180,9 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, 
     stock is defined, else 0; s0 (c, S): S_0, NaN where no pair is defined.
     block, mean and scale, and U are consecutive views of the flat ``work``
     buffer: a sweep reuses it, so its pages fault in once, not once per chunk.
+    A stock is undefined where var ≤ ((mu + first)² + var)·_REL_VAR_FLOOR,
+    the complement of the defined test (every value is finite); one (c, N)
+    scratch row holds each row's squares and each span's floor in turn.
     """
     offsets = np.arange(dt2 + 1)
     sizes = offsets[dt1:] + 1  # δt + 1 rows per span
@@ -190,28 +193,34 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, 
     np.take(returns, starts + offsets[:, None], axis=0, mode="clip", out=block)
     first = block[0].copy()
     block -= first
-    defined = np.empty(mean.shape, dtype=bool)
-    total, total_sq = np.zeros((2,) + first.shape)
+    undefined = np.empty(mean.shape, dtype=bool)
+    total, total_sq, sq = np.zeros((3,) + first.shape)
     # running sums of the rows and their squares, one row-add per day; each
     # span's moments are taken once its last row is in
     for row in offsets:
         total += block[row]
-        total_sq += block[row] ** 2
+        total_sq += np.multiply(block[row], block[row], out=sq)
         if row >= dt1:
             mu = np.divide(total, row + 1, out=mean[row - dt1])
             var = np.divide(total_sq, row + 1, out=scale[row - dt1])
-            var -= mu * mu
-            ok = np.greater(var, ((mu + first) ** 2 + var) * _REL_VAR_FLOOR,
-                            out=defined[row - dt1])
-            np.divide(ok, np.sqrt(np.where(ok, var, 1.0)), out=var)
+            var -= np.multiply(mu, mu, out=sq)
+            floor = np.add(mu, first, out=sq)
+            floor *= floor
+            floor += var
+            floor *= _REL_VAR_FLOOR
+            np.less_equal(var, floor, out=undefined[row - dt1])
+    # 1/sd in place; an undefined stock's variance becomes inf, so its scale is 0
+    np.putmask(scale, undefined, np.inf)
+    np.divide(1.0, np.sqrt(scale, out=scale), out=scale)
     # per window row, Σ_x z_x = U − ū with U = block·scale and ū = mean·scale,
     # so Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖² = Σ U² − m·ū² − m·d
     np.matmul(block.transpose(1, 0, 2), scale.transpose(1, 2, 0), out=u)
-    u *= offsets[:, None] < sizes  # keep the rows inside each span's window
+    in_window = (offsets[:, None] < sizes) * 1.0  # the rows inside each span's window
     u_bar = np.einsum("scn,scn->cs", mean, scale)
-    d = defined.sum(axis=2).T
+    # a float32 count is exact below 2**24 stocks
+    d = n - (undefined.reshape(-1, n) @ np.ones(n, np.float32)).astype(np.int64).reshape(s, c).T
     n_pairs = d * (d - 1) // 2
-    off_diagonal = np.einsum("cms,cms->cs", u, u) - sizes * (u_bar * u_bar + d)
+    off_diagonal = np.einsum("cms,cms,ms->cs", u, u, in_window) - sizes * (u_bar * u_bar + d)
     off_diagonal /= 2.0 * sizes * np.maximum(n_pairs, 1)
     return block, mean, scale, np.where(n_pairs > 0, off_diagonal, np.nan)
 

@@ -323,12 +323,13 @@ def gain_loss_report(log_prices, levels) -> GainLossReport:
     ValidationError.  A positive asymmetry (mode(+) above mode(−)) means the
     series reaches losses sooner than equal-sized gains.  Every level must
     pass ``errors.check_level`` and be nonzero, checked before the first
-    scan; each sign runs one descent over every magnitude and bins its waits
+    scan; ±|ρ| name one magnitude, reported once in first-seen order.  Each
+    sign runs one descent over every magnitude and bins its waits
     chunk by chunk, so memory holds the tables (about 6 floats a day) and a
     1–2-byte bin lookup.
     """
     values = _log_price_values(log_prices)
-    magnitudes = [abs(check_level("levels", level)) for level in levels]
+    magnitudes = list(dict.fromkeys(abs(check_level("levels", level)) for level in levels))
     if 0.0 in magnitudes:
         raise ValidationError("levels must be nonzero")
     edges = _log_edges(len(values), LOG_BIN_RATIO)

@@ -630,6 +630,7 @@ def run_condcorr(manifest: DatasetManifest | None, config: RunConfig, output_dir
         "wilcoxon_pairs": _rank_tests_summary(pair_tests),
         "wilcoxon_pairs_skipped": [fmt(l) for l, r in pair_tests.items() if r is None],
         "wilcoxon_time": _rank_tests_summary(ct_tests),
+        "wilcoxon_time_skipped": [fmt(l) for l, r in ct_tests.items() if r is None],
         "version": __version__,
     }
     _write_summary(out, summary)

@@ -5,6 +5,9 @@ and scalar arithmetic, sharing no code with the package.  The only shared
 piece is the published zero-volatility contract: a window is undefined when
 its return variance is at or below mean-square × REL_VAR_FLOOR, so both
 sides agree on *which* windows exist before values are compared.
+
+One exception: ``window_kernel`` writes out the window kernel's own numpy
+arithmetic, step by step, so that a test can hold the kernel to its bits.
 """
 
 from __future__ import annotations
@@ -132,6 +135,45 @@ def chi(c_minus, c_plus, epsilon=1e-6):
     if abs(c_plus) <= epsilon:
         return None
     return (c_minus - c_plus) / abs(c_plus)
+
+
+def window_kernel(returns, starts, dt1, dt2):
+    """(mean, scale, s0) of the window kernel at the given starts, in the
+    same numpy steps as the kernel: per start the (dt2 + 1)-row block minus
+    its first row; running sums of the rows and their squares; per span δt
+    the mean, the variance, the floor test var > ((mean + first)² + var)·
+    REL_VAR_FLOOR and scale = defined/sd; then U = block·scale, masked to each
+    span's δt + 1 rows, ū = Σ mean·scale, and S_0 = (Σ U² − m·ū² − m·d) /
+    (2·m·pairs).  Every product and sum keeps its order, so equal inputs
+    give the kernel's bits exactly."""
+    import numpy as np
+
+    offsets = np.arange(dt2 + 1)
+    sizes = offsets[dt1:] + 1
+    block = returns[np.minimum(starts + offsets[:, None], len(returns) - 1)]
+    first = block[0].copy()
+    block -= first
+    mean = np.empty((len(sizes),) + first.shape)
+    scale = np.empty_like(mean)
+    defined = np.empty(mean.shape, dtype=bool)
+    total = np.zeros(first.shape)
+    total_sq = np.zeros(first.shape)
+    for row in offsets:
+        total += block[row]
+        total_sq += block[row] ** 2
+        if row >= dt1:
+            mu = mean[row - dt1] = total / (row + 1)
+            var = total_sq / (row + 1) - mu * mu
+            ok = defined[row - dt1] = var > ((mu + first) ** 2 + var) * REL_VAR_FLOOR
+            scale[row - dt1] = ok / np.sqrt(np.where(ok, var, 1.0))
+    u = np.matmul(block.transpose(1, 0, 2), scale.transpose(1, 2, 0))
+    u *= offsets[:, None] < sizes
+    u_bar = np.einsum("scn,scn->cs", mean, scale)
+    d = defined.sum(axis=2).T
+    n_pairs = d * (d - 1) // 2
+    off_diagonal = np.einsum("cms,cms->cs", u, u) - sizes * (u_bar * u_bar + d)
+    off_diagonal /= 2.0 * sizes * np.maximum(n_pairs, 1)
+    return mean, scale, np.where(n_pairs > 0, off_diagonal, np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,43 @@ class TestLongPanelOracle:
             np.testing.assert_array_equal(pairs, [d * (d - 1) // 2 for d in defined])
 
 
+class TestKernelBits:
+    """The kernel against ``reference.window_kernel``, its arithmetic written
+    out step by step: every mean, scale and S_0 bit for bit, NaN in the same
+    places.  The oracle tests allow 1e-10, so only this one sees a rounding
+    step change."""
+
+    @staticmethod
+    def assert_same_bits(p, window_range):
+        """Compare at every start the sweep can visit; return the count of
+        undefined (stock, window) cells."""
+        returns = conditional._returns(p, 1)
+        dt1, dt2 = window_range
+        starts = np.arange(len(returns) - dt1)
+        n, s = returns.shape[1], dt2 - dt1 + 1
+        work = np.empty(len(starts) * ((dt2 + 1) * n + 2 * s * n + (dt2 + 1) * s))
+        _, mean, scale, s0 = conditional._window_kernel(returns, starts, dt1, dt2, work)
+        for got, want in zip((mean, scale, s0),
+                             reference.window_kernel(returns, starts, dt1, dt2)):
+            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # the signs of zeros too
+        return np.count_nonzero(scale == 0.0)
+
+    def test_random_panels(self, rng):
+        undefined = 0
+        for _ in range(40):
+            p = random_oracle_panel(rng)
+            dt2 = int(rng.integers(2, p.n_days - 2))
+            undefined += self.assert_same_bits(p, (int(rng.integers(1, dt2)), dt2))
+        assert undefined > 0  # the flat stretches reach the floor test
+
+    def test_long_window(self):
+        assert self.assert_same_bits(block_edge_panel(), (10, 120)) > 0
+        market = to_aligned_panel(simulate_market(SimConfig(
+            n_stocks=30, n_steps=400, fear_probability=0.05, step_size=0.01, seed=1)))
+        self.assert_same_bits(market, (10, 120))
+
+
 class TestMarketCorrelation:
     def test_two_stocks_reduce_to_single_pair(self):
         p = panel_from_returns([[0.01, 0.02, 0.03], [0.01, 0.03, 0.02]])

@@ -304,6 +304,25 @@ class TestGainLoss:
         with pytest.raises(ValidationError):
             gain_loss_report(values, [0.0])
 
+    def test_repeated_magnitude_is_scanned_once(self, rng, monkeypatch):
+        """0.05 and -0.05 are one magnitude: one entry, in first-seen order,
+        and one descent per sign over the distinct magnitudes."""
+        values = np.cumsum(rng.normal(0.0, 0.01, size=3000))
+        scanned = []
+        descend = inverse_stats._first_passage_up
+
+        def recording(tables, rhos):
+            scanned.append(list(rhos))
+            return descend(tables, rhos)
+
+        monkeypatch.setattr(inverse_stats, "_first_passage_up", recording)
+        rep = gain_loss_report(values, (0.05, -0.05, 0.03))
+        assert [e.level_abs for e in rep.entries] == [0.05, 0.03]
+        assert scanned == [[0.05, 0.03], [0.05, 0.03]]
+        for e, alone in zip(rep.entries, gain_loss_report(values, (0.05, 0.03)).entries):
+            assert_same_histogram(e.plus, alone.plus)
+            assert_same_histogram(e.minus, alone.minus)
+
     def test_shared_tables_match_per_level_scans(self, rng, monkeypatch):
         """Histograms built from the batched descent's counts equal, byte for
         byte, the ones binned from each level's own one-magnitude descent,

@@ -1062,10 +1062,11 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
             assert past[level]["n_excluded_windows"] == point["n_excluded_windows"] + 100_000 - 299
             assert past[level]["C"] == point["C"]
 
-    def test_degenerate_rank_test_is_skipped(self, tmp_path):
+    def test_degenerate_rank_test_is_skipped(self, tmp_path, capsys):
         """Three tickers on one file make every pair's C(+) and C(−) equal
-        at some levels; a rank test with no variance is skipped there, and
-        the run still writes every report and its summary."""
+        at some levels, and no window reaches C_t's ±0.5; a rank test with
+        no variance, or too few values, is skipped, said on stdout and in
+        the summary, and the run still writes every report and its summary."""
         data = tmp_path / "market"
         assert main(["simulate", "--n-stocks", "3", "--n-steps", "3000",
                      "--fear-probability", "0.05", "--seed", "1", "--out", str(data)]) == 0
@@ -1073,12 +1074,21 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         manifest["stock_files"] = [[ticker, "S00.csv"] for ticker in "ABC"]
         (data / "same.json").write_text(json.dumps(manifest))
         out = tmp_path / "cc"
-        assert main(["condcorr", "--manifest", str(data / "same.json"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["condcorr", "--manifest", str(data / "same.json"), "--out", str(out),
+                     "--ct-level", "0.5"]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert "0.05" in summary["wilcoxon_pairs_skipped"]
+        assert summary["wilcoxon_pairs_skipped"] == ["0.05", "0.1"]
         assert list(summary["wilcoxon_pairs"]) == ["0.03"]
+        assert summary["wilcoxon_time"] == {}
+        assert summary["wilcoxon_time_skipped"] == ["0.5"]
         rows = (out / "wilcoxon_pairs.tsv").read_text().splitlines()[1:]
         assert [row.split("\t")[0] for row in rows] == ["0.03"]
+        assert (out / "wilcoxon_time.tsv").read_text().splitlines()[1:] == []
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("pairs |rho|=0.03: z=")
+        assert printed[1:] == ["pairs |rho|=0.05: skipped", "pairs |rho|=0.1: skipped",
+                               "C_t   |rho|=0.5: skipped", f"reports written to {out}"]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         data = simulated_dataset(tmp_path)
