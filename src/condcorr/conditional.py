@@ -24,7 +24,11 @@ and subtracts the block's first row.  Running sums of the shifted rows and
 of their squares give every span's mean and variance, one row-add per day;
 the shift lies inside each window, so rounding is bounded by the window
 length, not the panel length, and a constant window has variance exactly
-0.  With a = defined/σ per stock, U = block·aᵀ and m = δt + 1 rows,
+0.  A stock's variance is tested against its floor only where it is at
+most 2e-12·max x² over all the returns x: a variance above that bound is
+above its floor too.  The undefined cells among those set a = 0 and count
+d.  With a = defined/σ per
+stock, U = block·aᵀ and m = δt + 1 rows,
 Σ_(x≠y) z_x·z_y = Σ U² − m·ū² − m·d (d the defined stocks), so S_0 of every
 span is one batched matrix product.
 
@@ -170,7 +174,12 @@ def _condition_returns(index_log: np.ndarray, horizon: int, span: int) -> np.nda
     return index_log[span: span + n_t] - index_log[:n_t]
 
 
-def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, work):
+def _screen_bound(returns: np.ndarray) -> float:
+    """B = 2·_REL_VAR_FLOOR·max x² over the returns x, ``_window_kernel``'s bound."""
+    return 2.0 * _REL_VAR_FLOOR * max(returns.max(initial=0.0), -returns.min(initial=0.0)) ** 2
+
+
+def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, work, bound):
     """(block, mean, scale, s0) at the c starts, per span δt in [dt1, dt2]
     over the window's δt + 1 first block rows.
 
@@ -181,8 +190,13 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, 
     block, mean and scale, and U are consecutive views of the flat ``work``
     buffer: a sweep reuses it, so its pages fault in once, not once per chunk.
     A stock is undefined where var ≤ ((mu + first)² + var)·_REL_VAR_FLOOR,
-    the complement of the defined test (every value is finite); one (c, N)
-    scratch row holds each row's squares and each span's floor in turn.
+    the complement of the defined test (every value is finite).  mu + first
+    is a window mean of the returns x, so |mu + first| ≤ max|x| up to about
+    1e-13 relative rounding, and the floor is at most about
+    1.0000001e-12·(max x² + var).  Above ``bound`` = B = 2e-12·max x², the
+    floor is below var/2 + 1e-12·var, so the stock is defined.  Only the
+    cells at or below B take the floor test, in its steps and order; the
+    undefined cells it lists set scale to 0 and count the defined stocks d.
     """
     offsets = np.arange(dt2 + 1)
     sizes = offsets[dt1:] + 1  # δt + 1 rows per span
@@ -193,7 +207,7 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, 
     np.take(returns, starts + offsets[:, None], axis=0, mode="clip", out=block)
     first = block[0].copy()
     block -= first
-    undefined = np.empty(mean.shape, dtype=bool)
+    low = np.empty(mean.shape, dtype=bool)  # var ≤ B
     total, total_sq, sq = np.zeros((3,) + first.shape)
     # running sums of the rows and their squares, one row-add per day; each
     # span's moments are taken once its last row is in
@@ -204,21 +218,19 @@ def _window_kernel(returns: np.ndarray, starts: np.ndarray, dt1: int, dt2: int, 
             mu = np.divide(total, row + 1, out=mean[row - dt1])
             var = np.divide(total_sq, row + 1, out=scale[row - dt1])
             var -= np.multiply(mu, mu, out=sq)
-            floor = np.add(mu, first, out=sq)
-            floor *= floor
-            floor += var
-            floor *= _REL_VAR_FLOOR
-            np.less_equal(var, floor, out=undefined[row - dt1])
+            np.less_equal(var, bound, out=low[row - dt1])
+    cells = np.flatnonzero(low)  # the floor test, at these cells alone
+    var, mean_x = scale.take(cells), mean.take(cells) + first.take(cells % (c * n))
+    undefined = cells[var <= (mean_x * mean_x + var) * _REL_VAR_FLOOR]
     # 1/sd in place; an undefined stock's variance becomes inf, so its scale is 0
-    np.putmask(scale, undefined, np.inf)
+    scale.put(undefined, np.inf)
     np.divide(1.0, np.sqrt(scale, out=scale), out=scale)
     # per window row, Σ_x z_x = U − ū with U = block·scale and ū = mean·scale,
     # so Σ_(x≠y) z_x·z_y = ‖Σ_x z_x‖² − Σ_x ‖z_x‖² = Σ U² − m·ū² − m·d
     np.matmul(block.transpose(1, 0, 2), scale.transpose(1, 2, 0), out=u)
     in_window = (offsets[:, None] < sizes) * 1.0  # the rows inside each span's window
     u_bar = np.einsum("scn,scn->cs", mean, scale)
-    # a float32 count is exact below 2**24 stocks
-    d = n - (undefined.reshape(-1, n) @ np.ones(n, np.float32)).astype(np.int64).reshape(s, c).T
+    d = n - np.bincount(undefined // n, minlength=s * c).reshape(s, c).T
     n_pairs = d * (d - 1) // 2
     off_diagonal = np.einsum("cms,cms,ms->cs", u, u, in_window) - sizes * (u_bar * u_bar + d)
     off_diagonal /= 2.0 * sizes * np.maximum(n_pairs, 1)
@@ -299,22 +311,26 @@ def _sweep(panel: AlignedPanel, horizon: int, window_range: tuple[int, int],
     per_start = (dt2 + 1) * n + 2 * len(spans) * n + (dt2 + 1) * len(spans)
     chunk = max(1, min(_CHUNK, _CHUNK_FLOATS // per_start))
     work = np.empty(chunk * per_start)
+    bound = _screen_bound(returns)
     for lo in range(0, len(starts), chunk):
         t = starts[lo:lo + chunk]
-        block, mean, scale, s0[t] = _window_kernel(returns, t, dt1, dt2, work)
+        block, mean, scale, s0[t] = _window_kernel(returns, t, dt1, dt2, work, bound)
         pair_band = pair_row[bands[t]]
-        for j in np.flatnonzero((pair_band >= 0).any(axis=0)):  # the spans with χ rows
-            # the χ rows of span j by χ band; -1 (no pair level) sorts first
-            rows = pair_band[:, j].argsort(kind="stable")[np.count_nonzero(pair_band[:, j] < 0):]
+        skip = np.count_nonzero(pair_band < 0, axis=0)  # -1 (no pair level) sorts first
+        if skip.min() == len(t):
+            continue  # no χ row in this chunk
+        order = pair_band.argsort(axis=0, kind="stable")  # each span's χ rows by χ band
+        sorted_bands = np.take_along_axis(pair_band, order, axis=0)
+        for j in np.flatnonzero(skip < len(t)):  # the spans with χ rows
+            rows, b = order[skip[j]:, j], sorted_bands[skip[j]:, j]
             # Zᵀ Z = Σ_w (block_w·a_w)ᵀ (block_w·a_w) − m·(μ_w·a_w)ᵀ (μ_w·a_w)
             a = scale[j, rows]
             z = block.transpose(1, 0, 2)[rows, :spans[j] + 1]
             z *= a[:, None]
             centre = mean[j, rows] * a * np.sqrt(spans[j] + 1)
             flags = (a > 0) * 1.0
-            b = pair_band[rows, j]
-            firsts = np.flatnonzero(np.diff(b, prepend=-1))
-            for g0, g1 in zip(firsts, np.append(firsts[1:], len(b))):
+            cuts = [0, *np.flatnonzero(b[1:] != b[:-1]) + 1, len(b)]
+            for g0, g1 in zip(cuts, cuts[1:]):
                 zz, cc, ff = z[g0:g1].reshape(-1, n), centre[g0:g1], flags[g0:g1]
                 products[0, j, b[g0]] += zz.T @ zz - cc.T @ cc
                 products[1, j, b[g0]] += ff.T @ ff

@@ -91,15 +91,18 @@ def window_probe(panel, span, horizon=1, columns=None, starts=None):
     """S_0 and the defined-pair count of one span at every valid window start
     (or at ``starts``), straight from the kernel that ``analyze_panel``
     sweeps.  Over two columns (x, y), taken in the order given, S_0 is
-    S_(x,y); NaN marks an undefined window."""
+    S_(x,y); NaN marks an undefined window.  The kernel runs the spans
+    (span, span + 1): with one span alone its matrix product is a
+    matrix–vector one, which rounds unlike a sweep over several spans."""
     returns = conditional._returns(panel, horizon)
     if columns is not None:
         returns = np.ascontiguousarray(returns[:, list(columns)])
     if starts is None:
         starts = np.arange(max(len(returns) - span, 0))
     n = returns.shape[1]
-    work = np.empty(len(starts) * ((span + 1) * n + 2 * n + span + 1))
-    _, _, scale, s0 = conditional._window_kernel(returns, np.asarray(starts), span, span, work)
+    work = np.empty(len(starts) * ((span + 2) * n + 4 * n + 2 * (span + 2)))
+    _, _, scale, s0 = conditional._window_kernel(returns, np.asarray(starts), span, span + 1,
+                                                 work, conditional._screen_bound(returns))
     defined = np.count_nonzero(scale[0], axis=1)  # a stock is defined where 1/sd > 0
     return s0[:, 0], defined * (defined - 1) // 2
 

@@ -265,34 +265,61 @@ class TestKernelBits:
     step change."""
 
     @staticmethod
-    def assert_same_bits(p, window_range):
-        """Compare at every start the sweep can visit; return the count of
-        undefined (stock, window) cells."""
-        returns = conditional._returns(p, 1)
+    def kernel(returns, starts, window_range):
+        """The kernel's outputs at the starts, with the sweep's screen bound."""
         dt1, dt2 = window_range
-        starts = np.arange(len(returns) - dt1)
         n, s = returns.shape[1], dt2 - dt1 + 1
         work = np.empty(len(starts) * ((dt2 + 1) * n + 2 * s * n + (dt2 + 1) * s))
-        _, mean, scale, s0 = conditional._window_kernel(returns, starts, dt1, dt2, work)
+        return conditional._window_kernel(returns, starts, dt1, dt2, work,
+                                          conditional._screen_bound(returns))
+
+    def assert_same_bits(self, p, window_range):
+        """Compare at every start the sweep can visit; return the scale."""
+        returns = conditional._returns(p, 1)
+        starts = np.arange(len(returns) - window_range[0])
+        _, mean, scale, s0 = self.kernel(returns, starts, window_range)
         for got, want in zip((mean, scale, s0),
-                             reference.window_kernel(returns, starts, dt1, dt2)):
+                             reference.window_kernel(returns, starts, *window_range)):
             np.testing.assert_array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # the signs of zeros too
-        return np.count_nonzero(scale == 0.0)
+        return scale
 
     def test_random_panels(self, rng):
         undefined = 0
         for _ in range(40):
             p = random_oracle_panel(rng)
             dt2 = int(rng.integers(2, p.n_days - 2))
-            undefined += self.assert_same_bits(p, (int(rng.integers(1, dt2)), dt2))
+            scale = self.assert_same_bits(p, (int(rng.integers(1, dt2)), dt2))
+            undefined += np.count_nonzero(scale == 0.0)
         assert undefined > 0  # the flat stretches reach the floor test
 
+    def test_cells_at_the_screen_bound(self):
+        """Near-constant returns, var/mean² spread over [1e-13, 1e-11]: of the
+        cells at or below the screen bound, the floor test leaves some
+        defined and makes others undefined, with the reference's bits."""
+        rng = np.random.default_rng(7)
+        rel_sd = np.logspace(-6.5, -5.5, 6)[:, None]  # each stock's sd/mean
+        p = panel_from_returns(0.01 * (1.0 + rel_sd * rng.normal(size=(6, 80))))
+        scale = self.assert_same_bits(p, (3, 12))
+        bound = conditional._screen_bound(conditional._returns(p, 1))
+        screened_defined = np.count_nonzero((scale > 0.0) & (scale * scale >= 1.0 / bound))
+        assert np.count_nonzero(scale == 0.0) > 0 and screened_defined > 0
+
     def test_long_window(self):
-        assert self.assert_same_bits(block_edge_panel(), (10, 120)) > 0
+        assert np.count_nonzero(self.assert_same_bits(block_edge_panel(), (10, 120)) == 0.0) > 0
         market = to_aligned_panel(simulate_market(SimConfig(
             n_stocks=30, n_steps=400, fear_probability=0.05, step_size=0.01, seed=1)))
         self.assert_same_bits(market, (10, 120))
+
+    def test_probe_matches_a_sweep_of_many_spans(self):
+        """``window_probe`` returns the bits of the sweep's kernel call."""
+        market = to_aligned_panel(simulate_market(SimConfig(
+            n_stocks=30, n_steps=600, fear_probability=0.05, step_size=0.01, seed=3)))
+        starts = np.arange(256)
+        s0 = self.kernel(conditional._returns(market, 1), starts, (10, 35))[3]
+        for span in (10, 11, 20, 34, 35):
+            probe = window_probe(market, span, starts=starts)[0]
+            assert probe.tobytes() == s0[:, span - 10].tobytes()
 
 
 class TestMarketCorrelation:
