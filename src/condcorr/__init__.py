@@ -16,6 +16,8 @@ provides positive and null controls for both analyses end to end.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .conditional import (
     ChiReport,
     CorrelationCurve,
@@ -24,14 +26,12 @@ from .conditional import (
     PanelAnalysis,
     TimeResolvedCorrelation,
     analyze_panel,
-    relative_difference_chi,
 )
 from .errors import CondCorrError, DataError, InsufficientDataError, ValidationError
 from .fearsim import (
     SimConfig,
     SimPanel,
     build_index,
-    derive_up_probability,
     simulate_market,
     to_aligned_panel,
 )
@@ -40,7 +40,6 @@ from .inverse_stats import (
     GainLossReport,
     TailFit,
     WaitingTimeHistogram,
-    default_fit_range,
     fit_tail_exponent,
     gain_loss_report,
 )
@@ -64,4 +63,6 @@ from .timeseries import (
     detrend_log_price,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules: a star import must not rebind ``io``
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

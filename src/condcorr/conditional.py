@@ -62,7 +62,6 @@ __all__ = [
     "ChiReport",
     "TimeResolvedCorrelation",
     "PanelAnalysis",
-    "relative_difference_chi",
     "analyze_panel",
 ]
 
@@ -118,7 +117,10 @@ class CorrelationCurve:
 @dataclass(frozen=True)
 class PairConditional:
     """One pair's C_(x,y) at −|ρ| and +|ρ| with the member counts behind them,
-    and its χ_ρ: None when a side has no members or the guard excludes it."""
+    and its χ_ρ = (C(−|ρ|) − C(+|ρ|)) / |C(+|ρ|)|: None when a side has no
+    members or |C(+|ρ|)| ≤ ``EPSILON`` (an excluded sample).  Each C is a
+    mean of finite Pearson correlations, so |C| ≤ 1 up to rounding and a
+    defined |χ| stays within about 1/``EPSILON`` + 1."""
 
     pair: tuple[str, str]
     c_minus: float | None
@@ -141,9 +143,6 @@ class TimeResolvedCorrelation:
 
     times: np.ndarray
     values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -383,18 +382,6 @@ def _curve_point(sums: _SweepSums, i: int, rho: float, n_spans: int) -> CurvePoi
 # χ and the one entry point
 
 
-def relative_difference_chi(c_minus: float, c_plus: float) -> float | None:
-    """χ_ρ = (C(−|ρ|) − C(+|ρ|)) / |C(+|ρ|)|; None when the denominator is
-    within ``EPSILON`` of zero, or too small for the quotient to be finite
-    (excluded sample).  A C value that is not finite raises ValidationError."""
-    if not (math.isfinite(c_minus) and math.isfinite(c_plus)):
-        raise ValidationError(f"C values must be finite, got {c_minus} and {c_plus}")
-    if abs(c_plus) <= EPSILON:
-        return None
-    chi = (c_minus - c_plus) / abs(c_plus)
-    return chi if math.isfinite(chi) else None
-
-
 def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int) -> ChiReport:
     tickers = panel.tickers
     iu, ju = np.triu_indices(len(tickers), k=1)
@@ -412,9 +399,10 @@ def _chi_report(panel: AlignedPanel, sums: _SweepSums, minus: int, plus: int) ->
         chi = None
         if c_minus is None or c_plus is None:
             missing += 1
+        elif abs(c_plus) <= EPSILON:
+            small_denom += 1
         else:
-            chi = relative_difference_chi(c_minus, c_plus)
-            small_denom += chi is None
+            chi = (c_minus - c_plus) / abs(c_plus)
         pairs.append(PairConditional((tickers[i], tickers[j]), c_minus, c_plus, cm, cp, chi))
     return ChiReport(pairs=tuple(pairs), excluded_denominator=small_denom,
                      excluded_missing=missing)

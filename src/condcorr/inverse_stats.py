@@ -47,7 +47,6 @@ __all__ = [
     "TailFit",
     "GainLossEntry",
     "GainLossReport",
-    "default_fit_range",
     "fit_tail_exponent",
     "gain_loss_report",
 ]
@@ -241,12 +240,15 @@ class TailFit:
     n_bins: int
 
 
-def default_fit_range(hist: WaitingTimeHistogram) -> tuple[float, float]:
-    """Fit window from 3x the mode (past the pre-peak rise) to the last bin
-    still holding 5 samples (before counting noise takes over).
+def fit_tail_exponent(hist: WaitingTimeHistogram) -> TailFit:
+    """Least-squares slope of (ln τ, ln density) over the tail bins, negated.
 
-    Raises InsufficientDataError when no bin holds 5 samples or when the
-    last such bin lies at or below 3x the mode (no tail to fit).
+    The fit window, kept as ``TailFit.fit_range``, runs from 3x the mode
+    (past the pre-peak rise) to the centre of the last bin still holding 5
+    samples (before counting noise takes over), and needs 4 nonzero bins.
+    Raises InsufficientDataError when no bin holds 5 samples, when the last
+    such bin lies at or below 3x the mode (no tail to fit), or when fewer
+    than 4 nonzero bins fall in the window.
     """
     well_filled = np.nonzero(hist.counts >= 5)[0]
     if len(well_filled) == 0:
@@ -258,13 +260,6 @@ def default_fit_range(hist: WaitingTimeHistogram) -> tuple[float, float]:
             f"no bin past 3x the mode ({tau_min:g}) holds 5 samples; "
             f"the last one is centered at {tau_max:g}"
         )
-    return tau_min, tau_max
-
-
-def fit_tail_exponent(hist: WaitingTimeHistogram) -> TailFit:
-    """Least-squares slope of (ln τ, ln density) over the tail bins in
-    ``default_fit_range(hist)``, negated; needs 4 nonzero bins there."""
-    tau_min, tau_max = default_fit_range(hist)
     centers = hist.bin_centers
     use = (centers >= tau_min) & (centers <= tau_max) & (hist.densities > 0.0)
     n_bins = int(np.sum(use))

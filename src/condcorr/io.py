@@ -496,8 +496,8 @@ def write_price_csv(path, series: PriceSeries, *, dates: list[str] | None = None
 
 def run_simulate(sim_config: SimConfig, output_dir) -> dict:
     """Simulate a market and persist it as an ingestible CSV panel + manifest."""
-    out = _output_dir(output_dir)
     panel = to_aligned_panel(simulate_market(sim_config))
+    out = _output_dir(output_dir)
     dates = np.datetime_as_string(panel.calendar).tolist()
     stock_files = []
     for stock in panel.stocks:

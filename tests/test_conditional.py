@@ -7,13 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import condcorr
 from condcorr import (SimConfig, ValidationError, analyze_panel, conditional,
-                      relative_difference_chi, simulate_market, to_aligned_panel)
+                      simulate_market, to_aligned_panel)
 
 import reference
 from conftest import make_panel, random_oracle_panel, window_probe
@@ -524,31 +525,34 @@ class TestCurve:
             assert minus_m.sample_count == plus.sample_count
 
 
+def report_of(c_minus, c_plus):
+    """``_chi_report`` on one pair whose C(−|ρ|) and C(+|ρ|) are given: each
+    side's sums are (C, 1) from one member window."""
+    sums = SimpleNamespace(**{name: np.zeros((2, 2, 2))
+                              for name in ("pair_den", "pair_num", "pair_members")})
+    sums.pair_den[:, 0, 1] = sums.pair_members[:, 0, 1] = 1.0
+    sums.pair_num[:, 0, 1] = c_minus, c_plus
+    return conditional._chi_report(SimpleNamespace(tickers=("A", "B")), sums, 0, 1)
+
+
 class TestChi:
     def test_hand_values(self):
-        assert relative_difference_chi(0.55, 0.5) == pytest.approx(0.1, abs=1e-12)
-        assert relative_difference_chi(0.5, 0.5) == 0.0
-        assert relative_difference_chi(0.3, -0.2) == pytest.approx(2.5, abs=1e-12)
+        assert report_of(0.55, 0.5).pairs[0].chi == pytest.approx(0.1, abs=1e-12)
+        assert report_of(0.5, 0.5).pairs[0].chi == 0.0
+        assert report_of(0.3, -0.2).pairs[0].chi == pytest.approx(2.5, abs=1e-12)
 
     def test_small_denominator_excluded(self):
-        assert relative_difference_chi(0.3, 0.0) is None
         assert conditional.EPSILON == 1e-6
-        assert relative_difference_chi(0.3, 1e-6) is None
-        assert relative_difference_chi(0.3, -5e-7) is None
-        assert relative_difference_chi(0.3, 2e-6) is not None
+        for c_plus in (0.0, 1e-6, -5e-7):
+            report = report_of(0.3, c_plus)
+            assert report.pairs[0].chi is None and report.excluded_denominator == 1
+        assert report_of(0.3, 2e-6).pairs[0].chi is not None
 
-    def test_overflowing_chi_excluded(self):
-        # a quotient beyond the float range is excluded like a small denominator
-        assert relative_difference_chi(1e308, 0.5) is None
-        assert relative_difference_chi(1e308, 2e-6) is None
-        assert relative_difference_chi(1e300, 0.5) == pytest.approx(2e300, rel=1e-12)
-
-    @pytest.mark.parametrize("c_minus, c_plus", [(math.nan, 0.5), (0.3, math.inf),
-                                                 (0.3, math.nan)],
-                             ids=["nan-minus", "inf-plus", "nan-plus"])
-    def test_non_finite_c_rejected(self, c_minus, c_plus):
-        with pytest.raises(ValidationError, match="^C values must be finite"):
-            relative_difference_chi(c_minus, c_plus)
+    def test_chi_is_bounded(self):
+        """|C| ≤ 1 and |C(+)| > ``EPSILON`` keep |χ| within 1/``EPSILON`` + 1,
+        so χ needs no overflow guard."""
+        chi = report_of(-1.0, math.nextafter(1e-6, 1.0)).pairs[0].chi
+        assert chi == pytest.approx(-1e6 - 1, rel=1e-9)
 
     def test_distribution_report(self, rng, monkeypatch):
         """Each pair's χ is the reference χ of its own C values, None where a
@@ -762,7 +766,7 @@ class TestChunkedSweep:
         assert all((pc.c_minus, pc.c_plus, pc.count_minus, pc.count_plus, pc.chi)
                    == (None, None, 0, 0, None) for pc in report.pairs)
         assert report.excluded_denominator == 0
-        assert all(len(tr) == 0 for tr in analysis.time_resolved.values())
+        assert all(len(tr.times) == 0 for tr in analysis.time_resolved.values())
         assert analysis.curve == self.analyze(p, chi_levels=(), ct_levels=()).curve
 
 
@@ -819,7 +823,7 @@ class TestAnalyzePanel:
         small = analyze_panel(p, grid, chi_levels=chi, ct_levels=ct)
         assert small.curve == full.curve
         for level, tr in full.time_resolved.items():
-            assert len(tr) > 0
+            assert len(tr.times) > 0
             for other in (time_only[level], small.time_resolved[level]):
                 np.testing.assert_array_equal(other.times, tr.times)
                 np.testing.assert_array_equal(other.values, tr.values)

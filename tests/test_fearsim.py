@@ -13,7 +13,6 @@ from condcorr import (
     SimPanel,
     ValidationError,
     build_index,
-    derive_up_probability,
     simulate_market,
     to_aligned_panel,
 )
@@ -33,7 +32,7 @@ def one_shot(cfg):
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     fear = rng.random(cfg.n_steps) < cfg.fear_probability
     move_u = rng.random((cfg.n_steps, cfg.n_stocks))
-    q = derive_up_probability(cfg.fear_probability)
+    q = 1 / (2 * (1 - cfg.fear_probability))
     increments = np.where(move_u < q, cfg.step_size, -cfg.step_size)
     increments[fear, :] = -cfg.step_size
     log_prices = np.zeros((cfg.n_stocks, cfg.n_steps + 1))
@@ -45,17 +44,29 @@ B = fearsim._BLOCK
 
 
 class TestUpProbability:
+    """q = 1/(2(1 − p)) solves p + (1 − p)(1 − q) = 1/2: a stock moves up on
+    exactly the non-fear steps whose move uniform lies below q."""
+
+    @staticmethod
+    def up_moves_match(p, q):
+        cfg = SimConfig(n_stocks=4, n_steps=3000, fear_probability=p, step_size=0.01, seed=5)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        fear = rng.random(cfg.n_steps) < p
+        up = (rng.random((cfg.n_steps, cfg.n_stocks)) < q) & ~fear[:, None]
+        steps = np.diff(simulate_market(cfg).log_prices, axis=1)
+        np.testing.assert_array_equal(steps.T > 0, up)
+
     def test_no_fear_is_fair(self):
-        assert derive_up_probability(0.0) == 0.5
+        self.up_moves_match(0.0, 0.5)
 
     def test_quarter_fear_compensates(self):
-        assert derive_up_probability(0.25) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        self.up_moves_match(0.25, 2.0 / 3.0)
 
     def test_degenerate_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            derive_up_probability(0.5)
-        with pytest.raises(ValidationError):
-            derive_up_probability(-0.1)
+        # SimConfig is the one range check: at p = 0.5, q would reach 1
+        for p in (0.5, -0.1):
+            with pytest.raises(ValidationError, match="^fear_probability"):
+                SimConfig(n_stocks=2, n_steps=10, fear_probability=p, step_size=0.01, seed=0)
 
 
 class TestConfigValidation:
@@ -172,7 +183,7 @@ class TestReproducibility:
         rng = np.random.Generator(np.random.PCG64(99))
         fear_u = rng.random(50)
         move_u = rng.random((50, 3))
-        q = derive_up_probability(0.2)
+        q = 1 / (2 * (1 - 0.2))
         inc = np.where(move_u < q, 0.01, -0.01)
         inc[fear_u < 0.2, :] = -0.01
         np.testing.assert_array_equal(panel.fear_step_flags, fear_u < 0.2)
@@ -181,9 +192,9 @@ class TestReproducibility:
 
 
 class TestBlockedSimulation:
-    """``simulate_market`` and ``build_index`` work ``_BLOCK`` steps at a
-    time; their bytes must be the one-shot generator's at every block
-    boundary."""
+    """``simulate_market`` works ``_BLOCK`` steps at a time; its bytes, and
+    those of ``build_index`` on its result, must be the one-shot generator's
+    at every block boundary."""
 
     @staticmethod
     def assert_matches_one_shot(cfg):

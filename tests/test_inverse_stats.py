@@ -16,7 +16,6 @@ from condcorr import (
     SimConfig,
     ValidationError,
     WaitingTimeHistogram,
-    default_fit_range,
     detrend_log_price,
     fit_tail_exponent,
     gain_loss_report,
@@ -241,17 +240,21 @@ class TestTailFit:
         assert fit.n_bins == int(np.sum(h.bin_centers >= 3.0 * h.mode)) == 12
 
     def test_default_range_semantics(self):
-        taus = [2] * 40 + [3] * 25 + [5] * 18 + [9] * 11 + [15] * 7 + [30] * 3
-        h = histogram_of(taus, ratio=1.4)
-        lo, hi = default_fit_range(h)
+        # a tail long enough to fit, whose last bin (3 samples) is left out
+        taus = [2] * 40 + [3] * 25 + [5] * 18 + [9] * 11 + [15] * 9 + [25] * 7 + [40] * 6
+        h = histogram_of(taus + [70] * 3, ratio=1.4)
+        lo, hi = fit_tail_exponent(h).fit_range
         assert lo == pytest.approx(3.0 * h.mode, rel=1e-12)
         filled = np.nonzero(h.counts >= 5)[0]
         assert hi == pytest.approx(float(h.bin_centers[filled[-1]]), rel=1e-12)
+        assert hi < h.bin_centers[-1]
 
     def test_default_range_needs_a_filled_bin(self):
-        h = histogram_of([1, 4, 9])
-        with pytest.raises(InsufficientDataError):
-            default_fit_range(h)
+        with pytest.raises(InsufficientDataError, match="^no bin holds 5 samples"):
+            fit_tail_exponent(histogram_of([1, 4, 9]))
+        # the only filled bin is the mode's, so no tail lies past 3x the mode
+        with pytest.raises(InsufficientDataError, match="^no bin past 3x the mode"):
+            fit_tail_exponent(histogram_of([2] * 40 + [9] * 4 + [30] * 4))
 
     def test_fit_needs_four_nonzero_bins(self):
         # 5 bins leave 3 past 3x the mode, 6 leave the 4 a fit needs
@@ -274,7 +277,7 @@ class TestTailFit:
             if case == "flat":
                 h = dataclasses.replace(h, densities=np.ones_like(h.densities))
         fit = fit_tail_exponent(h)
-        fit_range = default_fit_range(h)
+        fit_range = fit.fit_range
         c = h.bin_centers
         use = (c >= fit_range[0]) & (c <= fit_range[1]) & (h.densities > 0.0)
         ref = stats.linregress(np.log(c[use]), np.log(h.densities[use]))

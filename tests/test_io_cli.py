@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,16 @@ def test_every_exported_name_resolves():
     for module in modules:
         stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert stale == [], module.__name__
+
+
+def test_star_import_binds_no_module():
+    """``from condcorr import *`` binds the public names only, so it cannot
+    shadow a module of the importer's, such as the standard ``io``."""
+    namespace = {}
+    exec("from condcorr import *", namespace)
+    modules = [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
+    assert modules == []
+    assert "analyze_panel" in namespace
 
 
 def test_no_field_goes_unchecked():
@@ -1311,6 +1322,27 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("market, message", [
+        ((2, 10, 0, 800, 1), "step_size 800 takes simulated prices out of the float range"),
+        ((2, 1, 0.4, 800, 2), "step_size 800 takes simulated prices out of the float range"),
+        ((2, 10, 0, 1e308, 1), "step_size 1e+308 takes simulated prices out of the float range"),
+        ((1, 10, 0, 0.01, 1), "panel needs at least 2 stocks"),
+    ], ids=["prices-overflow", "prices-underflow", "log-prices-overflow", "one-stock"])
+    def test_simulate_refuses_before_creating_out(self, tmp_path, capsys, market, message):
+        """A step size whose prices leave the float range exits 2 naming it,
+        not 3 after numpy's overflow warning, and neither it nor a one-stock
+        market leaves an empty --out behind.  Seed 1 steps to exp(±800), seed
+        2's one step is a fear step, taking both prices to exp(−800) = 0, and
+        steps of 1e308 take the log prices themselves to ±inf and NaN."""
+        out = tmp_path / "out"
+        flags = ("--n-stocks", "--n-steps", "--fear-probability", "--step-size", "--seed")
+        argv = [a for flag, value in zip(flags, market) for a in (flag, str(value))]
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     def test_ingest_check_csv_and_manifest(self, tmp_path, capsys):
         data = simulated_dataset(tmp_path, n_stocks=2, n_steps=30)
